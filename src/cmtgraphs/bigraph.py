@@ -11,11 +11,11 @@ A graph lives in a small line-oriented text format:
 
 The structural heart of the module is `find_pure_order`: a bipartite graph
 without isolated vertices is unmixed (its independence complex is pure)
-exactly when some perfect matching x_i~y_i satisfies Villarreal's
-transitivity condition, namely that x_iy_j and x_jy_k being edges forces
-x_iy_k to be an edge.  `cross_blocks` then splits the matched pairs into the
-maximal complete bipartite blocks K_{n,n} given by the cross relation
-(i and j cross when both x_iy_j and x_jy_i are edges).
+exactly when any perfect matching x_i~y_i satisfies Villarreal's condition
+that x_iy_j and x_jy_k being edges forces x_iy_k to be an edge; any, since
+in an unmixed graph all of them do.  `cross_blocks` then splits the matched
+pairs into the maximal complete bipartite blocks K_{n,n} given by the cross
+relation (i and j cross when both x_iy_j and x_jy_i are edges).
 """
 
 from __future__ import annotations
@@ -209,58 +209,66 @@ def to_document(g: BipartiteGraph) -> str:
 
 
 def _matching_transitive(g: BipartiteGraph, match: dict[str, str]) -> bool:
-    # Villarreal condition (2): it depends only on the pairing, not on how
-    # the pairs are later indexed.
-    edges = g.edges
-    lefts = list(match)
-    for xi, xj, xk in itertools.permutations(lefts, 3):
-        if (xi, match[xj]) in edges and (xj, match[xk]) in edges:
-            if (xi, match[xk]) not in edges:
-                return False
-    return True
+    # Villarreal condition (2).  With succ[x] the lefts whose partner x sees,
+    # it reads succ[j] <= succ[i] for every j in succ[i]; triples with a
+    # repeated index hold through the matched edges.
+    adj = _adjacency(g)
+    owner = {y: x for x, y in match.items()}
+    succ = {x: frozenset(owner[y] for y in adj[x]) for x in match}
+    return all(succ[j] <= succ[i] for i in match for j in succ[i])
 
 
 def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
-    """Search every perfect matching for one satisfying the pure-order conditions.
+    """The pure order of an unmixed graph, or None when it is not unmixed.
 
-    Returns None when the graph is not unmixed.  Isolated vertices are
-    outside the theory's hypotheses and raise `IsolatedVertexError` instead.
-    The search is exhaustive over matchings because the transitivity
-    condition may hold for one matching and fail for another.
+    Isolated vertices are outside the theory's hypotheses and raise
+    `IsolatedVertexError`.  One perfect matching decides: in an unmixed
+    graph every maximal independent set has d elements, so it holds one end
+    of each matched edge.  Were x_iy_j and x_jy_k edges but not x_iy_k, a
+    maximal independent set containing x_i and y_k would miss y_j, so hold
+    x_j, a neighbour of y_k.  So all perfect matchings of an unmixed graph
+    pass, and by Villarreal's theorem one that passes proves it unmixed.
+
+    Lefts with equal neighbourhoods form a block; every perfect matching
+    maps a block's lefts onto its rights, as the lefts of an up-set of
+    blocks see only that up-set's rights.  Zipping each block's lefts, in
+    input order, with its rights sorted by name gives every matching the
+    same answer: the first pure pairing with lefts taken by ascending
+    degree and rights by name.
     """
     isolated = g.isolated_vertices()
     if isolated:
         raise IsolatedVertexError(f"isolated vertices {', '.join(isolated)}")
     if len(g.left) != len(g.right):
         return None
-    if not g.left:
-        return PureOrder(())
     adj = _adjacency(g)
-    # Low-degree vertices first keeps the backtracking shallow.
-    order = sorted(g.left, key=lambda x: len(adj[x]))
-    used: set[str] = set()
     match: dict[str, str] = {}
-
-    def extend(i: int) -> PureOrder | None:
-        if i == len(order):
-            if _matching_transitive(g, match):
-                pairs = tuple((x, match[x]) for x in g.left)
-                return PureOrder(pairs)
+    owner: dict[str, str] = {}
+    for root in g.left:  # augmenting paths (Kuhn), breadth first
+        via: dict[str, str] = {}  # right vertex -> the left it was reached from
+        queue, y = [root], None
+        for x in queue:
+            fresh = adj[x] - via.keys()
+            via.update(dict.fromkeys(fresh, x))
+            y = next((v for v in fresh if v not in owner), None)
+            if y is not None:
+                break
+            queue.extend(owner[v] for v in fresh)
+        if y is None:
             return None
-        x = order[i]
-        for y in sorted(adj[x]):
-            if y in used:
-                continue
-            used.add(y)
-            match[x] = y
-            found = extend(i + 1)
-            if found is not None:
-                return found
-            used.discard(y)
-            del match[x]
+        while y is not None:
+            x = via[y]
+            y_next = match.get(x)
+            match[x], owner[y] = y, x
+            y = y_next
+    if not _matching_transitive(g, match):
         return None
-
-    return extend(0)
+    blocks: dict[frozenset[str], list[str]] = {}
+    for x in g.left:
+        blocks.setdefault(adj[x], []).append(x)
+    partner = {x: y for xs in blocks.values()
+               for x, y in zip(xs, sorted(match[v] for v in xs))}
+    return PureOrder(tuple((x, partner[x]) for x in g.left))
 
 
 def is_unmixed(g: BipartiteGraph) -> bool:

@@ -22,7 +22,7 @@ import json
 import sys
 import time
 
-from .bigraph import parse_graph, to_document
+from .bigraph import ConsistencyError, is_connected, parse_graph, to_document
 from . import simplicial
 from .classify import classification_json, verify_against_oracle
 from .construct import contract, expand, expansion_document, parse_expansion, predicted_codim
@@ -49,8 +49,6 @@ def _build_parser() -> _Parser:
 
     def add(name: str, help_text: str, with_input: bool = True):
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", default=True,
-                       help="emit a JSON report (the default)")
         p.add_argument("--quiet", action="store_true",
                        help="suppress the report, keep only the exit code")
         if with_input:
@@ -81,30 +79,36 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_input(args) -> tuple[str, str]:
-    """Return (document text, digest source name)."""
-    if getattr(args, "builtin", None):
+def _source(args) -> str:
+    """What the command was given; the report names it whether or not it fails."""
+    if args.command == "enumerate":
+        return f"cm:dim={args.cm}" if args.cm is not None else f"cmt:t={args.cmt}"
+    if args.command == "verify" and args.d is not None:
+        return f"unmixed:d={args.d}"
+    return f"builtin:{args.builtin}" if args.builtin else args.input or ""
+
+
+def _read_input(args) -> str:
+    if args.builtin:
         if args.input:
             raise ValueError("give either a path or --builtin, not both")
-        return builtin_document(args.builtin), f"builtin:{args.builtin}"
+        return builtin_document(args.builtin)
     if not args.input:
         raise ValueError("no input given: pass a path or --builtin")
     with open(args.input, encoding="utf-8") as fh:
-        return fh.read(), args.input
+        return fh.read()
 
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _cmd_classify(args) -> tuple[str, dict, str]:
-    text, source = _read_input(args)
-    return "ok", classification_json(parse_graph(text)), source
+def _cmd_classify(args) -> tuple[str, dict]:
+    return "ok", classification_json(parse_graph(_read_input(args)))
 
 
-def _cmd_oracle(args) -> tuple[str, dict, str]:
-    text, source = _read_input(args)
-    g = parse_graph(text)
+def _cmd_oracle(args) -> tuple[str, dict]:
+    g = parse_graph(_read_input(args))
     if len(g.vertices) > ORACLE_VERTEX_GUARD:
         raise ValueError(
             f"oracle guard: {len(g.vertices)} vertices exceeds {ORACLE_VERTEX_GUARD}")
@@ -121,10 +125,10 @@ def _cmd_oracle(args) -> tuple[str, dict, str]:
     if args.max_t is not None:
         result["max_t"] = args.max_t
         result["cm_within_max_t"] = codim is not None and codim <= args.max_t
-    return "ok", result, source
+    return "ok", result
 
 
-def _cmd_verify(args) -> tuple[str, dict, str]:
+def _cmd_verify(args) -> tuple[str, dict]:
     if args.d is None and not (args.input or args.builtin):
         raise ValueError("verify needs --d or a single graph input")
     if args.d is not None:
@@ -139,9 +143,8 @@ def _cmd_verify(args) -> tuple[str, dict, str]:
                 for g, r in bad
             ],
         }
-        return ("ok" if not bad else "disagreement"), result, f"unmixed:d={args.d}"
-    text, source = _read_input(args)
-    report = verify_against_oracle(parse_graph(text))
+        return ("ok" if not bad else "disagreement"), result
+    report = verify_against_oracle(parse_graph(_read_input(args)))
     result = {
         "agree": report.agree,
         "structural_t_sharp": report.structural.t_sharp,
@@ -149,33 +152,30 @@ def _cmd_verify(args) -> tuple[str, dict, str]:
         "oracle_pure": report.oracle_pure,
         "mismatches": list(report.mismatches),
     }
-    return ("ok" if report.agree else "disagreement"), result, source
+    return ("ok" if report.agree else "disagreement"), result
 
 
-def _cmd_expand(args) -> tuple[str, dict, str]:
-    text, source = _read_input(args)
-    g = expand(parse_expansion(text))
+def _cmd_expand(args) -> tuple[str, dict]:
+    g = expand(parse_expansion(_read_input(args)))
     result = {
         "document": to_document(g),
         "vertices": len(g.vertices),
         "edges": len(g.edges),
     }
-    return "ok", result, source
+    return "ok", result
 
 
-def _cmd_contract(args) -> tuple[str, dict, str]:
-    text, source = _read_input(args)
-    e = contract(parse_graph(text))
+def _cmd_contract(args) -> tuple[str, dict]:
+    e = contract(parse_graph(_read_input(args)))
     result = {
         "document": expansion_document(e),
         "multiplicities": list(e.multiplicities),
         "predicted_codim": predicted_codim(e),
     }
-    return "ok", result, source
+    return "ok", result
 
 
-def _cmd_enumerate(args) -> tuple[str, dict, str]:
-    from .bigraph import is_connected
+def _cmd_enumerate(args) -> tuple[str, dict]:
     if args.cm is not None:
         graphs = enumerate_cm(args.cm)
         label, value = "dimension", args.cm
@@ -183,7 +183,6 @@ def _cmd_enumerate(args) -> tuple[str, dict, str]:
         connected = sum(1 for g in graphs if is_connected(g))
         instances = graphs
         families = None
-        source = f"cm:dim={args.cm}"
     else:
         fams = enumerate_sharp_cmt(args.cmt, args.max_total)
         label, value = "t", args.cmt
@@ -199,7 +198,6 @@ def _cmd_enumerate(args) -> tuple[str, dict, str]:
             }
             for f in fams
         ]
-        source = f"cmt:t={args.cmt}"
     if args.out:
         manifest = write_enumeration(args.out, label, value, instances,
                                      connected_count=connected, count=count)
@@ -212,7 +210,7 @@ def _cmd_enumerate(args) -> tuple[str, dict, str]:
         }
     if families is not None:
         manifest = dict(manifest, families=families)
-    return "ok", manifest, source
+    return "ok", manifest
 
 
 _HANDLERS = {
@@ -227,11 +225,12 @@ _HANDLERS = {
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    source = _source(args)
     started = time.monotonic()
     try:
-        status, result, source = _HANDLERS[args.command](args)
-    except (ValueError, OSError) as exc:
-        status, result, source = "error", {"message": str(exc)}, ""
+        status, result = _HANDLERS[args.command](args)
+    except (ValueError, OSError, ConsistencyError, RecursionError, MemoryError) as exc:
+        status, result = "error", {"message": str(exc) or type(exc).__name__}
     elapsed_ms = int((time.monotonic() - started) * 1000)
     report = {
         "command": args.command,

@@ -93,21 +93,14 @@ def expand(e: Expansion) -> BipartiteGraph:
                              edges)
 
 
-def _base_from_representatives(g: BipartiteGraph, po: PureOrder,
-                               reps: list[int]) -> BipartiteGraph:
-    xs, ys = po.lefts, po.rights
-    edges = {(xs[i], ys[j]) for i in reps for j in reps
-             if (xs[i], ys[j]) in g.edges}
-    return BipartiteGraph.of([xs[i] for i in reps], [ys[i] for i in reps], edges)
-
-
 def contract(g: BipartiteGraph) -> Expansion:
     """Collapse each complete bipartite block back to a single matched edge.
 
-    Picks the smallest index of every block as its representative, checks
-    that adjacency between any two blocks really is uniform (it must be in
-    an unmixed graph), and double-checks that choosing the largest indices
-    instead produces an isomorphic base.
+    Picks the smallest index of every block as its representative and
+    checks that adjacency between any two blocks really is uniform (it must
+    be in an unmixed graph).  Uniform adjacency means every pair in block a
+    sees block b alike, so any choice of representatives reads the same
+    block-to-block adjacency and yields an isomorphic base.
     """
     po = find_pure_order(g)
     if po is None:
@@ -120,15 +113,13 @@ def contract(g: BipartiteGraph) -> Expansion:
         if len(linked) > 1:
             raise ConsistencyError(
                 f"blocks {a} and {b} are only partially adjacent")
-    base = _base_from_representatives(g, po, [blk[0] for blk in blocks])
+    reps = [blk[0] for blk in blocks]
+    base = BipartiteGraph.of([xs[i] for i in reps], [ys[i] for i in reps],
+                             {(xs[i], ys[j]) for i in reps for j in reps
+                              if (xs[i], ys[j]) in g.edges})
     expansion = Expansion(base, tuple(len(blk) for blk in blocks))
-    base_order = PureOrder(expansion.pairs)
-    if any(n >= 2 for n in cross_blocks(base, base_order).sizes):
+    if any(n >= 2 for n in cross_blocks(base, PureOrder(expansion.pairs)).sizes):
         raise ConsistencyError("contracted base still contains a cross")
-    alt = _base_from_representatives(g, po, [blk[-1] for blk in blocks])
-    from .enumeration import canonical_form
-    if canonical_form(base) != canonical_form(alt):
-        raise ConsistencyError("base depends on the block representatives chosen")
     return expansion
 
 

@@ -1,5 +1,6 @@
 """Graph model, document format, pure orders, blocks, neighborhood deletion."""
 
+import itertools
 import random
 
 import pytest
@@ -7,12 +8,15 @@ from hypothesis import given, settings, strategies as st
 
 from cmtgraphs import (
     BipartiteGraph,
+    Expansion,
     GraphFormatError,
     IsolatedVertexError,
     connected_components,
+    classify,
     cross_blocks,
     delete_closed_neighborhood,
     disjoint_union,
+    expand,
     find_pure_order,
     independence_complex,
     is_pure,
@@ -20,12 +24,48 @@ from cmtgraphs import (
     is_unmixed,
     link,
     parse_graph,
+    predicted_codim,
     to_document,
 )
-from conftest import all_pure_pairings, complete, graph, random_bipartite
+from conftest import (all_pure_pairings, complete, graph, random_bipartite,
+                      relabeled_copy)
 
 PATH = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n"
 SIX_CYCLE = "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x1-y2 x2-y2 x2-y3 x3-y3 x3-y1\n"
+
+
+def diagonal_graph(d: int, extra) -> BipartiteGraph:
+    """Matched pairs x_i-y_i plus the off-diagonal edges x_i-y_j for (i, j) in extra."""
+    return BipartiteGraph.of([f"x{i}" for i in range(d)], [f"y{i}" for i in range(d)],
+                             [(f"x{i}", f"y{i}") for i in range(d)]
+                             + [(f"x{i}", f"y{j}") for i, j in extra])
+
+
+def least_pure_pairing(g: BipartiteGraph):
+    """The first pure pairing in a lexicographic order, from the brute-force oracle.
+
+    Lefts are taken by ascending degree, ties kept in input order, and the
+    partners are compared as names.  The JSON reports depend on this
+    pairing, so it pins what `find_pure_order` must return.
+    """
+    pairings = all_pure_pairings(g)
+    if not pairings:
+        return None
+    degree = {x: sum((x, y) in g.edges for y in g.right) for x in g.left}
+    order = sorted(g.left, key=degree.__getitem__)
+    best = min(pairings, key=lambda m: [m[x] for x in order])
+    return tuple((x, best[x]) for x in g.left)
+
+
+def assert_matches_oracle(g: BipartiteGraph) -> bool:
+    po = find_pure_order(g)
+    expected = least_pure_pairing(g)
+    assert (po is None) == (expected is None)
+    if po is not None:
+        assert po.pairs == expected
+    return po is not None
+
+
 FIG1 = """\
 L: x1 x21 x22 x23
 R: y1 y21 y22 y23
@@ -152,6 +192,33 @@ class TestPureOrder:
             reversed_g = BipartiteGraph.of(g.left[::-1], g.right[::-1], g.edges)
             assert is_unmixed(g) == is_unmixed(reversed_g)
 
+    def test_every_diagonal_graph_up_to_four_pairs(self):
+        # All 1 + 4 + 64 + 4096 graphs on d <= 4 diagonal-matched pairs.  The
+        # unmixed ones are the labelled preorders: 1, 4, 29, 355 (A000798).
+        unmixed = 0
+        for d in range(1, 5):
+            optional = [(i, j) for i in range(d) for j in range(d) if i != j]
+            for mask in range(2 ** len(optional)):
+                extra = [e for bit, e in enumerate(optional) if mask >> bit & 1]
+                unmixed += assert_matches_oracle(diagonal_graph(d, extra))
+        assert unmixed == 1 + 4 + 29 + 355
+
+    def test_relabeled_copies_up_to_six_pairs(self):
+        # Shuffled names and sides; names like v10 < v9 test the name order.
+        rng = random.Random(23)
+        unmixed = 0
+        for _ in range(300):
+            d = rng.randint(2, 6)
+            extra = {(i, j) for i in range(d) for j in range(d)
+                     if i != j and rng.random() < 0.3}
+            if rng.random() < 0.5:  # close it up to a preorder, so unmixed
+                for k, i, j in itertools.product(range(d), repeat=3):
+                    if (i, k) in extra and (k, j) in extra and i != j:
+                        extra.add((i, j))
+            unmixed += assert_matches_oracle(
+                relabeled_copy(diagonal_graph(d, extra), rng))
+        assert unmixed > 100
+
     @given(st.integers(0, 2 ** 9 - 1))
     @settings(max_examples=200)
     def test_unmixed_matches_oracle_purity_d3(self, mask):
@@ -163,6 +230,26 @@ class TestPureOrder:
         g = BipartiteGraph.of([f"x{i}" for i in range(3)],
                               [f"y{i}" for i in range(3)], edges)
         assert is_unmixed(g) == is_pure(independence_complex(g))
+
+    def test_large_poset_expansion(self):
+        # A random poset on 60 points blown up to over 300 matched pairs.
+        rng = random.Random(31)
+        n = 60
+        below = {(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < 0.1}
+        for k, i, j in itertools.product(range(n), repeat=3):
+            if (i, k) in below and (k, j) in below:
+                below.add((i, j))
+        mult = tuple(rng.randint(1, 9) for _ in range(n))
+        e = Expansion(diagonal_graph(n, below), mult)
+        assert sum(mult) >= 300
+        g = relabeled_copy(expand(e), rng)
+        verdict = classify(g)
+        assert verdict.t_sharp == predicted_codim(e)
+        assert verdict.block_sizes == tuple(sorted(mult))
+        # A mixed component makes the union mixed; an exhaustive search
+        # would walk every perfect matching of g before saying so.
+        assert not classify(disjoint_union(g, parse_graph(SIX_CYCLE))).unmixed
 
 
 class TestCrossBlocks:

@@ -1,10 +1,12 @@
 """Command line surface: reports, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
-from cmtgraphs import canonical_form, classify, parse_graph
+from cmtgraphs import ConsistencyError, canonical_form, classify, parse_graph
+from cmtgraphs import cli
 from cmtgraphs.cli import main
 
 K22 = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y1 x2-y2\n"
@@ -155,6 +157,17 @@ class TestExpandContract:
         assert r["predicted_codim"] == 2
         assert r["document"].strip().endswith("M: 1 3")
 
+    def test_contract_nine_pairs(self, capsys, tmp_path):
+        doc = tmp_path / "chain9.graph"
+        doc.write_text("L: " + " ".join(f"x{i}" for i in range(9))
+                       + "\nR: " + " ".join(f"y{i}" for i in range(9))
+                       + "\nE: " + " ".join(f"x{i}-y{j}" for i in range(9)
+                                             for j in range(i, 9)) + "\n")
+        code, report = run(capsys, "contract", str(doc))
+        assert code == 0
+        assert report["result"]["multiplicities"] == [1] * 9
+        assert report["result"]["predicted_codim"] == 0
+
     def test_round_trip_through_commands(self, capsys, tmp_path):
         doc = tmp_path / "base.exp"
         doc.write_text("L: x1 x2\nR: y1 y2\nE: x1-y1 x2-y2\nM: 2 2\n")
@@ -234,3 +247,30 @@ class TestErrors:
         code, report = run(capsys, "classify", "/nonexistent/g.graph")
         assert set(report) == {"command", "input_digest", "input", "status",
                                "elapsed_ms", "result"}
+        assert report["input"] == "/nonexistent/g.graph"
+        assert report["input_digest"] == hashlib.sha256(
+            b"/nonexistent/g.graph").hexdigest()[:16]
+
+    @pytest.mark.parametrize("fault, message", [
+        (ConsistencyError("boom"), "boom"),
+        (RecursionError("maximum recursion depth exceeded"),
+         "maximum recursion depth exceeded"),
+        (MemoryError(), "MemoryError"),
+    ])
+    def test_internal_fault_is_a_json_error(self, capsys, monkeypatch, fault, message):
+        def broken(args):
+            raise fault
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+        code, report = run(capsys, "classify", "--builtin", "fig1")
+        assert code == 1
+        assert report["status"] == "error"
+        assert report["result"] == {"message": message}
+        assert report["input"] == "builtin:fig1"
+        assert set(report) == {"command", "input_digest", "input", "status",
+                               "elapsed_ms", "result"}
+
+    def test_json_flag_removed(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--builtin", "fig1", "--json"])
+        assert err.value.code == 1

@@ -105,6 +105,15 @@ class TestContract:
         with pytest.raises(ValueError, match="not unmixed"):
             contract(SIX_CYCLE)
 
+    @pytest.mark.parametrize("d", [9, 12])
+    def test_chain_beyond_eight_pairs(self, d):
+        # Edges x_i-y_j for i <= j: cross-free, so every block is one pair.
+        chain = BipartiteGraph.of([f"x{i}" for i in range(d)], [f"y{i}" for i in range(d)],
+                                  [(f"x{i}", f"y{j}") for i in range(d) for j in range(i, d)])
+        e = contract(chain)
+        assert e.multiplicities == (1,) * d
+        assert e.base == chain
+
     def test_round_trip_over_small_cm_bases(self):
         rng = random.Random(7)
         for d in (1, 2, 3):
