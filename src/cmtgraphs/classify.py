@@ -83,6 +83,11 @@ def macaulay_order(g: BipartiteGraph, po: PureOrder | None = None) -> MacaulayOr
             raise ValueError("graph is not unmixed, no pure order exists")
     if any(n >= 2 for n in cross_blocks(g, po).sizes):
         return None
+    return _topological_order(g, po)
+
+
+def _topological_order(g: BipartiteGraph, po: PureOrder) -> MacaulayOrder:
+    """The Macaulay order of a pure order already known to be cross-free."""
     d = len(po.pairs)
     xs, ys = po.lefts, po.rights
     succ = {i: {j for j in range(d) if j != i and (xs[i], ys[j]) in g.edges}
@@ -192,8 +197,7 @@ def classification_json(g: BipartiteGraph) -> dict:
         "cohen_macaulay": verdict.cohen_macaulay if verdict.unmixed else None,
     }
     if verdict.unmixed and verdict.cohen_macaulay:
-        mo = macaulay_order(g, verdict.order)
-        if mo is None:
-            raise ConsistencyError("cross-free graph without a Macaulay order")
-        payload["macaulay_order"] = list(mo.order)
+        # Every block of verdict.blocks is a single pair, so the order is
+        # cross-free and cross_blocks need not run again.
+        payload["macaulay_order"] = list(_topological_order(g, verdict.order).order)
     return payload

@@ -1,16 +1,20 @@
 """Simplicial complexes and the brute-force Cohen-Macaulay oracle.
 
-Everything here is definitional and exact.  A complex is stored by its
-facets; reduced homology is computed over the rationals from integer
-boundary matrices whose ranks come out of fraction-free (Bareiss)
-elimination, so no floating point is involved anywhere.
+Everything here is exact.  A complex is stored by its facets; reduced
+homology is computed over the rationals from the boundary matrices, with
+no floating point anywhere.  Each boundary rank is first taken mod 2, by
+XOR elimination of bitmask columns.  When the mod-2 Betti numbers are
+non-zero in at most one degree they are already the rational ones (the
+proof is in `reduced_homology`); otherwise every rank is recomputed over
+the integers by fraction-free (Bareiss) elimination, which torsion needs.
 
 Cohen-Macaulayness is decided by the Reisner criterion: every face link
 must have vanishing reduced homology below its own dimension.  `is_cm_t`
 is the literal relaxation that only inspects links of faces with at least
-t vertices, and `cm_codim` finds the least such t.  `cm_codim_recursive`
-reaches the same number along a different route (peeling one vertex link
-at a time), which gives the test suite an internal cross-check.
+t vertices, and `cm_codim` finds the least such t in one sweep over the
+faces.  `cm_codim_recursive` reaches the same number along a different
+route (peeling one vertex link at a time, through `is_cohen_macaulay`),
+which gives the test suite an internal cross-check.
 
 Two degenerate complexes are kept distinct: the empty complex (no faces
 at all) and the complex whose only face is the empty set.  The latter has
@@ -39,17 +43,20 @@ class SimplicialComplex:
         for facet in self.facets:
             if not facet <= universe:
                 raise ValueError(f"facet {sorted(facet)} leaves the vertex universe")
-        for a, b in itertools.combinations(self.facets, 2):
-            if a <= b or b <= a:
-                raise ConsistencyError("facet list contains nested faces")
+        # Distinct faces of one size cannot nest, so a pure list needs no scan.
+        if len({len(f) for f in self.facets}) > 1:
+            for a, b in itertools.combinations(self.facets, 2):
+                if a <= b or b <= a:
+                    raise ConsistencyError("facet list contains nested faces")
 
 
 def from_facets(vertices, faces) -> SimplicialComplex:
     """Build a complex from any face family, pruning non-maximal members."""
-    candidates = [frozenset(f) for f in faces]
-    maximal = [f for f in candidates
-               if not any(f < other for other in candidates)]
-    return SimplicialComplex(tuple(vertices), frozenset(maximal))
+    candidates = {frozenset(f) for f in faces}
+    if len({len(f) for f in candidates}) > 1:
+        candidates = {f for f in candidates
+                      if not any(f < other for other in candidates)}
+    return SimplicialComplex(tuple(vertices), frozenset(candidates))
 
 
 def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
@@ -75,6 +82,30 @@ def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
 
     grow(set(), set(verts), set())
     return SimplicialComplex(tuple(verts), frozenset(facets))
+
+
+def independent_set_count(g: BipartiteGraph, limit: int) -> int:
+    """Faces of the independence complex of g, or limit + 1 if it has more.
+
+    Counts independent sets, the empty one included, without building the
+    complex: branch on the lowest remaining vertex, left out or taken with
+    its neighbours removed.  Every branch ends in a distinct independent
+    set, so the work is linear in the count returned.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    closed = [1 << i | sum(1 << index[u] for u in g.neighbors(v))
+              for i, v in enumerate(g.vertices)]
+    count = 0
+    stack = [(1 << len(closed)) - 1]
+    while stack and count <= limit:
+        allowed = stack.pop()
+        if not allowed:
+            count += 1
+            continue
+        lowest = allowed & -allowed
+        stack.append(allowed & ~lowest)
+        stack.append(allowed & ~closed[lowest.bit_length() - 1])
+    return count
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -173,28 +204,75 @@ def _boundary_rank(lower: list[tuple[str, ...]], upper: list[tuple[str, ...]]) -
     return _integer_rank(matrix)
 
 
-@lru_cache(maxsize=None)
-def reduced_homology(c: SimplicialComplex) -> HomologyProfile:
-    """Reduced Betti numbers of c from degree -1 through dim(c)."""
-    if not c.facets:
-        return HomologyProfile(())
-    top = dim(c)
-    by_dim: dict[int, list[tuple[str, ...]]] = {
-        k: sorted(tuple(sorted(f)) for f in faces(c) if len(f) == k + 1)
-        for k in range(-1, top + 1)
-    }
-    ranks = {k: _boundary_rank(by_dim[k - 1], by_dim[k])
-             for k in range(0, top + 1)}
+def _gf2_boundary_rank(lower: list[tuple[str, ...]], upper: list[tuple[str, ...]]) -> int:
+    """Rank mod 2 of the boundary map from the span of `upper` down to `lower`.
+
+    Each column is an int bitmask over `lower`; it is XORed against the
+    stored pivot with the same leading bit until it vanishes or becomes a
+    new pivot.
+    """
+    if not lower or not upper:
+        return 0
+    bit_of = {f: 1 << i for i, f in enumerate(lower)}
+    pivots: dict[int, int] = {}
+    for face in upper:
+        column = 0
+        for i in range(len(face)):
+            column |= bit_of[face[:i] + face[i + 1:]]
+        while column:
+            lead = column.bit_length()
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = column
+                break
+            column ^= pivot
+    return len(pivots)
+
+
+def _betti(by_dim: dict[int, list[tuple[str, ...]]], top: int, rank) -> tuple[int, ...]:
+    """Reduced Betti numbers from degree -1 through `top`, with ranks from `rank`."""
+    ranks = {k: rank(by_dim[k - 1], by_dim[k]) for k in range(0, top + 1)}
     ranks[-1] = 0
     ranks[top + 1] = 0
     betti = tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1]
                   for k in range(-1, top + 1))
-    # Reduced Euler-Poincare identity; a failure means the rank code is wrong.
+    # The alternating sum telescopes whatever the ranks are, so only a
+    # negative Betti number can show an overcounted rank.
     face_sum = sum((-1) ** k * len(by_dim[k]) for k in range(-1, top + 1))
     betti_sum = sum((-1) ** k * b for k, b in zip(range(-1, top + 1), betti))
     if face_sum != betti_sum:
         raise ConsistencyError(
             f"Euler-Poincare mismatch: faces {face_sum}, homology {betti_sum}")
+    if min(betti) < 0:
+        raise ConsistencyError(f"negative Betti number in {betti}")
+    return betti
+
+
+@lru_cache(maxsize=None)
+def reduced_homology(c: SimplicialComplex) -> HomologyProfile:
+    """Reduced Betti numbers of c over Q, from degree -1 through dim(c).
+
+    The ranks are taken mod 2 first.  When the mod-2 Betti numbers are
+    non-zero in at most one degree q, they are the rational ones: a
+    non-zero minor mod 2 is non-zero over Z, so rank_F2(d_k) <= rank_Q(d_k)
+    and hence beta_k(Q) <= beta_k(F2) in every degree.  Both sequences
+    have the same alternating sum, the reduced Euler characteristic, which
+    depends only on the face counts.  So beta(Q) vanishes wherever
+    beta(F2) does, and in degree q the two agree, both being
+    (-1)^q times that characteristic.  Otherwise mod-2 classes may come
+    from torsion, and every rank is recomputed by Bareiss elimination.
+    """
+    if not c.facets:
+        return HomologyProfile(())
+    top = dim(c)
+    by_dim: dict[int, list[tuple[str, ...]]] = {k: [] for k in range(-1, top + 1)}
+    for f in faces(c):
+        by_dim[len(f) - 1].append(tuple(sorted(f)))
+    for group in by_dim.values():
+        group.sort()
+    betti = _betti(by_dim, top, _gf2_boundary_rank)
+    if sum(1 for b in betti if b) > 1:
+        betti = _betti(by_dim, top, _boundary_rank)
     return HomologyProfile(betti)
 
 
@@ -234,18 +312,31 @@ def is_cm_t(c: SimplicialComplex, t: int) -> bool:
 def cm_codim(c: SimplicialComplex) -> int | None:
     """Least t with is_cm_t(c, t), or None when c is not pure.
 
-    One sweep over the faces suffices: the least passing t is one more than
-    the largest face whose link fails the Reisner criterion.
+    The least passing t is one more than the largest face F whose link
+    fails the Reisner criterion.  Links of links are links,
+    lk_{lk F}(G) = lk(F | G), so lk F fails exactly when some face H
+    containing F has homology below dim(lk H) in its own link lk H, and
+    the largest failing F is such an H.  One homology computation per
+    face therefore decides, and scanning the faces largest first, the
+    first H found gives the answer.  A link whose facets share a vertex is
+    a cone, whose reduced homology vanishes, so it needs no computation.
+    Homology depends only on the facets, so each distinct link is
+    computed once per call.
     """
     if not is_pure(c):
         return None
     if not c.facets:
         return 0
-    worst = -1
-    for f in faces(c):
-        if not is_cohen_macaulay(link(c, f)):
-            worst = max(worst, len(f))
-    return worst + 1
+    low: dict[frozenset[frozenset[str]], bool] = {}
+    for f in sorted(faces(c), key=len, reverse=True):
+        lk = link(c, f)
+        if lk.facets not in low:
+            top = dim(lk)
+            low[lk.facets] = (not frozenset.intersection(*lk.facets)
+                              and any(reduced_homology(lk).rank(k) for k in range(-1, top)))
+        if low[lk.facets]:
+            return len(f) + 1
+    return 0
 
 
 @lru_cache(maxsize=None)

@@ -99,6 +99,24 @@ class TestClassificationJson:
         assert data["t_sharp"] == 1
         assert "macaulay_order" not in data
 
+    def test_one_cross_blocks_per_report(self, monkeypatch):
+        import importlib
+
+        classify_mod = importlib.import_module("cmtgraphs.classify")
+        real, calls = classify_mod.cross_blocks, []
+
+        def counting(g, po):
+            calls.append(po)
+            return real(g, po)
+
+        monkeypatch.setattr(classify_mod, "cross_blocks", counting)
+        stair = parse_graph(
+            "L: x1 x2 x3\nR: y1 y2 y3\n"
+            "E: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n")
+        data = classification_json(stair)
+        assert len(calls) == 1
+        assert data["macaulay_order"] == list(macaulay_order(stair).order)
+
 
 class TestMacaulayOrder:
     def test_path_has_order(self):

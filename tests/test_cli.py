@@ -89,6 +89,19 @@ class TestOracle:
         assert code == 1
         assert report["status"] == "error"
         assert "guard" in report["result"]["message"]
+        assert str(cli.ORACLE_FACE_LIMIT) in report["result"]["message"]
+
+    def test_guard_counts_faces_not_vertices(self, capsys, tmp_path):
+        # K_{11,11}: 22 vertices, but only 2 * 2^11 - 1 = 4095 faces.
+        left = " ".join(f"x{i}" for i in range(11))
+        right = " ".join(f"y{i}" for i in range(11))
+        edges = " ".join(f"x{i}-y{j}" for i in range(11) for j in range(11))
+        doc = tmp_path / "k11.graph"
+        doc.write_text(f"L: {left}\nR: {right}\nE: {edges}\n")
+        code, report = run(capsys, "oracle", str(doc))
+        assert code == 0
+        assert report["result"]["cm_codim"] == 1
+        assert report["result"]["facet_count"] == 2
 
 
 class TestVerify:
@@ -250,6 +263,18 @@ class TestErrors:
         assert report["input"] == "/nonexistent/g.graph"
         assert report["input_digest"] == hashlib.sha256(
             b"/nonexistent/g.graph").hexdigest()[:16]
+
+    def test_digest_follows_the_document(self, capsys, tmp_path):
+        doc = tmp_path / "g.graph"
+        digests = []
+        for text in (K22, "L: x1\nR: y1\nE: x1-y1\n"):
+            doc.write_text(text)
+            _, report = run(capsys, "classify", str(doc))
+            assert report["input"] == str(doc)
+            assert report["input_digest"] == hashlib.sha256(
+                text.encode()).hexdigest()[:16]
+            digests.append(report["input_digest"])
+        assert digests[0] != digests[1]
 
     @pytest.mark.parametrize("fault, message", [
         (ConsistencyError("boom"), "boom"),

@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from cmtgraphs import (
     BipartiteGraph,
+    ConsistencyError,
     cm_codim,
     cm_codim_recursive,
     dim,
+    enumerate_unmixed,
     faces,
     from_facets,
     independence_complex,
@@ -23,6 +25,8 @@ from cmtgraphs import (
     reduced_euler_characteristic,
     reduced_homology,
 )
+from cmtgraphs import simplicial
+from cmtgraphs.simplicial import SimplicialComplex, independent_set_count
 from conftest import (
     brute_betti,
     brute_maximal_independent_sets,
@@ -36,6 +40,10 @@ from conftest import (
 PATH = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
 VOID = from_facets([], [()])
 EMPTY = from_facets([], [])
+# The six-vertex real projective plane: acyclic over Q, but H_1 = Z/2, so
+# its mod-2 Betti numbers are (0, 0, 1, 1).
+RP2 = from_facets("123456", ["123", "134", "145", "156", "162",
+                             "235", "346", "452", "563", "624"])
 
 
 def all_complexes(verts):
@@ -83,6 +91,16 @@ class TestIndependenceComplex:
         ind = independence_complex(BipartiteGraph.of([], [], []))
         assert ind.facets == frozenset({frozenset()})
 
+    def test_independent_set_count_is_face_count(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            g = random_bipartite(rng, max_side=4)
+            n = len(faces(independence_complex(g)))
+            assert independent_set_count(g, n) == n
+            assert independent_set_count(g, n - 1) == n
+            assert independent_set_count(g, n - 2) == n - 1
+        assert independent_set_count(BipartiteGraph.of([], [], []), 5) == 1
+
 
 class TestBasics:
     def test_dim(self):
@@ -97,6 +115,10 @@ class TestBasics:
         six_cycle = parse_graph(
             "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x1-y2 x2-y2 x2-y3 x3-y3 x3-y1\n")
         assert not is_pure(independence_complex(six_cycle))
+
+    def test_nested_facets_rejected(self):
+        with pytest.raises(ConsistencyError, match="nested"):
+            SimplicialComplex(("a", "b"), frozenset({frozenset("a"), frozenset("ab")}))
 
     def test_from_facets_prunes(self):
         c = from_facets("abc", [("a",), ("a", "b"), ("a", "b"), ()])
@@ -199,6 +221,38 @@ class TestHomology:
         from cmtgraphs.simplicial import _integer_rank
         assert _integer_rank(signed) == fraction_rank(signed)
 
+    @pytest.mark.parametrize("routine, complex_", [
+        ("_gf2_boundary_rank", from_facets("abc", [("a", "b", "c")])),
+        ("_boundary_rank", RP2),
+    ])
+    def test_overcounted_rank_is_caught(self, monkeypatch, routine, complex_):
+        # Betti numbers are face counts minus ranks, so their alternating
+        # sum matches the faces whatever the ranks; a rank one too high
+        # shows as a negative Betti number.
+        real = getattr(simplicial, routine)
+        monkeypatch.setattr(simplicial, routine,
+                            lambda lower, upper: real(lower, upper) + 1)
+        with pytest.raises(ConsistencyError, match="negative Betti"):
+            reduced_homology.__wrapped__(complex_)
+
+    def test_torsion_takes_the_integer_route(self, monkeypatch):
+        real, calls = simplicial._integer_rank, []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return real(rows)
+
+        monkeypatch.setattr(simplicial, "_integer_rank", counting)
+        circle = from_facets("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
+        assert reduced_homology.__wrapped__(circle).betti == (0, 0, 1)
+        assert calls == []
+        assert reduced_homology.__wrapped__(RP2).betti == (0, 0, 0, 0)
+        assert calls
+
+    def test_projective_plane_over_q(self):
+        assert reduced_homology(RP2).betti == (0, 0, 0, 0) == brute_betti(RP2.facets)
+        assert is_cohen_macaulay(RP2)
+
     def test_euler_characteristic_matches_homology(self):
         rng = random.Random(23)
         for _ in range(60):
@@ -289,6 +343,23 @@ class TestCodim:
                                                    ("c", "d"), ("d", "a")])]
         for c in pool:
             assert cm_codim(c) == cm_codim_recursive(c)
+
+
+    def test_projective_plane_inside_a_link(self):
+        # lk{a} of the suspension is RP2.  Taking mod-2 Betti numbers as
+        # rational ones would make that link fail and give codimension 2.
+        suspension = join(RP2, from_facets("ab", [("a",), ("b",)]))
+        assert cm_codim(suspension) == cm_codim_recursive(suspension) == 0
+
+    def test_every_unmixed_graph_up_to_four_pairs(self):
+        checked = 0
+        for d in range(1, 5):
+            for g in enumerate_unmixed(d):
+                c = independence_complex(g)
+                assert cm_codim(c) == cm_codim_recursive(c)
+                assert reduced_homology(c).betti == brute_betti(c.facets)
+                checked += 1
+        assert checked == 1 + 3 + 7 + 24
 
 
 class TestJoinCodim:
