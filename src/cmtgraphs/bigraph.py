@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -77,23 +77,23 @@ class BipartiteGraph:
         return (x, y) in self.edges
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return _adjacency(self)[v]
+        return self._adjacency[v]
 
     def degree(self, v: str) -> int:
-        return len(_adjacency(self)[v])
+        return len(self._adjacency[v])
 
     def isolated_vertices(self) -> tuple[str, ...]:
-        adj = _adjacency(self)
+        adj = self._adjacency
         return tuple(v for v in self.vertices if not adj[v])
 
-
-@lru_cache(maxsize=None)
-def _adjacency(g: BipartiteGraph) -> dict[str, frozenset[str]]:
-    adj: dict[str, set[str]] = {v: set() for v in g.vertices}
-    for x, y in g.edges:
-        adj[x].add(y)
-        adj[y].add(x)
-    return {v: frozenset(ns) for v, ns in adj.items()}
+    @cached_property
+    def _adjacency(self) -> dict[str, frozenset[str]]:
+        """Neighbours of every vertex, built on first use and freed with the graph."""
+        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+        for x, y in self.edges:
+            adj[x].add(y)
+            adj[y].add(x)
+        return {v: frozenset(ns) for v, ns in adj.items()}
 
 
 @dataclass(frozen=True)
@@ -212,7 +212,7 @@ def _matching_transitive(g: BipartiteGraph, match: dict[str, str]) -> bool:
     # Villarreal condition (2).  With succ[x] the lefts whose partner x sees,
     # it reads succ[j] <= succ[i] for every j in succ[i]; triples with a
     # repeated index hold through the matched edges.
-    adj = _adjacency(g)
+    adj = g._adjacency
     owner = {y: x for x, y in match.items()}
     succ = {x: frozenset(owner[y] for y in adj[x]) for x in match}
     return all(succ[j] <= succ[i] for i in match for j in succ[i])
@@ -241,7 +241,7 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
         raise IsolatedVertexError(f"isolated vertices {', '.join(isolated)}")
     if len(g.left) != len(g.right):
         return None
-    adj = _adjacency(g)
+    adj = g._adjacency
     match: dict[str, str] = {}
     owner: dict[str, str] = {}
     for root in g.left:  # augmenting paths (Kuhn), breadth first
@@ -350,7 +350,7 @@ def disjoint_union(a: BipartiteGraph, b: BipartiteGraph) -> BipartiteGraph:
 
 
 def connected_components(g: BipartiteGraph) -> tuple[frozenset[str], ...]:
-    adj = _adjacency(g)
+    adj = g._adjacency
     seen: set[str] = set()
     comps: list[frozenset[str]] = []
     for start in g.vertices:

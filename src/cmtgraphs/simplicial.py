@@ -16,6 +16,10 @@ faces.  `cm_codim_recursive` reaches the same number along a different
 route (peeling one vertex link at a time, through `is_cohen_macaulay`),
 which gives the test suite an internal cross-check.
 
+Nothing here is cached across calls.  `cm_codim` and `cm_codim_recursive`
+each keep their verdicts per distinct link in a table local to one call,
+so nothing outlives a call and a complex is freed once its caller drops it.
+
 Two degenerate complexes are kept distinct: the empty complex (no faces
 at all) and the complex whose only face is the empty set.  The latter has
 dimension -1, one reduced homology class in degree -1, and counts as
@@ -26,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bigraph import BipartiteGraph, ConsistencyError
 
@@ -118,7 +121,6 @@ def is_pure(c: SimplicialComplex) -> bool:
     return len({len(f) for f in c.facets}) <= 1
 
 
-@lru_cache(maxsize=None)
 def faces(c: SimplicialComplex) -> frozenset[frozenset[str]]:
     """Every face of c, the empty set included whenever c has any facet."""
     out: set[frozenset[str]] = set()
@@ -230,25 +232,23 @@ def _gf2_boundary_rank(lower: list[tuple[str, ...]], upper: list[tuple[str, ...]
 
 
 def _betti(by_dim: dict[int, list[tuple[str, ...]]], top: int, rank) -> tuple[int, ...]:
-    """Reduced Betti numbers from degree -1 through `top`, with ranks from `rank`."""
+    """Reduced Betti numbers from degree -1 through `top`, with ranks from `rank`.
+
+    No Euler-Poincare comparison is made: beta_k = f_k - r_k - r_{k+1}, so
+    the alternating sum of the Betti numbers telescopes to that of the face
+    counts whatever the ranks are.  Only a negative Betti number can show
+    an overcounted rank.
+    """
     ranks = {k: rank(by_dim[k - 1], by_dim[k]) for k in range(0, top + 1)}
     ranks[-1] = 0
     ranks[top + 1] = 0
     betti = tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1]
                   for k in range(-1, top + 1))
-    # The alternating sum telescopes whatever the ranks are, so only a
-    # negative Betti number can show an overcounted rank.
-    face_sum = sum((-1) ** k * len(by_dim[k]) for k in range(-1, top + 1))
-    betti_sum = sum((-1) ** k * b for k, b in zip(range(-1, top + 1), betti))
-    if face_sum != betti_sum:
-        raise ConsistencyError(
-            f"Euler-Poincare mismatch: faces {face_sum}, homology {betti_sum}")
     if min(betti) < 0:
         raise ConsistencyError(f"negative Betti number in {betti}")
     return betti
 
 
-@lru_cache(maxsize=None)
 def reduced_homology(c: SimplicialComplex) -> HomologyProfile:
     """Reduced Betti numbers of c over Q, from degree -1 through dim(c).
 
@@ -280,18 +280,12 @@ def reduced_euler_characteristic(c: SimplicialComplex) -> int:
     return sum((-1) ** (len(f) - 1) for f in faces(c))
 
 
-@lru_cache(maxsize=None)
 def is_cohen_macaulay(c: SimplicialComplex) -> bool:
-    """Reisner criterion over the rationals, every face link inspected."""
-    if not c.facets:
-        return True
-    for f in faces(c):
-        lk = link(c, f)
-        top = dim(lk)
-        profile = reduced_homology(lk)
-        if any(profile.rank(k) for k in range(-1, top)):
-            return False
-    return True
+    """Reisner criterion over the rationals, every face link inspected.
+
+    Every entry of a link's profile but the last lies below its top degree.
+    """
+    return not any(any(reduced_homology(link(c, f)).betti[:-1]) for f in faces(c))
 
 
 def is_cm_t(c: SimplicialComplex, t: int) -> bool:
@@ -308,7 +302,6 @@ def is_cm_t(c: SimplicialComplex, t: int) -> bool:
                for f in faces(c) if len(f) >= t)
 
 
-@lru_cache(maxsize=None)
 def cm_codim(c: SimplicialComplex) -> int | None:
     """Least t with is_cm_t(c, t), or None when c is not pure.
 
@@ -321,7 +314,9 @@ def cm_codim(c: SimplicialComplex) -> int | None:
     first H found gives the answer.  A link whose facets share a vertex is
     a cone, whose reduced homology vanishes, so it needs no computation.
     Homology depends only on the facets, so each distinct link is
-    computed once per call.
+    computed once per call, keyed by its facets {G - F : F <= G facet of c}
+    before it is built; c is pure, so none of them nest.  Every entry of
+    the profile but the last lies below the top degree.
     """
     if not is_pure(c):
         return None
@@ -329,34 +324,33 @@ def cm_codim(c: SimplicialComplex) -> int | None:
         return 0
     low: dict[frozenset[frozenset[str]], bool] = {}
     for f in sorted(faces(c), key=len, reverse=True):
-        lk = link(c, f)
-        if lk.facets not in low:
-            top = dim(lk)
-            low[lk.facets] = (not frozenset.intersection(*lk.facets)
-                              and any(reduced_homology(lk).rank(k) for k in range(-1, top)))
-        if low[lk.facets]:
+        star = frozenset(facet - f for facet in c.facets if f <= facet)
+        if star not in low:
+            low[star] = (not frozenset.intersection(*star)
+                         and any(reduced_homology(link(c, f)).betti[:-1]))
+        if low[star]:
             return len(f) + 1
     return 0
 
 
-@lru_cache(maxsize=None)
 def cm_codim_recursive(c: SimplicialComplex) -> int | None:
     """Same number as cm_codim, reached by peeling vertex links.
 
     For t >= 1 a pure complex is CM_t exactly when every vertex link is
     CM_{t-1}, so the sharp codimension of a non-CM complex is one more than
-    the worst sharp codimension among its vertex links.
+    the worst sharp codimension among its vertex links.  Links of different
+    faces often coincide; within one call each is peeled once.
     """
     if not is_pure(c):
         return None
-    if is_cohen_macaulay(c):
-        return 0
-    worst = 0
-    for f in faces(c):
-        if len(f) != 1:
-            continue
-        sub = cm_codim_recursive(link(c, f))
-        if sub is None:
-            raise ConsistencyError("vertex link of a pure complex came out non-pure")
-        worst = max(worst, sub)
-    return worst + 1
+    memo: dict[frozenset[frozenset[str]], int] = {}
+
+    def peel(sub: SimplicialComplex) -> int:
+        if sub.facets not in memo:
+            if not is_pure(sub):
+                raise ConsistencyError("vertex link of a pure complex came out non-pure")
+            memo[sub.facets] = 0 if is_cohen_macaulay(sub) else 1 + max(
+                (peel(link(sub, {v})) for v in frozenset().union(*sub.facets)), default=0)
+        return memo[sub.facets]
+
+    return peel(c)

@@ -1,7 +1,9 @@
 """Complex oracle: homology, Reisner scan, codimension, joins."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cmtgraphs import (
     BipartiteGraph,
     ConsistencyError,
+    classify,
     cm_codim,
     cm_codim_recursive,
     dim,
@@ -233,7 +236,7 @@ class TestHomology:
         monkeypatch.setattr(simplicial, routine,
                             lambda lower, upper: real(lower, upper) + 1)
         with pytest.raises(ConsistencyError, match="negative Betti"):
-            reduced_homology.__wrapped__(complex_)
+            reduced_homology(complex_)
 
     def test_torsion_takes_the_integer_route(self, monkeypatch):
         real, calls = simplicial._integer_rank, []
@@ -244,9 +247,9 @@ class TestHomology:
 
         monkeypatch.setattr(simplicial, "_integer_rank", counting)
         circle = from_facets("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
-        assert reduced_homology.__wrapped__(circle).betti == (0, 0, 1)
+        assert reduced_homology(circle).betti == (0, 0, 1)
         assert calls == []
-        assert reduced_homology.__wrapped__(RP2).betti == (0, 0, 0, 0)
+        assert reduced_homology(RP2).betti == (0, 0, 0, 0)
         assert calls
 
     def test_projective_plane_over_q(self):
@@ -360,6 +363,31 @@ class TestCodim:
                 assert reduced_homology(c).betti == brute_betti(c.facets)
                 checked += 1
         assert checked == 1 + 3 + 7 + 24
+
+    def test_one_homology_per_distinct_link(self, monkeypatch):
+        chain = BipartiteGraph.of([f"x{i}" for i in range(4)], [f"y{i}" for i in range(4)],
+                                  [(f"x{i}", f"y{j}") for i in range(4) for j in range(i, 4)])
+        real, seen = simplicial.reduced_homology, []
+
+        def counting(c):
+            seen.append(c.facets)
+            return real(c)
+
+        monkeypatch.setattr(simplicial, "reduced_homology", counting)
+        assert cm_codim(independence_complex(chain)) == 0
+        assert seen and len(seen) == len(set(seen))
+
+    def test_nothing_outlives_a_call(self):
+        g = parse_graph("L: a1 a2 b1 b2\nR: c1 c2 d1 d2\n"
+                        "E: a1-c1 a1-c2 a2-c1 a2-c2 b1-d1 b1-d2 b2-d1 b2-d2\n")
+        c = independence_complex(g)
+        assert classify(g).t_sharp == 3
+        assert cm_codim(c) == cm_codim_recursive(c) == 3
+        assert is_cm_t(c, 3) and not is_cm_t(c, 2)
+        refs = [weakref.ref(g), weakref.ref(c)]
+        del g, c
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestJoinCodim:
