@@ -45,7 +45,6 @@ from .classify import (
     CmtClassification,
     MacaulayOrder,
     OracleAgreement,
-    UnionCodim,
     classification_json,
     classify,
     disjoint_union_codim,
@@ -82,7 +81,7 @@ __all__ = [
     "HomologyProfile", "SimplicialComplex", "cm_codim", "cm_codim_recursive", "dim",
     "faces", "from_facets", "independence_complex", "is_cm_t", "is_cohen_macaulay",
     "is_pure", "join", "link", "reduced_euler_characteristic", "reduced_homology",
-    "CmtClassification", "MacaulayOrder", "OracleAgreement", "UnionCodim",
+    "CmtClassification", "MacaulayOrder", "OracleAgreement",
     "classification_json", "classify", "disjoint_union_codim", "is_buchsbaum",
     "macaulay_order", "verify_against_oracle",
     "Expansion", "contract", "expand", "expansion_document", "parse_expansion",

@@ -15,12 +15,12 @@ exactly when any perfect matching x_i~y_i satisfies Villarreal's condition
 that x_iy_j and x_jy_k being edges forces x_iy_k to be an edge; any, since
 in an unmixed graph all of them do.  `cross_blocks` then splits the matched
 pairs into the maximal complete bipartite blocks K_{n,n} given by the cross
-relation (i and j cross when both x_iy_j and x_jy_i are edges).
+relation (i and j cross when both x_iy_j and x_jy_i are edges).  Under a
+pure order these blocks are the classes of lefts with equal neighbourhoods.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -288,41 +288,23 @@ def is_pure_order(g: BipartiteGraph, po: PureOrder) -> bool:
 def cross_blocks(g: BipartiteGraph, po: PureOrder) -> BlockDecomposition:
     """Partition the matched pairs by the cross relation.
 
-    The relation (i crosses j when both x_iy_j and x_jy_i are edges) is an
-    equivalence on the indices whenever `po` really is a pure order; each
-    class spans a maximal complete bipartite block.  A non-transitive
-    relation means the caller handed in a broken order and raises
-    `ConsistencyError`.
+    Under a pure order, i and j cross exactly when x_i and x_j have the same
+    neighbours.  If they cross and x_jy_k is an edge, then x_iy_j and x_jy_k
+    give x_iy_k by Villarreal's condition, and the same argument runs back,
+    so N(x_i) = N(x_j).  If N(x_i) = N(x_j), then y_i, a neighbour of x_i,
+    is a neighbour of x_j, and y_j one of x_i, so they cross.  The mirror
+    argument (x_ky_i and x_iy_j give x_ky_j) shows that crossed rights have
+    equal neighbourhoods too.  So the relation is an equivalence, every
+    class is pairwise crossed, and each spans a maximal complete bipartite
+    block.  `po` comes from the caller, so it is checked first.
     """
     if not is_pure_order(g, po):
         raise ValueError("not a pure order of this graph")
-    d = len(po.pairs)
-    xs, ys = po.lefts, po.rights
-
-    def crossed(i: int, j: int) -> bool:
-        return (xs[i], ys[j]) in g.edges and (xs[j], ys[i]) in g.edges
-
-    parent = list(range(d))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in itertools.combinations(range(d), 2):
-        if crossed(i, j):
-            parent[root(i)] = root(j)
-    classes: dict[int, set[int]] = {}
-    for i in range(d):
-        classes.setdefault(root(i), set()).add(i)
-    blocks = tuple(sorted((frozenset(k + 1 for k in c) for c in classes.values()), key=min))
-    for block in blocks:
-        for a, b in itertools.combinations(sorted(block), 2):
-            if not crossed(a - 1, b - 1):
-                raise ConsistencyError(
-                    f"cross relation is not transitive on block {sorted(block)}")
-    return BlockDecomposition(blocks)
+    adj = g._adjacency
+    classes: dict[frozenset[str], set[int]] = {}
+    for i, x in enumerate(po.lefts, start=1):
+        classes.setdefault(adj[x], set()).add(i)
+    return BlockDecomposition(tuple(sorted(map(frozenset, classes.values()), key=min)))
 
 
 def delete_closed_neighborhood(g: BipartiteGraph, v: str) -> BipartiteGraph:

@@ -12,12 +12,10 @@ questions against the homology oracle and reports any disagreement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .bigraph import (
     BipartiteGraph,
     BlockDecomposition,
-    ConsistencyError,
     PureOrder,
     cross_blocks,
     find_pure_order,
@@ -90,8 +88,11 @@ def _topological_order(g: BipartiteGraph, po: PureOrder) -> MacaulayOrder:
     """The Macaulay order of a pure order already known to be cross-free.
 
     Kahn's algorithm outputs j only after every i with an edge x_iy_j, so
-    when all d indices come out every edge points forward; only a cycle
-    can stop it short, and that is the one check made.
+    when all d indices come out every edge points forward.  Only a cycle can
+    stop it short, and there is none.  The edge relation of a pure order is
+    transitive (Villarreal's condition), so a cycle through i and j leads
+    from i to j and back to i, which makes x_iy_j and x_jy_i edges: i and j
+    cross, and the order is cross-free.
     """
     d = len(po.pairs)
     xs, ys = po.lefts, po.rights
@@ -111,41 +112,35 @@ def _topological_order(g: BipartiteGraph, po: PureOrder) -> MacaulayOrder:
             if indegree[j] == 0:
                 ready.append(j)
         ready.sort()
-    if len(out) != d:
-        raise ConsistencyError("edge relation of a cross-free order has a cycle")
     return MacaulayOrder(tuple(out))
 
 
 def is_buchsbaum(g: BipartiteGraph) -> bool:
     """True when the sharp codimension is at most 1; False for mixed graphs."""
-    verdict = classify(g)
-    return verdict.unmixed and verdict.t_sharp <= 1
+    return classify(g).buchsbaum
 
 
-class UnionCodim(NamedTuple):
-    value: int
-    sharp: bool
-
-
-def disjoint_union_codim(d: int, r: int, dprime: int, rprime: int) -> UnionCodim:
+def disjoint_union_codim(d: int, r: int, dprime: int, rprime: int) -> int:
     """Sharp codimension of a disjoint union from the parts' invariants.
 
     The parts have d and d' matched pairs and sharp codimensions r and r'.
-    When either part is Cohen-Macaulay the answer is exact; when both are
-    strictly worse the returned max{d+r', d'+r} is only an upper bound and
-    is tagged sharp=False.
+    The value is exact: max{d + r', d' + r}, where d + r' counts only when
+    r' > 0 and d' + r only when r > 0, so two Cohen-Macaulay parts give 0.
+
+    Ind(G + G') is the join A * B of pure complexes with facets of d and d'
+    vertices, and lk(F u G) = lk_A F * lk_B G.  Over Q, H~_{k+1}(X * Y) is
+    the sum over i + j = k of H~_i(X) (x) H~_j(Y), so if neither link has
+    homology below its top degree, neither has the join.  A failing face
+    (one whose link does) thus needs a failing part: |F| <= r - 1 and
+    |G| <= d', or the mirror case, so t <= max(r + d', r' + d).  Conversely,
+    take F failing in A with |F| = r - 1 and G a facet of B: the link is
+    lk_A F * {empty face} = lk_A F, which fails, so t >= r + d'.
     """
     if d < 1 or dprime < 1:
         raise ValueError("each part needs at least one matched pair")
     if r < 0 or rprime < 0:
         raise ValueError("codimensions cannot be negative")
-    if r == 0 and rprime == 0:
-        return UnionCodim(0, True)
-    if r == 0:
-        return UnionCodim(d + rprime, True)
-    if rprime == 0:
-        return UnionCodim(dprime + r, True)
-    return UnionCodim(max(d + rprime, dprime + r), False)
+    return max(d + rprime if rprime else 0, dprime + r if r else 0)
 
 
 @dataclass(frozen=True)

@@ -13,9 +13,11 @@ from cmtgraphs import (
     IsolatedVertexError,
     connected_components,
     classify,
+    contract,
     cross_blocks,
     delete_closed_neighborhood,
     disjoint_union,
+    enumerate_cm,
     expand,
     find_pure_order,
     independence_complex,
@@ -55,6 +57,36 @@ def least_pure_pairing(g: BipartiteGraph):
     order = sorted(g.left, key=degree.__getitem__)
     best = min(pairings, key=lambda m: [m[x] for x in order])
     return tuple((x, best[x]) for x in g.left)
+
+
+def unmixed_pool():
+    """Unmixed graphs with their pure orders, for the block facts.
+
+    The 389 unmixed graphs on 1-4 diagonal-matched pairs, then relabelled
+    expansions of every Cohen-Macaulay base on 1-4 pairs, up to 8 pairs.
+    """
+    for d in range(1, 5):
+        optional = [(i, j) for i in range(d) for j in range(d) if i != j]
+        for mask in range(2 ** len(optional)):
+            g = diagonal_graph(d, [e for bit, e in enumerate(optional) if mask >> bit & 1])
+            po = find_pure_order(g)
+            if po is not None:
+                yield g, po
+    rng = random.Random(41)
+    for dimension in range(4):
+        for base in enumerate_cm(dimension):
+            for _ in range(4):
+                mult = [1] * len(base.left)
+                for _ in range(rng.randint(1, 8 - len(mult))):
+                    mult[rng.randrange(len(mult))] += 1
+                g = relabeled_copy(expand(Expansion(base, tuple(mult))), rng)
+                yield g, find_pure_order(g)
+
+
+def crossed(g: BipartiteGraph, po, i: int, j: int) -> bool:
+    """Whether 0-based pair indices i and j cross: x_iy_j and x_jy_i are edges."""
+    (xi, yi), (xj, yj) = po.pairs[i], po.pairs[j]
+    return (xi, yj) in g.edges and (xj, yi) in g.edges
 
 
 def assert_matches_oracle(g: BipartiteGraph) -> bool:
@@ -286,6 +318,43 @@ class TestCrossBlocks:
                     (xs[i], ys[other]) in g.edges and (xs[other], ys[i]) in g.edges
                     for i in ids)
                 assert not both_ways
+
+    def test_blocks_are_the_cross_closure(self):
+        # Union-find over every crossed pair, then every block pairwise crossed.
+        count = 0
+        for g, po in unmixed_pool():
+            d = len(po.pairs)
+            parent = list(range(d))
+
+            def root(i):
+                while parent[i] != i:
+                    i = parent[i]
+                return i
+
+            for i, j in itertools.combinations(range(d), 2):
+                if crossed(g, po, i, j):
+                    parent[root(i)] = root(j)
+            classes = {}
+            for i in range(d):
+                classes.setdefault(root(i), set()).add(i + 1)
+            closure = tuple(sorted(map(frozenset, classes.values()), key=min))
+            assert cross_blocks(g, po).blocks == closure, g
+            for block in closure:
+                for a, b in itertools.combinations(sorted(block), 2):
+                    assert crossed(g, po, a - 1, b - 1), (g, block)
+            count += 1
+        assert count > 389
+
+    def test_contract_base_is_cross_free_with_uniform_adjacency(self):
+        for g, po in unmixed_pool():
+            xs, ys = po.lefts, po.rights
+            for a, b in itertools.permutations(cross_blocks(g, po).blocks, 2):
+                linked = {(xs[i - 1], ys[j - 1]) in g.edges for i in a for j in b}
+                assert len(linked) == 1, (g, a, b)
+            base = contract(g).base
+            for i, j in itertools.combinations(range(len(base.left)), 2):
+                assert not (base.has_edge(base.left[i], base.right[j])
+                            and base.has_edge(base.left[j], base.right[i])), g
 
     def test_rejects_non_order(self):
         from cmtgraphs import PureOrder

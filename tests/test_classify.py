@@ -13,6 +13,7 @@ from cmtgraphs import (
     cm_codim,
     disjoint_union,
     disjoint_union_codim,
+    enumerate_cm,
     enumerate_unmixed,
     find_pure_order,
     independence_complex,
@@ -21,11 +22,32 @@ from cmtgraphs import (
     parse_graph,
     verify_against_oracle,
 )
-from conftest import complete, graph, relabeled_copy, rename
+from conftest import (brute_betti, brute_maximal_independent_sets, complete,
+                      graph, relabeled_copy, rename)
 
 PATH = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
 SIX_CYCLE = parse_graph(
     "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x1-y2 x2-y2 x2-y3 x3-y3 x3-y1\n")
+UNION_POOL = [  # (graph, matched pairs, sharp codimension)
+    (graph("x1", "y1", "x1-y1"), 1, 0),
+    (PATH, 2, 0),
+    (complete(2), 2, 1),
+    (complete(3), 3, 1),
+]
+
+
+def brute_codim(g: BipartiteGraph) -> int:
+    """One more than the largest face whose link has homology below its top.
+
+    Faces are subsets of the brute-force maximal independent sets, and each
+    link's Betti numbers come from `brute_betti`; 0 when no link fails.
+    """
+    facets = brute_maximal_independent_sets(g)
+    faces = {frozenset(c) for s in facets for k in range(len(s) + 1)
+             for c in itertools.combinations(sorted(s), k)}
+    failing = [len(f) for f in faces
+               if any(brute_betti([s - f for s in facets if f <= s])[:-1])]
+    return max(failing) + 1 if failing else 0
 
 
 class TestClassify:
@@ -138,12 +160,15 @@ class TestMacaulayOrder:
             "E: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n")
         assert classify(stair).cohen_macaulay
         rng = random.Random(11)
-        for _ in range(40):
-            g = relabeled_copy(PATH, rng) if rng.random() < 0.5 else \
-                relabeled_copy(stair, rng)
+        inputs = [relabeled_copy(PATH, rng) if rng.random() < 0.5 else
+                  relabeled_copy(stair, rng) for _ in range(40)]
+        inputs += [relabeled_copy(g, rng) for dimension in range(4)
+                   for g in enumerate_cm(dimension)]
+        for g in inputs:
             po = find_pure_order(g)
             order = macaulay_order(g, po)
             assert order is not None
+            assert sorted(order.order) == list(range(1, len(po.pairs) + 1))
             rank = {pair_index: k for k, pair_index in enumerate(order.order)}
             xs = [x for x, _ in po.pairs]
             ys = [y for _, y in po.pairs]
@@ -174,18 +199,16 @@ class TestBuchsbaum:
 
 class TestDisjointUnionCodim:
     def test_known_values(self):
-        assert disjoint_union_codim(2, 0, 3, 0) == (0, True)
-        assert disjoint_union_codim(1, 0, 2, 1) == (2, True)
-        assert disjoint_union_codim(2, 1, 2, 1) == (3, False)
+        assert disjoint_union_codim(2, 0, 3, 0) == 0
+        assert disjoint_union_codim(1, 0, 2, 1) == 2
+        assert disjoint_union_codim(2, 1, 2, 1) == 3
 
     def test_symmetry(self):
         for d, r, dp, rp in itertools.product(range(1, 4), range(3),
                                               range(1, 4), range(3)):
             if r > d or rp > dp:
                 continue
-            a = disjoint_union_codim(d, r, dp, rp)
-            b = disjoint_union_codim(dp, rp, d, r)
-            assert a.value == b.value and a.sharp == b.sharp
+            assert disjoint_union_codim(d, r, dp, rp) == disjoint_union_codim(dp, rp, d, r)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -196,27 +219,24 @@ class TestDisjointUnionCodim:
             disjoint_union_codim(2, -1, 2, 0)
 
     def test_formula_matches_oracle(self):
-        # Small pool tagged (d, codim); sharp predictions must be exact and
-        # the unsharp branch an upper bound.
-        pool = [
-            (graph("x1", "y1", "x1-y1"), 1, 0),
-            (PATH, 2, 0),
-            (complete(2), 2, 1),
-            (complete(3), 3, 1),
-        ]
-        for (g, d, r), (h, dp, rp) in itertools.product(pool, repeat=2):
+        # Small pool tagged (d, codim); every prediction must be exact.
+        for (g, d, r), (h, dp, rp) in itertools.product(UNION_POOL, repeat=2):
             u = disjoint_union(rename(g, "_a"), rename(h, "_b"))
             actual = cm_codim(independence_complex(u))
-            predicted = disjoint_union_codim(d, r, dp, rp)
-            if predicted.sharp:
-                assert actual == predicted.value, (d, r, dp, rp)
-            else:
-                assert actual <= predicted.value, (d, r, dp, rp)
+            assert actual == disjoint_union_codim(d, r, dp, rp), (d, r, dp, rp)
+
+    def test_formula_matches_brute_force_reisner(self):
+        # The same unions, their codimension computed without the library's
+        # homology: maximal independent sets by brute force, then Reisner's
+        # criterion on the link of every face, by Fraction elimination.
+        for (g, d, r), (h, dp, rp) in itertools.product(UNION_POOL, repeat=2):
+            u = disjoint_union(rename(g, "_a"), rename(h, "_b"))
+            assert brute_codim(u) == disjoint_union_codim(d, r, dp, rp), (d, r, dp, rp)
 
     def test_two_blocks_union_is_exactly_three(self):
         u = disjoint_union(rename(complete(2), "_a"), rename(complete(2), "_b"))
         assert cm_codim(independence_complex(u)) == 3
-        assert disjoint_union_codim(2, 1, 2, 1).value == 3
+        assert disjoint_union_codim(2, 1, 2, 1) == 3
 
 
 class TestOracleHarness:
