@@ -13,10 +13,10 @@ The structural heart of the module is `find_pure_order`: a bipartite graph
 without isolated vertices is unmixed (its independence complex is pure)
 exactly when any perfect matching x_i~y_i satisfies Villarreal's condition
 that x_iy_j and x_jy_k being edges forces x_iy_k to be an edge; any, since
-in an unmixed graph all of them do.  `cross_blocks` then splits the matched
-pairs into the maximal complete bipartite blocks K_{n,n} given by the cross
-relation (i and j cross when both x_iy_j and x_jy_i are edges).  Under a
-pure order these blocks are the classes of lefts with equal neighbourhoods.
+in an unmixed graph all of them do.  The matched pairs then split into the
+maximal complete bipartite blocks K_{n,n} of the cross relation (i and j
+cross when both x_iy_j and x_jy_i are edges): under a pure order, the
+classes of lefts with equal neighbourhoods (`neighbourhood_blocks`).
 """
 
 from __future__ import annotations
@@ -263,11 +263,10 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
             y = y_next
     if not _matching_transitive(g, match):
         return None
-    blocks: dict[frozenset[str], list[str]] = {}
-    for x in g.left:
-        blocks.setdefault(adj[x], []).append(x)
-    partner = {x: y for xs in blocks.values()
-               for x, y in zip(xs, sorted(match[v] for v in xs))}
+    partner: dict[str, str] = {}
+    for block in neighbourhood_blocks(g, g.left).blocks:
+        xs = [g.left[i - 1] for i in sorted(block)]
+        partner.update(zip(xs, sorted(match[x] for x in xs)))
     return PureOrder(tuple((x, partner[x]) for x in g.left))
 
 
@@ -285,26 +284,32 @@ def is_pure_order(g: BipartiteGraph, po: PureOrder) -> bool:
     return _matching_transitive(g, dict(pairs))
 
 
-def cross_blocks(g: BipartiteGraph, po: PureOrder) -> BlockDecomposition:
-    """Partition the matched pairs by the cross relation.
+def neighbourhood_blocks(g: BipartiteGraph, lefts: tuple[str, ...]) -> BlockDecomposition:
+    """Group the 1-based positions of `lefts` by neighbourhood, in first-seen order.
 
-    Under a pure order, i and j cross exactly when x_i and x_j have the same
-    neighbours.  If they cross and x_jy_k is an edge, then x_iy_j and x_jy_k
-    give x_iy_k by Villarreal's condition, and the same argument runs back,
-    so N(x_i) = N(x_j).  If N(x_i) = N(x_j), then y_i, a neighbour of x_i,
-    is a neighbour of x_j, and y_j one of x_i, so they cross.  The mirror
-    argument (x_ky_i and x_iy_j give x_ky_j) shows that crossed rights have
-    equal neighbourhoods too.  So the relation is an equivalence, every
-    class is pairwise crossed, and each spans a maximal complete bipartite
-    block.  `po` comes from the caller, so it is checked first.
+    For `po.lefts` of a pure order po, whose purity is the caller's to
+    know, the classes are the cross blocks (F1): i and j cross exactly when
+    x_i and x_j have the same neighbours.  If they cross and x_jy_k is an
+    edge, then x_iy_j and x_jy_k give x_iy_k by Villarreal's condition, and
+    the same argument runs back, so N(x_i) = N(x_j).  If N(x_i) = N(x_j),
+    then y_i, a neighbour of x_i, is a neighbour of x_j, and y_j one of
+    x_i, so they cross.  The mirror argument (x_ky_i and x_iy_j give x_ky_j)
+    shows that crossed rights have equal neighbourhoods too.  So the
+    relation is an equivalence, every class is pairwise crossed, and each
+    spans a maximal complete bipartite block.
     """
-    if not is_pure_order(g, po):
-        raise ValueError("not a pure order of this graph")
     adj = g._adjacency
     classes: dict[frozenset[str], set[int]] = {}
-    for i, x in enumerate(po.lefts, start=1):
+    for i, x in enumerate(lefts, start=1):
         classes.setdefault(adj[x], set()).add(i)
-    return BlockDecomposition(tuple(sorted(map(frozenset, classes.values()), key=min)))
+    return BlockDecomposition(tuple(map(frozenset, classes.values())))
+
+
+def cross_blocks(g: BipartiteGraph, po: PureOrder) -> BlockDecomposition:
+    """The cross blocks of `po`, which comes from the caller, so is checked first."""
+    if not is_pure_order(g, po):
+        raise ValueError("not a pure order of this graph")
+    return neighbourhood_blocks(g, po.lefts)
 
 
 def delete_closed_neighborhood(g: BipartiteGraph, v: str) -> BipartiteGraph:

@@ -11,6 +11,7 @@ questions against the homology oracle and reports any disagreement.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .bigraph import (
@@ -19,6 +20,7 @@ from .bigraph import (
     PureOrder,
     cross_blocks,
     find_pure_order,
+    neighbourhood_blocks,
 )
 from . import simplicial
 
@@ -49,11 +51,14 @@ class CmtClassification:
 
 
 def classify(g: BipartiteGraph) -> CmtClassification:
-    """Block-size classification; raises IsolatedVertexError outside its domain."""
+    """Block-size classification; raises IsolatedVertexError outside its domain.
+
+    `find_pure_order` built the order, so its blocks need no purity check.
+    """
     order = find_pure_order(g)
     if order is None:
         return CmtClassification(unmixed=False)
-    blocks = cross_blocks(g, order)
+    blocks = neighbourhood_blocks(g, order.lefts)
     sizes = tuple(sorted(blocks.sizes))
     d = len(order.pairs)
     big = [n for n in sizes if n >= 2]
@@ -92,26 +97,24 @@ def _topological_order(g: BipartiteGraph, po: PureOrder) -> MacaulayOrder:
     stop it short, and there is none.  The edge relation of a pure order is
     transitive (Villarreal's condition), so a cycle through i and j leads
     from i to j and back to i, which makes x_iy_j and x_jy_i edges: i and j
-    cross, and the order is cross-free.
+    cross, and the order is cross-free.  Index j waits for deg(y_j) - 1
+    predecessors, the successors of i are the partners of x_i's neighbours
+    but y_i, and the heap releases the least ready index: the least order.
     """
-    d = len(po.pairs)
     xs, ys = po.lefts, po.rights
-    succ = {i: {j for j in range(d) if j != i and (xs[i], ys[j]) in g.edges}
-            for i in range(d)}
-    indegree = {i: 0 for i in range(d)}
-    for i in range(d):
-        for j in succ[i]:
-            indegree[j] += 1
-    ready = sorted(i for i in range(d) if indegree[i] == 0)
+    adj = g._adjacency
+    index = {y: j for j, y in enumerate(ys)}
+    waiting = [len(adj[y]) - 1 for y in ys]
+    ready = [j for j, n in enumerate(waiting) if n == 0]  # ascending, so a heap
     out: list[int] = []
     while ready:
-        i = ready.pop(0)
+        i = heapq.heappop(ready)
         out.append(i + 1)
-        for j in sorted(succ[i]):
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                ready.append(j)
-        ready.sort()
+        for y in adj[xs[i]] - {ys[i]}:
+            j = index[y]
+            waiting[j] -= 1
+            if waiting[j] == 0:
+                heapq.heappush(ready, j)
     return MacaulayOrder(tuple(out))
 
 

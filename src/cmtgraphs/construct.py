@@ -18,16 +18,15 @@ An expansion serializes as the base document plus one `M:` line:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .bigraph import (
     BipartiteGraph,
     GraphFormatError,
     PureOrder,
-    cross_blocks,
     find_pure_order,
     is_pure_order,
+    neighbourhood_blocks,
     parse_document,
     to_document,
 )
@@ -70,26 +69,18 @@ def expand(e: Expansion) -> BipartiteGraph:
     """Blow the i-th matched pair up to K_{n_i,n_i}, keeping all adjacencies.
 
     New vertices are named `<basename>_<k>` with k counting from 1, so the
-    output is deterministic and contract can be checked against it.
+    output is deterministic and contract can be checked against it.  Each
+    x_iy_i is a base edge (`Expansion` checked), so one pass over the base
+    edges, joining every copy of x to every copy of y, builds every block.
     """
-    base, mult = e.base, e.multiplicities
-    lefts = [tuple(f"{base.left[i]}_{k}" for k in range(1, n + 1))
-             for i, n in enumerate(mult)]
-    rights = [tuple(f"{base.right[i]}_{k}" for k in range(1, n + 1))
-              for i, n in enumerate(mult)]
-    edges: set[tuple[str, str]] = set()
-    for i in range(e.d):
-        for x in lefts[i]:
-            for y in rights[i]:
-                edges.add((x, y))
-    for i, j in itertools.permutations(range(e.d), 2):
-        if (base.left[i], base.right[j]) in base.edges:
-            for x in lefts[i]:
-                for y in rights[j]:
-                    edges.add((x, y))
-    return BipartiteGraph.of(itertools.chain.from_iterable(lefts),
-                             itertools.chain.from_iterable(rights),
-                             edges)
+    base = e.base
+    copies = {v: [f"{v}_{k}" for k in range(1, n + 1)]
+              for side in (base.left, base.right)
+              for v, n in zip(side, e.multiplicities)}
+    return BipartiteGraph.of((c for x in base.left for c in copies[x]),
+                             (c for y in base.right for c in copies[y]),
+                             ((cx, cy) for x, y in base.edges
+                              for cx in copies[x] for cy in copies[y]))
 
 
 def contract(g: BipartiteGraph) -> Expansion:
@@ -97,17 +88,19 @@ def contract(g: BipartiteGraph) -> Expansion:
 
     Picks the smallest index of every block as its representative.  The
     result needs no re-check.  In a block the lefts have equal
-    neighbourhoods, and so do the rights (`cross_blocks`), so whether x_iy_j
-    is an edge depends only on the blocks of i and j: adjacency between two
-    blocks is uniform, and any choice of representatives yields an
-    isomorphic base.  The base is induced on the representatives, so two of
-    them cross in it only if they cross in g, and then they would have equal
-    neighbourhoods and share a block.  So the base is cross-free.
+    neighbourhoods, and so do the rights (`neighbourhood_blocks`), so
+    whether x_iy_j is an edge depends only on the blocks of i and j:
+    adjacency between two blocks is uniform, and any choice of
+    representatives yields an isomorphic base.  The base is induced on the
+    representatives, so two of them cross in it only if they cross in g,
+    and then they would have equal neighbourhoods and share a block.  So
+    the base is cross-free.  `find_pure_order` built the order, so its
+    blocks need no purity check.
     """
     po = find_pure_order(g)
     if po is None:
         raise ValueError("graph is not unmixed, nothing to contract")
-    decomposition = cross_blocks(g, po)
+    decomposition = neighbourhood_blocks(g, po.lefts)
     reps = [min(block) - 1 for block in decomposition.blocks]
     xs, ys = po.lefts, po.rights
     base = BipartiteGraph.of([xs[i] for i in reps], [ys[i] for i in reps],
@@ -121,10 +114,10 @@ def predicted_codim(e: Expansion) -> int:
 
     With n the total of all multiplicities and n_0 the smallest multiplicity
     above 1, the expansion is exactly CM_{n-n_0+1}; the all-ones expansion
-    is the base itself and stays Cohen-Macaulay.
+    is the base itself and stays Cohen-Macaulay.  `Expansion` is frozen and
+    proved its positional pairing pure, so the blocks need no purity check.
     """
-    base_order = PureOrder(e.pairs)
-    if any(n >= 2 for n in cross_blocks(e.base, base_order).sizes):
+    if any(n >= 2 for n in neighbourhood_blocks(e.base, e.base.left).sizes):
         raise ValueError("base graph is not Cohen-Macaulay (it has a cross)")
     big = [n for n in e.multiplicities if n > 1]
     if not big:

@@ -16,6 +16,9 @@ Cohen-Macaulay bases and groups them into families: a base of dimension
 t-1 with a single blown-up pair works for every block size, so that family
 is infinite and is reported once, with the size-2 and size-3 instances as
 representatives.
+
+The generators are structural only: codimensions come from
+`predicted_codim`, and no instance is classified again or meets the oracle.
 """
 
 from __future__ import annotations
@@ -26,14 +29,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bigraph import (
-    BipartiteGraph,
-    ConsistencyError,
-    connected_components,
-    is_connected,
-    is_unmixed,
-)
-from .classify import classify
+from .bigraph import BipartiteGraph, connected_components, is_connected, is_unmixed
 from .construct import Expansion, expand, predicted_codim
 
 MAX_SIDE = 8
@@ -148,18 +144,18 @@ class CmtFamily:
     connected: bool
 
 
-def _family(base: BipartiteGraph, vectors: list[tuple[int, ...]],
-            parametric: bool, t: int) -> CmtFamily:
-    instances = []
-    for vec in vectors:
-        g = expand(Expansion(base, vec))
-        verdict = classify(g)
-        if verdict.t_sharp != t:
-            raise ConsistencyError(
-                f"expansion {vec} of a dim {len(base.left) - 1} base "
-                f"classified as t={verdict.t_sharp}, expected {t}")
-        instances.append(g)
-    return CmtFamily(base, vectors[0], parametric, tuple(instances),
+def _family(expansions: list[Expansion], parametric: bool) -> CmtFamily:
+    """The family of expansions of one base, unclassified; the first is its record.
+
+    The base is cross-free.  In an expansion the copies of pair i all have
+    the same neighbourhood.  Copies of pairs i and j have different ones,
+    because equal base neighbourhoods would put y_j next to x_i and y_i next
+    to x_j, so i and j would cross.  So the blocks are the blown-up pairs,
+    and `classify` would read `predicted_codim`'s value off their sizes.
+    """
+    instances = tuple(map(expand, expansions))
+    first = expansions[0]
+    return CmtFamily(first.base, first.multiplicities, parametric, instances,
                      is_connected(instances[0]))
 
 
@@ -183,15 +179,15 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
             d_base = h + 1
             if h == t - 1:
                 for slot in range(d_base):
-                    vectors = []
+                    expansions = []
                     for size in (2, 3):
                         vec = tuple(size if k == slot else 1 for k in range(d_base))
                         if max_total is not None and sum(vec) > max_total:
                             continue
-                        vectors.append(vec)
-                    if not vectors:
+                        expansions.append(Expansion(base, vec))
+                    if not expansions:
                         continue
-                    fam = _family(base, vectors, True, t)
+                    fam = _family(expansions, True)
                     found.setdefault(canonical_form(fam.graphs[0]), fam)
             else:
                 for vec in itertools.product(range(1, cap + 1), repeat=d_base):
@@ -200,9 +196,10 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
                         continue
                     if max_total is not None and sum(vec) > max_total:
                         continue
-                    if predicted_codim(Expansion(base, vec)) != t:
+                    e = Expansion(base, vec)
+                    if predicted_codim(e) != t:
                         continue
-                    fam = _family(base, [vec], False, t)
+                    fam = _family([e], False)
                     found.setdefault(canonical_form(fam.graphs[0]), fam)
     return [found[code] for code in sorted(found, key=lambda c: c.code)]
 

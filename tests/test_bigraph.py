@@ -320,28 +320,34 @@ class TestCrossBlocks:
                 assert not both_ways
 
     def test_blocks_are_the_cross_closure(self):
-        # Union-find over every crossed pair, then every block pairwise crossed.
+        # Union-find over every crossed pair, then every block pairwise
+        # crossed.  Each order is also taken with its pairs shuffled, which
+        # keeps it pure and lists the blocks' smallest indices in another order.
+        from cmtgraphs import PureOrder
+        rng = random.Random(23)
         count = 0
-        for g, po in unmixed_pool():
-            d = len(po.pairs)
-            parent = list(range(d))
+        for g, found in unmixed_pool():
+            shuffled = PureOrder(tuple(rng.sample(found.pairs, len(found.pairs))))
+            for po in (found, shuffled):
+                d = len(po.pairs)
+                parent = list(range(d))
 
-            def root(i):
-                while parent[i] != i:
-                    i = parent[i]
-                return i
+                def root(i):
+                    while parent[i] != i:
+                        i = parent[i]
+                    return i
 
-            for i, j in itertools.combinations(range(d), 2):
-                if crossed(g, po, i, j):
-                    parent[root(i)] = root(j)
-            classes = {}
-            for i in range(d):
-                classes.setdefault(root(i), set()).add(i + 1)
-            closure = tuple(sorted(map(frozenset, classes.values()), key=min))
-            assert cross_blocks(g, po).blocks == closure, g
-            for block in closure:
-                for a, b in itertools.combinations(sorted(block), 2):
-                    assert crossed(g, po, a - 1, b - 1), (g, block)
+                for i, j in itertools.combinations(range(d), 2):
+                    if crossed(g, po, i, j):
+                        parent[root(i)] = root(j)
+                classes = {}
+                for i in range(d):
+                    classes.setdefault(root(i), set()).add(i + 1)
+                closure = tuple(sorted(map(frozenset, classes.values()), key=min))
+                assert cross_blocks(g, po).blocks == closure, g
+                for block in closure:
+                    for a, b in itertools.combinations(sorted(block), 2):
+                        assert crossed(g, po, a - 1, b - 1), (g, block)
             count += 1
         assert count > 389
 

@@ -122,21 +122,31 @@ class TestClassificationJson:
         assert "macaulay_order" not in data
 
     def test_one_cross_blocks_per_report(self, monkeypatch):
+        # One grouping and one Villarreal check on the input per report:
+        # the order find_pure_order built is not validated again.
         import importlib
 
         classify_mod = importlib.import_module("cmtgraphs.classify")
-        real, calls = classify_mod.cross_blocks, []
+        bigraph_mod = importlib.import_module("cmtgraphs.bigraph")
+        real, calls = classify_mod.neighbourhood_blocks, []
+        real_check, checked = bigraph_mod._matching_transitive, []
 
-        def counting(g, po):
-            calls.append(po)
-            return real(g, po)
+        def counting(g, lefts):
+            calls.append(lefts)
+            return real(g, lefts)
 
-        monkeypatch.setattr(classify_mod, "cross_blocks", counting)
+        def counting_check(g, match):
+            checked.append(g)
+            return real_check(g, match)
+
+        monkeypatch.setattr(classify_mod, "neighbourhood_blocks", counting)
+        monkeypatch.setattr(bigraph_mod, "_matching_transitive", counting_check)
         stair = parse_graph(
             "L: x1 x2 x3\nR: y1 y2 y3\n"
             "E: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n")
         data = classification_json(stair)
         assert len(calls) == 1
+        assert sum(g is stair for g in checked) == 1
         assert data["macaulay_order"] == list(macaulay_order(stair).order)
 
 

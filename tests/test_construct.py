@@ -105,6 +105,22 @@ class TestContract:
         with pytest.raises(ValueError, match="not unmixed"):
             contract(SIX_CYCLE)
 
+    def test_one_villarreal_check_on_the_input(self, monkeypatch):
+        # The order find_pure_order built is not validated again.
+        import importlib
+
+        bigraph_mod = importlib.import_module("cmtgraphs.bigraph")
+        real, checked = bigraph_mod._matching_transitive, []
+
+        def counting(g, match):
+            checked.append(g)
+            return real(g, match)
+
+        monkeypatch.setattr(bigraph_mod, "_matching_transitive", counting)
+        g = builtin_graph("fig1")
+        assert contract(g).multiplicities == (1, 3)
+        assert sum(h is g for h in checked) == 1
+
     @pytest.mark.parametrize("d", [9, 12])
     def test_chain_beyond_eight_pairs(self, d):
         # Edges x_i-y_j for i <= j: cross-free, so every block is one pair.

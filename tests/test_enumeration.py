@@ -18,7 +18,9 @@ Counts asserted here were derived independently before freezing:
   matched pairs under graph automorphisms.
 """
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -41,6 +43,7 @@ from cmtgraphs import (
     is_connected,
     is_pure,
     parse_graph,
+    to_document,
     write_enumeration,
 )
 from conftest import (
@@ -323,11 +326,46 @@ class TestSharpFamilies:
         assert six == [(2, (3, 3)), (3, (3, 3))]
 
     def test_t4_instances_spot_checked(self):
+        # The enumerator classifies nothing; every instance, the size-3
+        # one of each parametric family included, is classified here.
         for fam in enumerate_sharp_cmt(4):
+            for g in fam.graphs:
+                assert classify(g).t_sharp == 4
             g = fam.graphs[0]
-            assert classify(g).t_sharp == 4
             if len(g.vertices) <= 12:
                 assert cm_codim(independence_complex(g)) == 4
+
+    def test_cmt_reports_pinned(self):
+        # The families `enumerate --cmt` reports and the base each records.
+        # Which isomorphic base a family records follows the order the
+        # relations are walked in (ROADMAP item 1).
+        def rows(t):
+            return [(f.multiplicities, f.parametric, f.connected, len(f.graphs),
+                     to_document(f.base)) for f in enumerate_sharp_cmt(t)]
+
+        assert rows(3) == [
+            ((2, 1, 1), True, False, 2,
+             "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x2-y2 x3-y3\n"),
+            ((1, 2, 1), True, False, 2,
+             "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x2-y2 x2-y3 x3-y3\n"),
+            ((2, 1, 1), True, False, 2,
+             "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x2-y2 x2-y3 x3-y3\n"),
+            ((2, 2), False, False, 1,
+             "L: x1 x2\nR: y1 y2\nE: x1-y1 x2-y2\n"),
+            ((1, 1, 2), True, True, 2,
+             "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x1-y3 x2-y2 x2-y3 x3-y3\n"),
+            ((2, 1, 1), True, True, 2,
+             "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x1-y3 x2-y2 x2-y3 x3-y3\n"),
+            ((2, 1, 1), True, True, 2,
+             "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n"),
+            ((1, 2, 1), True, True, 2,
+             "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n"),
+            ((2, 2), False, True, 1,
+             "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n"),
+        ]
+        blob = json.dumps(rows(4)).encode()
+        assert hashlib.sha256(blob).hexdigest() == (
+            "50811bd1518e81c747ed864139160c8c06ac01f2e74354b684afef82ef97fd86")
 
     def test_parametric_families_carry_two_sizes(self):
         for fam in enumerate_sharp_cmt(3):

@@ -20,12 +20,27 @@ def imported_names(tree: ast.AST) -> set[str]:
     return names
 
 
+def package_modules_reached(module: str) -> set[str]:
+    """`module` and every package module its imports reach, followed transitively."""
+    reached, todo = set(), [module]
+    while todo:
+        name = todo.pop()
+        if name not in reached:
+            reached.add(name)
+            for imported in imported_names(ast.parse((SRC / f"{name}.py").read_text())):
+                todo += [part for part in imported.split(".") if (SRC / f"{part}.py").exists()]
+    return reached
+
+
 def test_structural_route_is_independent_and_nothing_caches_across_calls():
-    # The structural modules must not reach the homology oracle, or the
-    # two routes would stop checking each other.
-    for module in ("bigraph.py", "construct.py"):
-        names = imported_names(ast.parse((SRC / module).read_text()))
+    # The structural modules and the enumerators built on them must not
+    # reach the homology oracle, even through another module, or the two
+    # routes would stop checking each other.
+    for module in ("bigraph", "construct", "enumeration"):
+        names = imported_names(ast.parse((SRC / f"{module}.py").read_text()))
         assert not any("simplicial" in name.split(".") for name in names), (module, names)
+        reached = package_modules_reached(module)
+        assert "simplicial" not in reached, (module, sorted(reached))
     # Memo tables live inside one call: no process-wide functools caches.
     for path in sorted(SRC.glob("**/*.py")):
         tree = ast.parse(path.read_text())
