@@ -22,6 +22,7 @@ from .bigraph import (
     find_pure_order,
     neighbourhood_blocks,
 )
+from .construct import _sharp_codim
 from . import simplicial
 
 
@@ -60,11 +61,9 @@ def classify(g: BipartiteGraph) -> CmtClassification:
         return CmtClassification(unmixed=False)
     blocks = neighbourhood_blocks(g, order.lefts)
     sizes = tuple(sorted(blocks.sizes))
-    d = len(order.pairs)
-    big = [n for n in sizes if n >= 2]
-    n_min = min(big) if big else None
-    t_sharp = 0 if n_min is None else d - n_min + 1
-    return CmtClassification(True, d, sizes, n_min, t_sharp, order, blocks)
+    n_min = min((n for n in sizes if n >= 2), default=None)
+    return CmtClassification(True, len(order.pairs), sizes, n_min,
+                             _sharp_codim(sizes), order, blocks)
 
 
 @dataclass(frozen=True)

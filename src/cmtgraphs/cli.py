@@ -121,8 +121,9 @@ def _cmd_oracle(args) -> tuple[str, dict]:
         raise ValueError(f"oracle guard: the independence complex has more than "
                          f"{ORACLE_FACE_LIMIT} faces (independent sets)")
     ind = simplicial.independence_complex(g)
-    profile = simplicial.reduced_homology(ind)
-    codim = simplicial.cm_codim(ind)
+    codim, profile = simplicial._codim_sweep(ind)
+    if profile is None:
+        profile = simplicial.reduced_homology(ind)
     result = {
         "facet_count": len(ind.facets),
         "dimension": simplicial.dim(ind),

@@ -112,17 +112,25 @@ def contract(g: BipartiteGraph) -> Expansion:
 def predicted_codim(e: Expansion) -> int:
     """Sharp codimension of expand(e), computed from the multiplicities.
 
-    With n the total of all multiplicities and n_0 the smallest multiplicity
-    above 1, the expansion is exactly CM_{n-n_0+1}; the all-ones expansion
-    is the base itself and stays Cohen-Macaulay.  `Expansion` is frozen and
-    proved its positional pairing pure, so the blocks need no purity check.
+    The multiplicities are the block sizes of expand(e), so with n their
+    total and n_0 the smallest above 1, the expansion is exactly
+    CM_{n-n_0+1}; the all-ones expansion is the base itself and stays
+    Cohen-Macaulay.  `Expansion` is frozen and proved its positional
+    pairing pure, so the blocks need no purity check.
     """
     if any(n >= 2 for n in neighbourhood_blocks(e.base, e.base.left).sizes):
         raise ValueError("base graph is not Cohen-Macaulay (it has a cross)")
-    big = [n for n in e.multiplicities if n > 1]
-    if not big:
-        return 0
-    return sum(e.multiplicities) - min(big) + 1
+    return _sharp_codim(e.multiplicities)
+
+
+def _sharp_codim(sizes) -> int:
+    """The main theorem on block sizes: d - n_min + 1, or 0 when all are 1.
+
+    d is the number of matched pairs, the sum of the sizes, and n_min the
+    smallest size above 1.
+    """
+    big = [n for n in sizes if n > 1]
+    return sum(sizes) - min(big) + 1 if big else 0
 
 
 def parse_expansion(text: str) -> Expansion:

@@ -5,20 +5,25 @@ either preserves the two sides or swaps them wholesale.  `canonical_form`
 realizes it by brute force, which is fine at the sizes the guards allow.
 
 Three generators are provided.  `enumerate_cm` lists the Cohen-Macaulay
-bipartite graphs of a given dimension by walking all reflexive
-antisymmetric transitive relations (each one is the edge pattern of a
-cross-free graph, and every Cohen-Macaulay bipartite graph arises that
-way).  `enumerate_unmixed` lists every unmixed graph on d matched pairs by
-brute force over edge supersets of a fixed perfect matching; it is the
-universe the oracle cross-checks run over.  `enumerate_sharp_cmt` builds
-the graphs of sharp codimension exactly t as block expansions of
-Cohen-Macaulay bases and groups them into families: a base of dimension
-t-1 with a single blown-up pair works for every block size, so that family
-is infinite and is reported once, with the size-2 and size-3 instances as
-representatives.
+bipartite graphs of a given dimension by walking the reflexive transitive
+relations whose related pairs all have i <= j (each one is the edge
+pattern of a cross-free graph, and relabelled along a linear extension
+every Cohen-Macaulay bipartite graph arises that way).
+`enumerate_unmixed` lists every unmixed graph on d matched pairs by brute
+force over edge supersets of a fixed perfect matching; it is the universe
+the oracle cross-checks run over.  Both walks name each class by its least
+labelling, the least indicator vector among all relabellings of a
+relation and of its dual, and keep the graph of that labelling, so
+`canonical_form` runs once per class and never inside a walk.
+`enumerate_sharp_cmt` builds the graphs of sharp codimension exactly t as
+block expansions of Cohen-Macaulay bases and groups them into families: a
+base of dimension t-1 with a single blown-up pair works for every block
+size, so that family is infinite and is reported once, with the size-2
+and size-3 instances as representatives.
 
-The generators are structural only: codimensions come from
-`predicted_codim`, and no instance is classified again or meets the oracle.
+The generators are structural only: codimensions come from the block
+formula `predicted_codim` applies, and no instance is classified again or
+meets the oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bigraph import BipartiteGraph, connected_components, is_connected, is_unmixed
-from .construct import Expansion, expand, predicted_codim
+from .construct import Expansion, _sharp_codim, expand
 
 MAX_SIDE = 8
 MAX_PAIRS_CM = 5
@@ -80,32 +85,82 @@ def _index_graph(d: int, relation: set[tuple[int, int]]) -> BipartiteGraph:
     )
 
 
+def _least_labelling(d: int, relation: set[tuple[int, int]],
+                     order: list[tuple[int, int]]) -> tuple[bool, ...]:
+    """Least indicator vector over `order` among relabellings of the relation and its dual.
+
+    The relation is reflexive, and its index graph is unmixed with the
+    diagonal as a pure order; two such relations get the same vector
+    exactly when their index graphs are isomorphic.  A relabelling is a
+    side-preserving isomorphism and the dual is the side swap, so equal
+    vectors mean isomorphic graphs.  Conversely, take an isomorphism that
+    keeps the sides, sending x_i to x_s(i) and y_i to y_u(i).  The image of
+    the diagonal is a perfect matching, and a perfect matching sends each
+    block's lefts onto that block's rights (`find_pure_order`), so s(i)
+    and u(i) lie in one block.  Pairs in one block have equal
+    neighbourhoods on both sides (`neighbourhood_blocks`), so x_s(i)y_u(j)
+    is an edge exactly when x_s(i)y_s(j) is: the second relation is the
+    first relabelled by s.  An isomorphism that swaps the sides does the
+    same to the dual.  Both relations thus have the same relabellings, up
+    to duality, and the same least vector.
+    """
+    dual = {(j, i) for i, j in relation}
+    return min(tuple((s[a], s[b]) in r for a, b in order)
+               for r in (relation, dual) for s in itertools.permutations(range(d)))
+
+
+def _classes(d: int, walk: list[tuple[int, int]], order: list[tuple[int, int]],
+             keep) -> list[BipartiteGraph]:
+    """One index graph per class of the reflexive relations the walk keeps.
+
+    Each subset of `walk`, added to the diagonal, is a relation; `keep`
+    filters them.  A class is recorded once, by `_least_labelling`, and its
+    graph is built from that least vector, so `canonical_form` runs once
+    per class, to sort them.
+
+    The graph kept is the one a first-come dedupe keeps on any walk that
+    meets relations in increasing order of their vectors over `order` and
+    keeps every relabelling of a kept relation and of its dual: the first
+    member of a class it meets has the least vector.  Transitivity and
+    unmixedness survive isomorphism, so `itertools.product` over all of
+    `order`, which yields the vectors in lexicographic order, is such a
+    walk for `enumerate_unmixed`; `enumerate_cm` names its own.
+    """
+    diagonal = {(i, i) for i in range(d)}
+    codes = set()
+    for mask in itertools.product((False, True), repeat=len(walk)):
+        relation = diagonal | set(itertools.compress(walk, mask))
+        if keep(relation):
+            codes.add(_least_labelling(d, relation, order))
+    graphs = [_index_graph(d, diagonal | set(itertools.compress(order, code)))
+              for code in codes]
+    return sorted(graphs, key=lambda g: canonical_form(g).code)
+
+
+def _transitive(relation: set[tuple[int, int]]) -> bool:
+    return all((a, c) in relation
+               for a, b in relation for b2, c in relation if b == b2)
+
+
 def enumerate_cm(dimension: int) -> list[BipartiteGraph]:
     """All Cohen-Macaulay bipartite graphs of the given dimension, deduplicated.
 
     The graph on d matched pairs built from a reflexive antisymmetric
     transitive relation (edge x_iy_j for every related i, j) is cross-free,
     and conversely a Macaulay reindexing turns any Cohen-Macaulay bipartite
-    graph into such a relation, so walking the relations is exhaustive.
+    graph into such a relation with every related pair i <= j, so walking
+    the transitive relations on the pairs i < j is exhaustive.  The key's
+    order lists (j, i) then (i, j) for each slot i < j, so on antisymmetric
+    relations its vectors rise with none < (i, j) < (j, i) per slot, taken
+    lexicographically: the walk over all antisymmetric transitive
+    relations in that order meets each class first at its least vector.
     """
     d = dimension + 1
     if not 1 <= d <= MAX_PAIRS_CM:
         raise ValueError(f"dimension must be between 0 and {MAX_PAIRS_CM - 1}")
     slots = list(itertools.combinations(range(d), 2))
-    found: dict[CanonicalForm, BipartiteGraph] = {}
-    for choice in itertools.product((0, 1, 2), repeat=len(slots)):
-        relation = {(i, i) for i in range(d)}
-        for (i, j), kind in zip(slots, choice):
-            if kind == 1:
-                relation.add((i, j))
-            elif kind == 2:
-                relation.add((j, i))
-        if any((a, d2) not in relation
-               for a, b in relation for b2, d2 in relation if b == b2):
-            continue
-        g = _index_graph(d, relation)
-        found.setdefault(canonical_form(g), g)
-    return [found[code] for code in sorted(found, key=lambda c: c.code)]
+    order = [p for i, j in slots for p in ((j, i), (i, j))]
+    return _classes(d, slots, order, _transitive)
 
 
 def enumerate_unmixed(d: int) -> list[BipartiteGraph]:
@@ -118,14 +173,8 @@ def enumerate_unmixed(d: int) -> list[BipartiteGraph]:
     if not 1 <= d <= MAX_PAIRS_UNMIXED:
         raise ValueError(f"d must be between 1 and {MAX_PAIRS_UNMIXED}")
     optional = [(i, j) for i in range(d) for j in range(d) if i != j]
-    found: dict[CanonicalForm, BipartiteGraph] = {}
-    for mask in itertools.product((False, True), repeat=len(optional)):
-        relation = {(i, i) for i in range(d)}
-        relation.update(p for p, on in zip(optional, mask) if on)
-        g = _index_graph(d, relation)
-        if is_unmixed(g):
-            found.setdefault(canonical_form(g), g)
-    return [found[code] for code in sorted(found, key=lambda c: c.code)]
+    return _classes(d, optional, optional,
+                    lambda relation: is_unmixed(_index_graph(d, relation)))
 
 
 @dataclass(frozen=True)
@@ -169,6 +218,15 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
     one blown-up pair of arbitrary size, which is the parametric case.
     `max_total` drops every instance whose multiplicities sum past it (a
     family survives if any representative does).
+
+    The multiplicities are the blocks (`_family`), so `predicted_codim`'s
+    formula gives each instance's codimension; the bases come from
+    `enumerate_cm`, so its cross check would not fire.  On a base of
+    h + 1 <= t - 1 pairs the formula alone keeps the vectors described
+    above.  No entry above 1 predicts 0.  One entry n above 1 predicts
+    (h + n) - n + 1 = h + 1 < t.  k > t - h entries above 1 predict at
+    least (h + 1 - k) + 2(k - 1) + 1 = h + k > t: the ones add h + 1 - k,
+    and the k - 1 large entries other than the least add at least 2 each.
     """
     if t < 2:
         raise ValueError("sharp families are enumerated for t >= 2 only")
@@ -179,28 +237,17 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
             d_base = h + 1
             if h == t - 1:
                 for slot in range(d_base):
-                    expansions = []
-                    for size in (2, 3):
-                        vec = tuple(size if k == slot else 1 for k in range(d_base))
-                        if max_total is not None and sum(vec) > max_total:
-                            continue
-                        expansions.append(Expansion(base, vec))
-                    if not expansions:
-                        continue
-                    fam = _family(expansions, True)
-                    found.setdefault(canonical_form(fam.graphs[0]), fam)
+                    expansions = [
+                        Expansion(base, tuple(n if k == slot else 1 for k in range(d_base)))
+                        for n in (2, 3) if max_total is None or h + n <= max_total]
+                    if expansions:
+                        fam = _family(expansions, True)
+                        found.setdefault(canonical_form(fam.graphs[0]), fam)
             else:
                 for vec in itertools.product(range(1, cap + 1), repeat=d_base):
-                    big = [n for n in vec if n >= 2]
-                    if len(big) < 2 or len(big) > cap:
-                        continue
-                    if max_total is not None and sum(vec) > max_total:
-                        continue
-                    e = Expansion(base, vec)
-                    if predicted_codim(e) != t:
-                        continue
-                    fam = _family([e], False)
-                    found.setdefault(canonical_form(fam.graphs[0]), fam)
+                    if _sharp_codim(vec) == t and (max_total is None or sum(vec) <= max_total):
+                        fam = _family([Expansion(base, vec)], False)
+                        found.setdefault(canonical_form(fam.graphs[0]), fam)
     return [found[code] for code in sorted(found, key=lambda c: c.code)]
 
 

@@ -318,19 +318,29 @@ def cm_codim(c: SimplicialComplex) -> int | None:
     before it is built; c is pure, so none of them nest.  Every entry of
     the profile but the last lies below the top degree.
     """
+    return _codim_sweep(c)[0]
+
+
+def _codim_sweep(c: SimplicialComplex) -> tuple[int | None, HomologyProfile | None]:
+    """`cm_codim`, and the profile of c itself when the sweep computed it.
+
+    The empty face comes last and its link is c, keyed by c.facets.  The
+    profile is None when the sweep stopped at a larger face, when c is a
+    cone, and when c is not pure or has no faces.
+    """
     if not is_pure(c):
-        return None
+        return None, None
     if not c.facets:
-        return 0
-    low: dict[frozenset[frozenset[str]], bool] = {}
+        return 0, None
+    profiles: dict[frozenset[frozenset[str]], HomologyProfile | None] = {}
     for f in sorted(faces(c), key=len, reverse=True):
         star = frozenset(facet - f for facet in c.facets if f <= facet)
-        if star not in low:
-            low[star] = (not frozenset.intersection(*star)
-                         and any(reduced_homology(link(c, f)).betti[:-1]))
-        if low[star]:
-            return len(f) + 1
-    return 0
+        if star not in profiles:
+            profiles[star] = (None if frozenset.intersection(*star)
+                              else reduced_homology(link(c, f)))
+        if profiles[star] is not None and any(profiles[star].betti[:-1]):
+            return len(f) + 1, profiles.get(c.facets)
+    return 0, profiles.get(c.facets)
 
 
 def cm_codim_recursive(c: SimplicialComplex) -> int | None:

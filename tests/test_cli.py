@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cmtgraphs import ConsistencyError, canonical_form, classify, parse_graph
-from cmtgraphs import cli
+from cmtgraphs import cli, simplicial
 from cmtgraphs.cli import main
 
 K22 = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y1 x2-y2\n"
@@ -71,6 +71,30 @@ class TestOracle:
         doc.write_text("L: x1\nR: y1\nE: x1-y1\n")
         code, report = run(capsys, "oracle", str(doc))
         assert code == 0 and report["result"]["cm_codim"] == 0
+
+    @pytest.mark.parametrize("pairs, codim", [
+        ([(i, j) for i in range(4) for j in range(i, 4)], 0),
+        ([(i, j) for i in range(3) for j in range(3)], 1),
+    ], ids=["chain4", "k33"])
+    def test_whole_complex_homology_once(self, capsys, monkeypatch, tmp_path,
+                                         pairs, codim):
+        # The sweep reaches the empty face, whose link is the whole
+        # complex; the report's betti must reuse that computation.
+        n = max(j for _, j in pairs) + 1
+        doc = tmp_path / "g.graph"
+        doc.write_text(f"L: {' '.join(f'x{i}' for i in range(n))}\n"
+                       f"R: {' '.join(f'y{i}' for i in range(n))}\n"
+                       f"E: {' '.join(f'x{i}-y{j}' for i, j in pairs)}\n")
+        real, seen = simplicial.reduced_homology, []
+
+        def counting(c):
+            seen.append(c.facets)
+            return real(c)
+
+        monkeypatch.setattr(simplicial, "reduced_homology", counting)
+        code, report = run(capsys, "oracle", str(doc))
+        assert code == 0 and report["result"]["cm_codim"] == codim
+        assert seen and len(seen) == len(set(seen))
 
     def test_max_t_flag(self, capsys):
         code, report = run(capsys, "oracle", "--builtin", "fig2", "--max-t", "2")

@@ -42,10 +42,12 @@ from cmtgraphs import (
     is_cohen_macaulay,
     is_connected,
     is_pure,
+    is_unmixed,
     parse_graph,
     to_document,
     write_enumeration,
 )
+from cmtgraphs import enumeration
 from conftest import (
     complete,
     count_iso_classes,
@@ -72,6 +74,29 @@ def index_graphs(d):
                      for (i, j), on in zip(optional, mask) if on)
         yield BipartiteGraph.of([f"x{i + 1}" for i in range(d)],
                                 [f"y{i + 1}" for i in range(d)], edges)
+
+
+def antisymmetric_transitive(d):
+    """The former `enumerate_cm` walk: none, (i, j) or (j, i) per slot i < j."""
+    slots = list(itertools.combinations(range(d), 2))
+    for choice in itertools.product((0, 1, 2), repeat=len(slots)):
+        relation = {(i, i) for i in range(d)}
+        for (i, j), kind in zip(slots, choice):
+            if kind == 1:
+                relation.add((i, j))
+            elif kind == 2:
+                relation.add((j, i))
+        if not any((a, c) not in relation
+                   for a, b in relation for b2, c in relation if b == b2):
+            yield relation
+
+
+def first_of_each_class(graphs):
+    """The former dedupe: the first graph met in each class, sorted by code."""
+    found = {}
+    for g in graphs:
+        found.setdefault(canonical_form(g), g)
+    return [found[code] for code in sorted(found, key=lambda c: c.code)]
 
 
 def iso_distinct(graphs):
@@ -126,6 +151,7 @@ class TestEnumerateCm:
         assert len(enumerate_cm(1)) == 2
         assert len(enumerate_cm(2)) == 4
         assert len(enumerate_cm(3)) == 12
+        assert len(enumerate_cm(4)) == 39
 
     def test_small_dimensions_against_homology_filter(self):
         # Fully independent route: every matched graph, keep those whose
@@ -162,12 +188,34 @@ class TestEnumerateCm:
 
     def test_poset_route_at_other_sizes(self):
         # Posets on 1, 2, 3 and 5 points (OEIS A000112) and their self-dual
-        # ones.  enumerate_cm(4) is too slow for this suite; the benchmark
-        # checks its 39 = (63 + 15) / 2 classes.
+        # ones.
         counts = [poset_counts(n) for n in (1, 2, 3, 5)]
         assert counts == [(1, 1), (2, 2), (5, 3), (63, 15)]
-        for dimension, (posets, self_dual) in enumerate(counts[:3]):
+        for dimension, (posets, self_dual) in zip((0, 1, 2, 4), counts):
             assert (posets + self_dual) // 2 == len(enumerate_cm(dimension))
+
+    def test_same_graphs_as_the_full_walk(self):
+        # The former path: every antisymmetric transitive relation, the
+        # first graph of each class kept.  The least labelling must pick
+        # the same labelled graph and keep the same order.
+        for dimension in (0, 1, 2, 3):
+            d = dimension + 1
+            old = first_of_each_class(relation_graph(r, d)
+                                      for r in antisymmetric_transitive(d))
+            assert list(map(to_document, enumerate_cm(dimension))) == \
+                list(map(to_document, old))
+
+    def test_canonical_form_once_per_class(self, monkeypatch):
+        real, calls = enumeration.canonical_form, []
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counting)
+        assert len(enumerate_cm(3)) == len(calls) == 12
+        calls.clear()
+        assert len(enumerate_cm(4)) == len(calls) == 39
 
     def test_outputs_are_classified_cm(self):
         for dimension in (0, 1, 2, 3):
@@ -185,6 +233,24 @@ class TestEnumerateCm:
 class TestEnumerateUnmixed:
     def test_counts(self):
         assert [len(enumerate_unmixed(d)) for d in (1, 2, 3, 4)] == [1, 3, 7, 24]
+
+    def test_same_graphs_as_the_full_walk(self):
+        # The former path: every superset of the diagonal, filtered by
+        # is_unmixed, the first graph of each class kept.
+        for d in (1, 2, 3, 4):
+            old = first_of_each_class(g for g in index_graphs(d) if is_unmixed(g))
+            assert list(map(to_document, enumerate_unmixed(d))) == \
+                list(map(to_document, old))
+
+    def test_canonical_form_once_per_class(self, monkeypatch):
+        real, calls = enumeration.canonical_form, []
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(enumeration, "canonical_form", counting)
+        assert len(enumerate_unmixed(4)) == len(calls) == 24
 
     def test_d3_against_purity_filter(self):
         survivors = [g for g in index_graphs(3)
