@@ -17,6 +17,8 @@ in an unmixed graph all of them do.  The matched pairs then split into the
 maximal complete bipartite blocks K_{n,n} of the cross relation (i and j
 cross when both x_iy_j and x_jy_i are edges): under a pure order, the
 classes of lefts with equal neighbourhoods (`neighbourhood_blocks`).
+`_transitive` is the one place the condition is written; the enumerators
+apply it to relations read along the diagonal matching.
 """
 
 from __future__ import annotations
@@ -208,14 +210,18 @@ def to_document(g: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _transitive(succ: dict) -> bool:
+    # Villarreal condition (2) on successor sets: x_iy_j and x_jy_k force
+    # x_iy_k, that is succ[j] <= succ[i] for every j in succ[i]; triples with
+    # a repeated index hold through the matched edges.
+    return all(succ[j] <= succ[i] for i in succ for j in succ[i])
+
+
 def _matching_transitive(g: BipartiteGraph, match: dict[str, str]) -> bool:
-    # Villarreal condition (2).  With succ[x] the lefts whose partner x sees,
-    # it reads succ[j] <= succ[i] for every j in succ[i]; triples with a
-    # repeated index hold through the matched edges.
+    # succ[x] holds the lefts whose partner x sees.
     adj = g._adjacency
     owner = {y: x for x, y in match.items()}
-    succ = {x: frozenset(owner[y] for y in adj[x]) for x in match}
-    return all(succ[j] <= succ[i] for i in match for j in succ[i])
+    return _transitive({x: frozenset(owner[y] for y in adj[x]) for x in match})
 
 
 def find_pure_order(g: BipartiteGraph) -> PureOrder | None:

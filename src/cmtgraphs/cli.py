@@ -231,9 +231,13 @@ _HANDLERS = {
     "enumerate": _cmd_enumerate,
 }
 
+# Built once: the parser holds no per-call state, and `parse_args` returns a
+# fresh Namespace on every call, so nothing carries over between calls.
+_PARSER = _build_parser()
+
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     source = _source(args)
     args.document = None
     started = time.monotonic()

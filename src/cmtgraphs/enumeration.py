@@ -9,9 +9,9 @@ bipartite graphs of a given dimension by walking the reflexive transitive
 relations whose related pairs all have i <= j (each one is the edge
 pattern of a cross-free graph, and relabelled along a linear extension
 every Cohen-Macaulay bipartite graph arises that way).
-`enumerate_unmixed` lists every unmixed graph on d matched pairs by brute
-force over edge supersets of a fixed perfect matching; it is the universe
-the oracle cross-checks run over.  Both walks name each class by its least
+`enumerate_unmixed` lists every unmixed graph on d matched pairs by walking
+the reflexive transitive relations (preorders); it is the universe the
+oracle cross-checks run over.  Both walks name each class by its least
 labelling, the least indicator vector among all relabellings of a
 relation and of its dual, and keep the graph of that labelling, so
 `canonical_form` runs once per class and never inside a walk.
@@ -34,7 +34,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bigraph import BipartiteGraph, connected_components, is_connected, is_unmixed
+from .bigraph import BipartiteGraph, _transitive, connected_components, is_connected
 from .construct import Expansion, _sharp_codim, expand
 
 MAX_SIDE = 8
@@ -109,37 +109,33 @@ def _least_labelling(d: int, relation: set[tuple[int, int]],
                for r in (relation, dual) for s in itertools.permutations(range(d)))
 
 
-def _classes(d: int, walk: list[tuple[int, int]], order: list[tuple[int, int]],
-             keep) -> list[BipartiteGraph]:
-    """One index graph per class of the reflexive relations the walk keeps.
+def _classes(d: int, walk: list[tuple[int, int]],
+             order: list[tuple[int, int]]) -> list[BipartiteGraph]:
+    """One index graph per class of the reflexive transitive relations the walk meets.
 
-    Each subset of `walk`, added to the diagonal, is a relation; `keep`
-    filters them.  A class is recorded once, by `_least_labelling`, and its
-    graph is built from that least vector, so `canonical_form` runs once
-    per class, to sort them.
+    Each subset of `walk`, added to the diagonal, is a relation, kept when
+    it is transitive (`bigraph._transitive` on its successor sets).  A class
+    is recorded once, by `_least_labelling`, and its graph is built from
+    that least vector, so `canonical_form` runs once per class, to sort
+    them.
 
     The graph kept is the one a first-come dedupe keeps on any walk that
     meets relations in increasing order of their vectors over `order` and
     keeps every relabelling of a kept relation and of its dual: the first
-    member of a class it meets has the least vector.  Transitivity and
-    unmixedness survive isomorphism, so `itertools.product` over all of
-    `order`, which yields the vectors in lexicographic order, is such a
-    walk for `enumerate_unmixed`; `enumerate_cm` names its own.
+    member of a class it meets has the least vector.  Transitivity survives
+    relabelling and duality, so `itertools.product` over all of `order`,
+    which yields the vectors in lexicographic order, is such a walk for
+    `enumerate_unmixed`; `enumerate_cm` names its own.
     """
     diagonal = {(i, i) for i in range(d)}
     codes = set()
     for mask in itertools.product((False, True), repeat=len(walk)):
         relation = diagonal | set(itertools.compress(walk, mask))
-        if keep(relation):
+        if _transitive({i: {j for a, j in relation if a == i} for i in range(d)}):
             codes.add(_least_labelling(d, relation, order))
     graphs = [_index_graph(d, diagonal | set(itertools.compress(order, code)))
               for code in codes]
     return sorted(graphs, key=lambda g: canonical_form(g).code)
-
-
-def _transitive(relation: set[tuple[int, int]]) -> bool:
-    return all((a, c) in relation
-               for a, b in relation for b2, c in relation if b == b2)
 
 
 def enumerate_cm(dimension: int) -> list[BipartiteGraph]:
@@ -160,21 +156,28 @@ def enumerate_cm(dimension: int) -> list[BipartiteGraph]:
         raise ValueError(f"dimension must be between 0 and {MAX_PAIRS_CM - 1}")
     slots = list(itertools.combinations(range(d), 2))
     order = [p for i, j in slots for p in ((j, i), (i, j))]
-    return _classes(d, slots, order, _transitive)
+    return _classes(d, slots, order)
 
 
 def enumerate_unmixed(d: int) -> list[BipartiteGraph]:
     """Every unmixed bipartite graph on d matched pairs, no isolated vertices.
 
-    Any such graph contains a perfect matching, so up to relabeling it is a
-    superset of the diagonal matching; brute force over the optional
-    off-diagonal edges and filter.
+    Any such graph contains a perfect matching, so up to relabelling it is
+    the index graph of a reflexive relation R: the diagonal x_iy_i and one
+    edge x_iy_j per off-diagonal pair (i, j) in R.  The walk keeps exactly
+    the transitive R, with no graph built or matching searched per relation.
+    The diagonal is a perfect matching of R's index graph, and no vertex is
+    isolated.  Villarreal's condition on that matching reads: (i, j) and
+    (j, k) in R give (i, k) in R, which is transitivity.  By
+    `find_pure_order`'s docstring every perfect matching of an unmixed graph
+    passes, and one matching that passes proves the graph unmixed.  So the
+    index graph is unmixed exactly when R is transitive: filtering by
+    `is_unmixed` and by transitivity keeps the same relations.
     """
     if not 1 <= d <= MAX_PAIRS_UNMIXED:
         raise ValueError(f"d must be between 1 and {MAX_PAIRS_UNMIXED}")
     optional = [(i, j) for i in range(d) for j in range(d) if i != j]
-    return _classes(d, optional, optional,
-                    lambda relation: is_unmixed(_index_graph(d, relation)))
+    return _classes(d, optional, optional)
 
 
 @dataclass(frozen=True)

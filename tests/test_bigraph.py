@@ -29,6 +29,7 @@ from cmtgraphs import (
     predicted_codim,
     to_document,
 )
+from cmtgraphs import bigraph
 from conftest import (all_pure_pairings, complete, graph, random_bipartite,
                       relabeled_copy)
 
@@ -234,6 +235,25 @@ class TestPureOrder:
                 extra = [e for bit, e in enumerate(optional) if mask >> bit & 1]
                 unmixed += assert_matches_oracle(diagonal_graph(d, extra))
         assert unmixed == 1 + 4 + 29 + 355
+
+    def test_transitive_is_villarreal_on_every_reflexive_relation(self):
+        # Every superset of the diagonal on d <= 4 points (1, 4, 64 and 4096
+        # relations): the successor-set check, a from-scratch triple check
+        # and unmixedness of the index graph all agree.
+        transitive = 0
+        for d in range(1, 5):
+            optional = [(i, j) for i in range(d) for j in range(d) if i != j]
+            for mask in range(2 ** len(optional)):
+                extra = [e for bit, e in enumerate(optional) if mask >> bit & 1]
+                relation = {(i, i) for i in range(d)} | set(extra)
+                succ = {i: {j for a, j in relation if a == i} for i in range(d)}
+                triples = all((i, k) in relation
+                              for i, j, k in itertools.product(range(d), repeat=3)
+                              if (i, j) in relation and (j, k) in relation)
+                verdict = bigraph._transitive(succ)
+                assert verdict == triples == is_unmixed(diagonal_graph(d, extra))
+                transitive += verdict
+        assert transitive == 1 + 4 + 29 + 355
 
     def test_relabeled_copies_up_to_six_pairs(self):
         # Shuffled names and sides; names like v10 < v9 test the name order.

@@ -1,5 +1,6 @@
 """Command line surface: reports, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 
@@ -322,4 +323,39 @@ class TestErrors:
     def test_json_flag_removed(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["classify", "--builtin", "fig1", "--json"])
+        assert err.value.code == 1
+
+
+class TestParserBuiltOnce:
+    def test_no_argument_added_per_call(self, capsys, monkeypatch):
+        real, added = argparse._ActionsContainer.add_argument, []
+
+        def counting(self, *args, **kwargs):
+            added.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        code, _ = run(capsys, "classify", "--builtin", "fig1")
+        assert code == 0 and added == []
+
+    def test_max_t_does_not_carry_over(self, capsys):
+        _, first = run(capsys, "oracle", "--builtin", "fig1", "--max-t", "2")
+        _, second = run(capsys, "oracle", "--builtin", "fig1")
+        assert first["result"]["max_t"] == 2
+        assert "max_t" not in second["result"]
+        assert "cm_within_max_t" not in second["result"]
+
+    def test_max_total_does_not_carry_over(self, capsys):
+        _, first = run(capsys, "enumerate", "--cmt", "3", "--max-total", "4")
+        _, second = run(capsys, "enumerate", "--cmt", "3")
+        parametric = [[f["instances"] for f in r["result"]["families"] if f["parametric"]]
+                      for r in (first, second)]
+        assert parametric[0] and set(parametric[0]) == {1}
+        assert parametric[1] and set(parametric[1]) == {2}
+
+    def test_usage_error_after_a_successful_call(self, capsys):
+        code, _ = run(capsys, "classify", "--builtin", "fig1")
+        assert code == 0
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--no-such-flag"])
         assert err.value.code == 1

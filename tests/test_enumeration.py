@@ -47,7 +47,7 @@ from cmtgraphs import (
     to_document,
     write_enumeration,
 )
-from cmtgraphs import enumeration
+from cmtgraphs import bigraph, enumeration
 from conftest import (
     complete,
     count_iso_classes,
@@ -251,6 +251,19 @@ class TestEnumerateUnmixed:
 
         monkeypatch.setattr(enumeration, "canonical_form", counting)
         assert len(enumerate_unmixed(4)) == len(calls) == 24
+
+    def test_no_matching_search_per_relation(self, monkeypatch):
+        # The walk keeps the transitive relations directly; it neither builds
+        # an index graph nor searches a pure order for the 4096 it meets.
+        real, calls = bigraph.find_pure_order, []
+
+        def counting(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(bigraph, "find_pure_order", counting)
+        assert len(enumerate_unmixed(4)) == 24
+        assert calls == []
 
     def test_d3_against_purity_filter(self):
         survivors = [g for g in index_graphs(3)
