@@ -17,6 +17,8 @@ in an unmixed graph all of them do.  The matched pairs then split into the
 maximal complete bipartite blocks K_{n,n} of the cross relation (i and j
 cross when both x_iy_j and x_jy_i are edges): under a pure order, the
 classes of lefts with equal neighbourhoods (`neighbourhood_blocks`).
+No matching is searched for: each class is paired with the rights of
+least degree in its neighbourhood, which under a pure order are its own.
 `_transitive` is the one place the condition is written; the enumerators
 apply it to relations read along the diagonal matching.
 """
@@ -235,12 +237,24 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
     x_j, a neighbour of y_k.  So all perfect matchings of an unmixed graph
     pass, and by Villarreal's theorem one that passes proves it unmixed.
 
-    Lefts with equal neighbourhoods form a block; every perfect matching
-    maps a block's lefts onto its rights, as the lefts of an up-set of
-    blocks see only that up-set's rights.  Zipping each block's lefts, in
-    input order, with its rights sorted by name gives every matching the
-    same answer: the first pure pairing with lefts taken by ascending
-    degree and rights by name.
+    No matching search is needed: the blocks fix the matching.  Each block
+    of lefts with equal neighbourhoods is zipped, in input order, with the
+    rights of least degree in its neighbourhood, sorted by name.  If the
+    graph is unmixed, take a pure order x_i~y_i and x_b in block b.  For
+    an edge x_by_c and any x_a adjacent to y_b, x_ay_b and x_by_c give x_ay_c
+    by Villarreal's condition, so N(y_b) <= N(y_c): y_b has the least
+    degree in N(x_b).  A tie means N(y_b) = N(y_c), which puts x_c in
+    N(y_b), so b and c cross and share a block (`neighbourhood_blocks`);
+    crossed rights have equal neighbourhoods, so block b's rights are
+    exactly the least-degree rights in N(x_b).  They are as many as its
+    lefts, so a block where the counts differ proves the graph mixed, and
+    the zip is a perfect matching, which passes the check as every perfect
+    matching does.  Every pure pairing maps each block's lefts onto the
+    same rights, and lefts of one block have one degree, so the zip is the
+    first pure pairing with lefts taken by ascending degree and rights by
+    name.  If the graph is mixed, a zip that is a perfect matching and
+    passes the check would make it unmixed by Villarreal's theorem, so the
+    answer is None.
     """
     isolated = g.isolated_vertices()
     if isolated:
@@ -248,31 +262,18 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
     if len(g.left) != len(g.right):
         return None
     adj = g._adjacency
-    match: dict[str, str] = {}
-    owner: dict[str, str] = {}
-    for root in g.left:  # augmenting paths (Kuhn), breadth first
-        via: dict[str, str] = {}  # right vertex -> the left it was reached from
-        queue, y = [root], None
-        for x in queue:
-            fresh = adj[x] - via.keys()
-            via.update(dict.fromkeys(fresh, x))
-            y = next((v for v in fresh if v not in owner), None)
-            if y is not None:
-                break
-            queue.extend(owner[v] for v in fresh)
-        if y is None:
-            return None
-        while y is not None:
-            x = via[y]
-            y_next = match.get(x)
-            match[x], owner[y] = y, x
-            y = y_next
-    if not _matching_transitive(g, match):
-        return None
     partner: dict[str, str] = {}
     for block in neighbourhood_blocks(g, g.left).blocks:
         xs = [g.left[i - 1] for i in sorted(block)]
-        partner.update(zip(xs, sorted(match[x] for x in xs)))
+        least = min(len(adj[y]) for y in adj[xs[0]])
+        ys = sorted(y for y in adj[xs[0]] if len(adj[y]) == least)
+        if len(ys) != len(xs):
+            return None
+        partner.update(zip(xs, ys))
+    if len(set(partner.values())) != len(g.right):
+        return None
+    if not _matching_transitive(g, partner):
+        return None
     return PureOrder(tuple((x, partner[x]) for x in g.left))
 
 

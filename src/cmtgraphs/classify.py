@@ -78,12 +78,17 @@ def macaulay_order(g: BipartiteGraph, po: PureOrder | None = None) -> MacaulayOr
 
     Exists exactly for cross-free graphs.  Crossed graphs return None; a
     graph without any pure order is outside the precondition and raises.
+    An order from the caller is checked by `cross_blocks`; one that
+    `find_pure_order` built here is pure, so its blocks need no check.
     """
-    if po is None:
+    if po is not None:
+        blocks = cross_blocks(g, po)
+    else:
         po = find_pure_order(g)
         if po is None:
             raise ValueError("graph is not unmixed, no pure order exists")
-    if any(n >= 2 for n in cross_blocks(g, po).sizes):
+        blocks = neighbourhood_blocks(g, po.lefts)
+    if any(n >= 2 for n in blocks.sizes):
         return None
     return _topological_order(g, po)
 

@@ -236,6 +236,40 @@ class TestPureOrder:
                 unmixed += assert_matches_oracle(diagonal_graph(d, extra))
         assert unmixed == 1 + 4 + 29 + 355
 
+    def test_every_small_graph_matches_the_oracle(self):
+        # Every graph without isolated vertices on sides of up to 3, and on
+        # 3 x 4 and 4 x 3, then a seeded sample of 4 x 4 graphs.  Rights are
+        # listed against name order.  Unlike the diagonal graphs above, the
+        # mixed ones include graphs with a perfect matching whose
+        # least-degree pairing is no perfect matching or fails the check.
+        def graphs(p, q, masks):
+            left = [f"x{i}" for i in range(p)]
+            right = [f"y{j}" for j in reversed(range(q))]
+            cells = list(itertools.product(left, right))
+            for mask in masks:
+                g = BipartiteGraph.of(left, right, [e for bit, e in enumerate(cells)
+                                                    if mask >> bit & 1])
+                if not g.isolated_vertices():
+                    yield g
+
+        shapes = [(p, q) for p in range(1, 4) for q in range(1, 4)] + [(3, 4), (4, 3)]
+        pool = [g for p, q in shapes for g in graphs(p, q, range(2 ** (p * q)))]
+        pool += graphs(4, 4, random.Random(43).sample(range(2 ** 16), 400))
+        unmixed = mixed_matched = 0
+        for g in pool:
+            found = assert_matches_oracle(g)
+            unmixed += found
+            mixed_matched += not found and any(
+                all((x, y) in g.edges for x, y in zip(g.left, perm))
+                for perm in itertools.permutations(g.right)
+                if len(g.left) == len(g.right))
+        assert unmixed > 150 and mixed_matched > 250
+
+    def test_partners_have_least_degree_in_the_neighbourhood(self):
+        for g, po in unmixed_pool():
+            for x, y in po.pairs:
+                assert g.degree(y) == min(g.degree(v) for v in g.neighbors(x))
+
     def test_transitive_is_villarreal_on_every_reflexive_relation(self):
         # Every superset of the diagonal on d <= 4 points (1, 4, 64 and 4096
         # relations): the successor-set check, a from-scratch triple check

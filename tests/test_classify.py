@@ -7,6 +7,7 @@ import pytest
 
 from cmtgraphs import (
     BipartiteGraph,
+    PureOrder,
     builtin_graph,
     classification_json,
     classify,
@@ -161,6 +162,33 @@ class TestMacaulayOrder:
     def test_rejects_mixed_graph(self):
         with pytest.raises(ValueError, match="unmixed"):
             macaulay_order(SIX_CYCLE)
+
+    def test_one_villarreal_check_on_the_input(self, monkeypatch):
+        # The order macaulay_order builds itself is not validated again.
+        import importlib
+
+        bigraph_mod = importlib.import_module("cmtgraphs.bigraph")
+        real, checked = bigraph_mod._matching_transitive, []
+
+        def counting(g, match):
+            checked.append(g)
+            return real(g, match)
+
+        monkeypatch.setattr(bigraph_mod, "_matching_transitive", counting)
+        stair = parse_graph(
+            "L: x1 x2 x3\nR: y1 y2 y3\n"
+            "E: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n")
+        assert macaulay_order(stair).order == (1, 2, 3)
+        assert sum(g is stair for g in checked) == 1
+
+    def test_rejects_invalid_caller_order(self):
+        # An order from the caller is still checked: x2-y1 is not an edge,
+        # and a pairing that uses y2 twice is no perfect matching.
+        swapped = PureOrder((("x1", "y2"), ("x2", "y1")))
+        repeated = PureOrder((("x1", "y2"), ("x2", "y2")))
+        for po in (swapped, repeated):
+            with pytest.raises(ValueError, match="not a pure order"):
+                macaulay_order(PATH, po)
 
     def test_order_soundness(self):
         # Relabel i -> position of i in order; every edge x_iy_j of the
