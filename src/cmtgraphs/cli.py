@@ -115,12 +115,17 @@ def _cmd_classify(args) -> tuple[str, dict]:
     return "ok", classification_json(parse_graph(_read_input(args)))
 
 
-def _cmd_oracle(args) -> tuple[str, dict]:
-    g = parse_graph(_read_input(args))
-    if simplicial.independent_set_count(g, ORACLE_FACE_LIMIT) > ORACLE_FACE_LIMIT:
+def _guarded_complex(g) -> simplicial.SimplicialComplex:
+    """The independence complex of g, refused past ORACLE_FACE_LIMIT faces."""
+    ind = simplicial.independence_complex(g, ORACLE_FACE_LIMIT)
+    if ind is None:
         raise ValueError(f"oracle guard: the independence complex has more than "
                          f"{ORACLE_FACE_LIMIT} faces (independent sets)")
-    ind = simplicial.independence_complex(g)
+    return ind
+
+
+def _cmd_oracle(args) -> tuple[str, dict]:
+    ind = _guarded_complex(parse_graph(_read_input(args)))
     codim, profile = simplicial._codim_sweep(ind)
     if profile is None:
         profile = simplicial.reduced_homology(ind)
@@ -153,7 +158,9 @@ def _cmd_verify(args) -> tuple[str, dict]:
             ],
         }
         return ("ok" if not bad else "disagreement"), result
-    report = verify_against_oracle(parse_graph(_read_input(args)))
+    g = parse_graph(_read_input(args))
+    _guarded_complex(g)  # bounds the oracle run; verify_against_oracle builds its own
+    report = verify_against_oracle(g)
     result = {
         "agree": report.agree,
         "structural_t_sharp": report.structural.t_sharp,

@@ -2,11 +2,14 @@
 
 Everything here is exact.  A complex is stored by its facets; reduced
 homology is computed over the rationals from the boundary matrices, with
-no floating point anywhere.  Each boundary rank is first taken mod 2, by
-XOR elimination of bitmask columns.  When the mod-2 Betti numbers are
-non-zero in at most one degree they are already the rational ones (the
-proof is in `reduced_homology`); otherwise every rank is recomputed over
-the integers by fraction-free (Bareiss) elimination, which torsion needs.
+no floating point anywhere.  The independence complex of a graph comes
+from one walk over its independent sets as bitmasks, which also bounds
+the work: past a face limit it stops.  Each boundary rank is first taken
+mod 2, by XOR elimination of bitmask columns.  When the mod-2 Betti
+numbers are non-zero in at most one degree they are already the rational
+ones (the proof is in `reduced_homology`); otherwise every rank is
+recomputed by the same pivot loop on sparse integer columns, which
+torsion needs.
 
 Cohen-Macaulayness is decided by the Reisner criterion: every face link
 must have vanishing reduced homology below its own dimension.  `is_cm_t`
@@ -29,6 +32,7 @@ Cohen-Macaulay, which is what makes links of facets uniform to handle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .bigraph import BipartiteGraph, ConsistencyError
@@ -62,53 +66,41 @@ def from_facets(vertices, faces) -> SimplicialComplex:
     return SimplicialComplex(tuple(vertices), frozenset(candidates))
 
 
-def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
+def independence_complex(g: BipartiteGraph, limit: int | None = None) -> SimplicialComplex | None:
     """The complex of independent vertex sets of g, given by its facets.
 
-    Maximal independent sets are maximal cliques of the complement graph;
-    Bron-Kerbosch with pivoting enumerates them without repetition.
+    Returns None when g has more than `limit` independent sets, the empty
+    one included, after walking limit + 1 of them.  The walk branches on
+    the lowest remaining vertex, left out or taken with its neighbours
+    removed; it follows the first branch in place and stacks the second.
+    Every independent set S is exactly one leaf, so the work is linear in
+    the number of faces and each facet is met once.  Along a
+    branch the walk carries the union of the closed neighbourhoods of the
+    vertices taken, and S is a facet exactly when that union is every
+    vertex: if some v outside S has no neighbour in S, then S | {v} is
+    independent; otherwise nothing can be added to S.
     """
     verts = g.vertices
-    universe = set(verts)
-    nonadj = {v: universe - set(g.neighbors(v)) - {v} for v in verts}
-    facets: list[frozenset[str]] = []
-
-    def grow(chosen: set[str], allowed: set[str], excluded: set[str]) -> None:
-        if not allowed and not excluded:
-            facets.append(frozenset(chosen))
-            return
-        pivot = max(allowed | excluded, key=lambda u: len(nonadj[u] & allowed))
-        for v in sorted(allowed - nonadj[pivot]):
-            grow(chosen | {v}, allowed & nonadj[v], excluded & nonadj[v])
-            allowed.discard(v)
-            excluded.add(v)
-
-    grow(set(), set(verts), set())
-    return SimplicialComplex(tuple(verts), frozenset(facets))
-
-
-def independent_set_count(g: BipartiteGraph, limit: int) -> int:
-    """Faces of the independence complex of g, or limit + 1 if it has more.
-
-    Counts independent sets, the empty one included, without building the
-    complex: branch on the lowest remaining vertex, left out or taken with
-    its neighbours removed.  Every branch ends in a distinct independent
-    set, so the work is linear in the count returned.
-    """
-    index = {v: i for i, v in enumerate(g.vertices)}
+    index = {v: i for i, v in enumerate(verts)}
     closed = [1 << i | sum(1 << index[u] for u in g.neighbors(v))
-              for i, v in enumerate(g.vertices)]
-    count = 0
-    stack = [(1 << len(closed)) - 1]
-    while stack and count <= limit:
-        allowed = stack.pop()
-        if not allowed:
-            count += 1
-            continue
-        lowest = allowed & -allowed
-        stack.append(allowed & ~lowest)
-        stack.append(allowed & ~closed[lowest.bit_length() - 1])
-    return count
+              for i, v in enumerate(verts)]
+    everything = (1 << len(verts)) - 1
+    facets: list[frozenset[str]] = []
+    leaves = 0
+    stack = [(everything, 0, 0)]
+    while stack:
+        allowed, taken, covered = stack.pop()
+        while allowed:
+            lowest = allowed & -allowed
+            around = closed[lowest.bit_length() - 1]
+            stack.append((allowed & ~around, taken | lowest, covered | around))
+            allowed &= ~lowest
+        leaves += 1
+        if limit is not None and leaves > limit:
+            return None
+        if covered == everything:
+            facets.append(frozenset(v for i, v in enumerate(verts) if taken >> i & 1))
+    return SimplicialComplex(tuple(verts), frozenset(facets))
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -165,45 +157,39 @@ class HomologyProfile:
         return {str(k - 1): b for k, b in enumerate(self.betti)}
 
 
-def _integer_rank(rows: list[list[int]]) -> int:
-    """Rank over the rationals by Bareiss elimination; all arithmetic exact."""
-    m = [row[:] for row in rows]
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        for i in range(r + 1, n_rows):
-            row_i, row_r = m[i], m[r]
-            factor = row_i[c]
-            for j in range(c + 1, n_cols):
-                row_i[j] = (row_i[j] * row_r[c] - factor * row_r[j]) // prev
-            row_i[c] = 0
-        prev = m[r][c]
-        rank += 1
-        r += 1
-        if r == n_rows:
-            break
-    return rank
+def _exact_rank(columns: list[dict[int, int]]) -> int:
+    """Rank over Q of the matrix whose columns map row indices to integer entries.
+
+    The loop of `_gf2_boundary_rank` over the integers: a column's leading
+    (largest) row is cancelled against the stored pivot with the same
+    leading row, both scaled so the arithmetic stays fraction-free, and the
+    result is divided by the gcd of its entries, until the column vanishes
+    or becomes a new pivot.  Replacing a column by a non-zero multiple of
+    itself plus a multiple of a pivot keeps the span of every column seen
+    so far, and pivots with distinct leading rows are linearly independent,
+    so the number of pivots is the rank over Q.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for column in columns:
+        while column:
+            lead = max(column)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = column
+                break
+            a, b = pivot[lead], column[lead]
+            merged = {r: a * column.get(r, 0) - b * pivot.get(r, 0)
+                      for r in column.keys() | pivot.keys()}
+            divisor = math.gcd(*merged.values())
+            column = {r: v // divisor for r, v in merged.items() if v}
+    return len(pivots)
 
 
 def _boundary_rank(lower: list[tuple[str, ...]], upper: list[tuple[str, ...]]) -> int:
-    """Rank of the boundary map from the span of `upper` down to `lower`."""
-    if not lower or not upper:
-        return 0
+    """Rank over Q of the boundary map from the span of `upper` down to `lower`."""
     row_of = {f: i for i, f in enumerate(lower)}
-    matrix = [[0] * len(upper) for _ in lower]
-    for col, face in enumerate(upper):
-        for i in range(len(face)):
-            sub = face[:i] + face[i + 1:]
-            matrix[row_of[sub]][col] = (-1) ** i
-    return _integer_rank(matrix)
+    return _exact_rank([{row_of[face[:i] + face[i + 1:]]: (-1) ** i for i in range(len(face))}
+                        for face in upper])
 
 
 def _gf2_boundary_rank(lower: list[tuple[str, ...]], upper: list[tuple[str, ...]]) -> int:
@@ -260,7 +246,7 @@ def reduced_homology(c: SimplicialComplex) -> HomologyProfile:
     depends only on the face counts.  So beta(Q) vanishes wherever
     beta(F2) does, and in degree q the two agree, both being
     (-1)^q times that characteristic.  Otherwise mod-2 classes may come
-    from torsion, and every rank is recomputed by Bareiss elimination.
+    from torsion, and every rank is recomputed exactly by `_exact_rank`.
     """
     if not c.facets:
         return HomologyProfile(())

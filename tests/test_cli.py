@@ -104,13 +104,14 @@ class TestOracle:
         assert r["cm_codim"] == 3
         assert r["max_t"] == 2 and r["cm_within_max_t"] is False
 
-    def test_vertex_guard(self, capsys, tmp_path):
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_vertex_guard(self, capsys, tmp_path, command):
         left = " ".join(f"x{i}" for i in range(11))
         right = " ".join(f"y{i}" for i in range(11))
         edges = " ".join(f"x{i}-y{i}" for i in range(11))
         doc = tmp_path / "wide.graph"
         doc.write_text(f"L: {left}\nR: {right}\nE: {edges}\n")
-        code, report = run(capsys, "oracle", str(doc))
+        code, report = run(capsys, command, str(doc))
         assert code == 1
         assert report["status"] == "error"
         assert "guard" in report["result"]["message"]

@@ -29,7 +29,7 @@ from cmtgraphs import (
     reduced_homology,
 )
 from cmtgraphs import simplicial
-from cmtgraphs.simplicial import SimplicialComplex, independent_set_count
+from cmtgraphs.simplicial import SimplicialComplex
 from conftest import (
     brute_betti,
     brute_maximal_independent_sets,
@@ -89,20 +89,34 @@ class TestIndependenceComplex:
             g = random_bipartite(rng, max_side=3)
             assert independence_complex(g).facets == \
                 frozenset(brute_maximal_independent_sets(g))
+        # Every graph with sides of at most 3, empty sides and isolated
+        # vertices included: 689 graphs.
+        seen = 0
+        for p, q in itertools.product(range(4), repeat=2):
+            left, right = [f"x{i}" for i in range(p)], [f"y{j}" for j in range(q)]
+            cells = list(itertools.product(left, right))
+            for mask in range(1 << len(cells)):
+                g = BipartiteGraph.of(left, right, [e for bit, e in enumerate(cells)
+                                                    if mask >> bit & 1])
+                assert independence_complex(g).facets == \
+                    frozenset(brute_maximal_independent_sets(g))
+                seen += 1
+        assert seen == 689
 
     def test_empty_graph_gives_void_complex(self):
         ind = independence_complex(BipartiteGraph.of([], [], []))
         assert ind.facets == frozenset({frozenset()})
 
-    def test_independent_set_count_is_face_count(self):
+    def test_limit_is_face_count(self):
         rng = random.Random(41)
         for _ in range(100):
             g = random_bipartite(rng, max_side=4)
-            n = len(faces(independence_complex(g)))
-            assert independent_set_count(g, n) == n
-            assert independent_set_count(g, n - 1) == n
-            assert independent_set_count(g, n - 2) == n - 1
-        assert independent_set_count(BipartiteGraph.of([], [], []), 5) == 1
+            n = len(faces(from_facets(g.vertices, brute_maximal_independent_sets(g))))
+            assert independence_complex(g, n) == independence_complex(g)
+            assert independence_complex(g, n - 1) is None
+        empty = BipartiteGraph.of([], [], [])
+        assert independence_complex(empty, 1).facets == frozenset({frozenset()})
+        assert independence_complex(empty, 0) is None
 
 
 class TestBasics:
@@ -216,13 +230,14 @@ class TestHomology:
 
     @given(st.lists(st.integers(0, 1), min_size=12, max_size=30))
     @settings(max_examples=120)
-    def test_bareiss_rank_equals_fraction_rank(self, flat):
+    def test_exact_rank_equals_fraction_rank(self, flat):
         cols = 4
         rows = [flat[i:i + cols] for i in range(0, len(flat) - cols + 1, cols)]
         signed = [[v if (i + j) % 2 else -v for j, v in enumerate(row)]
                   for i, row in enumerate(rows)]
-        from cmtgraphs.simplicial import _integer_rank
-        assert _integer_rank(signed) == fraction_rank(signed)
+        columns = [{i: row[j] for i, row in enumerate(signed) if row[j]}
+                   for j in range(cols)]
+        assert simplicial._exact_rank(columns) == fraction_rank(signed)
 
     @pytest.mark.parametrize("routine, complex_", [
         ("_gf2_boundary_rank", from_facets("abc", [("a", "b", "c")])),
@@ -239,13 +254,13 @@ class TestHomology:
             reduced_homology(complex_)
 
     def test_torsion_takes_the_integer_route(self, monkeypatch):
-        real, calls = simplicial._integer_rank, []
+        real, calls = simplicial._exact_rank, []
 
-        def counting(rows):
-            calls.append(len(rows))
-            return real(rows)
+        def counting(columns):
+            calls.append(len(columns))
+            return real(columns)
 
-        monkeypatch.setattr(simplicial, "_integer_rank", counting)
+        monkeypatch.setattr(simplicial, "_exact_rank", counting)
         circle = from_facets("abcd", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")])
         assert reduced_homology(circle).betti == (0, 0, 1)
         assert calls == []
