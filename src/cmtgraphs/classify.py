@@ -164,11 +164,13 @@ def verify_against_oracle(g: BipartiteGraph) -> OracleAgreement:
     """Run the block classifier and the homology oracle side by side.
 
     Compares unmixedness with purity, then (when unmixed) the dimension and
-    the sharp codimension.  Isolated vertices raise IsolatedVertexError
-    because the structural half cannot speak for them.
+    the sharp codimension.  The complex is built first, so a graph with more
+    than `simplicial.ORACLE_FACE_LIMIT` faces raises the oracle guard's
+    ValueError before anything else.  Isolated vertices then raise
+    IsolatedVertexError because the structural half cannot speak for them.
     """
+    ind = simplicial.independence_complex(g, simplicial.ORACLE_FACE_LIMIT)
     verdict = classify(g)
-    ind = simplicial.independence_complex(g)
     pure = simplicial.is_pure(ind)
     oracle_dim = simplicial.dim(ind)
     oracle_codim = simplicial.cm_codim(ind)

@@ -28,13 +28,7 @@ from .classify import classification_json, verify_against_oracle
 from .construct import contract, expand, expansion_document, parse_expansion, predicted_codim
 from .enumeration import enumerate_cm, enumerate_sharp_cmt, enumerate_unmixed, write_enumeration
 from .figures import BUILTIN_NAMES, builtin_document
-
-# The oracle's work grows with the faces of the independence complex, not
-# with its vertices.  Measured on one Xeon core under Python 3.11: 19,683
-# faces (a perfect matching on 9 pairs, no cone links) take 4-5 s, 6,144
-# (the 20-vertex chain) 0.3-0.4 s, and 59,049 (a matching on 10 pairs)
-# 23-25 s.
-ORACLE_FACE_LIMIT = 20_000
+from .simplicial import ORACLE_FACE_LIMIT
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -68,7 +62,7 @@ def _build_parser() -> _Parser:
                         help="also report whether the codimension stays within this bound")
     verify = add("verify", "compare classifier and oracle")
     verify.add_argument("--d", type=int, default=None,
-                        help="check every unmixed graph on this many matched pairs")
+                        help="check every unmixed graph on this many matched pairs, not one graph")
     add("expand", "blow matched edges up into complete blocks (needs an M: line)")
     add("contract", "collapse complete blocks back to the base graph")
     enum = add("enumerate", "generate example families", with_input=False)
@@ -78,7 +72,7 @@ def _build_parser() -> _Parser:
     group.add_argument("--cmt", type=int, metavar="T",
                        help="families of sharp codimension exactly T")
     enum.add_argument("--max-total", type=int, default=None,
-                      help="drop instances whose multiplicities sum past this")
+                      help="with --cmt, drop instances whose multiplicities sum past this")
     enum.add_argument("--out", default=None, metavar="DIR",
                       help="write graph documents and a manifest here")
     return parser
@@ -115,17 +109,8 @@ def _cmd_classify(args) -> tuple[str, dict]:
     return "ok", classification_json(parse_graph(_read_input(args)))
 
 
-def _guarded_complex(g) -> simplicial.SimplicialComplex:
-    """The independence complex of g, refused past ORACLE_FACE_LIMIT faces."""
-    ind = simplicial.independence_complex(g, ORACLE_FACE_LIMIT)
-    if ind is None:
-        raise ValueError(f"oracle guard: the independence complex has more than "
-                         f"{ORACLE_FACE_LIMIT} faces (independent sets)")
-    return ind
-
-
 def _cmd_oracle(args) -> tuple[str, dict]:
-    ind = _guarded_complex(parse_graph(_read_input(args)))
+    ind = simplicial.independence_complex(parse_graph(_read_input(args)), ORACLE_FACE_LIMIT)
     codim, profile = simplicial._codim_sweep(ind)
     if profile is None:
         profile = simplicial.reduced_homology(ind)
@@ -145,6 +130,8 @@ def _cmd_oracle(args) -> tuple[str, dict]:
 def _cmd_verify(args) -> tuple[str, dict]:
     if args.d is None and not (args.input or args.builtin):
         raise ValueError("verify needs --d or a single graph input")
+    if args.d is not None and (args.input or args.builtin):
+        raise ValueError("give either --d or a single graph input, not both")
     if args.d is not None:
         reports = [(g, verify_against_oracle(g)) for g in enumerate_unmixed(args.d)]
         bad = [(g, r) for g, r in reports if not r.agree]
@@ -158,9 +145,7 @@ def _cmd_verify(args) -> tuple[str, dict]:
             ],
         }
         return ("ok" if not bad else "disagreement"), result
-    g = parse_graph(_read_input(args))
-    _guarded_complex(g)  # bounds the oracle run; verify_against_oracle builds its own
-    report = verify_against_oracle(g)
+    report = verify_against_oracle(parse_graph(_read_input(args)))
     result = {
         "agree": report.agree,
         "structural_t_sharp": report.structural.t_sharp,
@@ -193,6 +178,8 @@ def _cmd_contract(args) -> tuple[str, dict]:
 
 def _cmd_enumerate(args) -> tuple[str, dict]:
     if args.cm is not None:
+        if args.max_total is not None:
+            raise ValueError("give --max-total only with --cmt, not with --cm")
         graphs = enumerate_cm(args.cm)
         label, value = "dimension", args.cm
         count = len(graphs)

@@ -305,6 +305,13 @@ class TestOracleHarness:
             seen_mixed += not report.structural.unmixed
         assert seen_mixed > 0
 
+    def test_refused_past_the_face_limit(self):
+        # A perfect matching on 10 pairs has 3^10 = 59,049 faces.
+        g = BipartiteGraph.of([f"x{i}" for i in range(10)], [f"y{i}" for i in range(10)],
+                              [(f"x{i}", f"y{i}") for i in range(10)])
+        with pytest.raises(ValueError, match="oracle guard"):
+            verify_against_oracle(g)
+
     def test_rejects_isolated_vertices(self):
         g = BipartiteGraph.of(["x1", "x2"], ["y1"], [("x1", "y1")])
         with pytest.raises(ValueError, match="isolated"):

@@ -104,9 +104,13 @@ class TestOracle:
         assert r["cm_codim"] == 3
         assert r["max_t"] == 2 and r["cm_within_max_t"] is False
 
-    @pytest.mark.parametrize("command", ["oracle", "verify"])
-    def test_vertex_guard(self, capsys, tmp_path, command):
-        left = " ".join(f"x{i}" for i in range(11))
+    # An isolated vertex is outside the classifier's domain, and verify
+    # reports the guard before it.
+    @pytest.mark.parametrize("command, isolated", [
+        ("oracle", False), ("verify", False), ("oracle", True), ("verify", True),
+    ], ids=["oracle", "verify", "oracle-isolated", "verify-isolated"])
+    def test_vertex_guard(self, capsys, tmp_path, command, isolated):
+        left = " ".join(f"x{i}" for i in range(12 if isolated else 11))
         right = " ".join(f"y{i}" for i in range(11))
         edges = " ".join(f"x{i}-y{i}" for i in range(11))
         doc = tmp_path / "wide.graph"
@@ -148,6 +152,29 @@ class TestVerify:
     def test_needs_some_input(self, capsys):
         code, report = run(capsys, "verify")
         assert code == 1 and report["status"] == "error"
+
+    def test_one_walk_per_graph(self, capsys, monkeypatch, tmp_path):
+        doc = tmp_path / "k22.graph"
+        doc.write_text(K22)
+        real, calls = simplicial.independence_complex, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simplicial, "independence_complex", counting)
+        assert main(["verify", str(doc)]) == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("builtin", [False, True], ids=["path", "builtin"])
+    def test_d_and_a_graph_rejected(self, capsys, tmp_path, builtin):
+        doc = tmp_path / "k22.graph"
+        doc.write_text(K22)
+        graph = ["--builtin", "fig1"] if builtin else [str(doc)]
+        code, report = run(capsys, "verify", "--d", "2", *graph)
+        assert code == 1 and report["status"] == "error"
+        assert report["result"]["message"] == \
+            "give either --d or a single graph input, not both"
 
     def test_disagreement_exit_code(self, capsys, monkeypatch):
         # The package re-exports the classify function under the same name
@@ -257,6 +284,11 @@ class TestEnumerate:
     def test_guard_exceeded(self, capsys):
         code, report = run(capsys, "enumerate", "--cm", "7")
         assert code == 1 and report["status"] == "error"
+
+    def test_max_total_only_with_cmt(self, capsys):
+        code, report = run(capsys, "enumerate", "--cm", "2", "--max-total", "1")
+        assert code == 1 and report["status"] == "error"
+        assert "--max-total" in report["result"]["message"]
 
 
 class TestErrors:

@@ -113,10 +113,12 @@ class TestIndependenceComplex:
             g = random_bipartite(rng, max_side=4)
             n = len(faces(from_facets(g.vertices, brute_maximal_independent_sets(g))))
             assert independence_complex(g, n) == independence_complex(g)
-            assert independence_complex(g, n - 1) is None
+            with pytest.raises(ValueError, match="oracle guard"):
+                independence_complex(g, n - 1)
         empty = BipartiteGraph.of([], [], [])
         assert independence_complex(empty, 1).facets == frozenset({frozenset()})
-        assert independence_complex(empty, 0) is None
+        with pytest.raises(ValueError, match="oracle guard"):
+            independence_complex(empty, 0)
 
 
 class TestBasics:
