@@ -16,7 +16,8 @@ that x_iy_j and x_jy_k being edges forces x_iy_k to be an edge; any, since
 in an unmixed graph all of them do.  The matched pairs then split into the
 maximal complete bipartite blocks K_{n,n} of the cross relation (i and j
 cross when both x_iy_j and x_jy_i are edges): under a pure order, the
-classes of lefts with equal neighbourhoods (`neighbourhood_blocks`).
+classes of lefts with equal neighbourhoods (`neighbourhood_blocks`), which
+each graph groups once (`BipartiteGraph._blocks`).
 No matching is searched for: each class is paired with the rights of
 least degree in its neighbourhood, which under a pure order are its own.
 `_transitive` is the one place the condition is written; the enumerators
@@ -48,6 +49,17 @@ class ConsistencyError(RuntimeError):
     """An internal invariant failed; indicates a bug upstream, not bad input."""
 
 
+def _check_names(names) -> None:
+    """Raise ValueError on a name that `NAME_RE` rejects or that repeats."""
+    seen: set[str] = set()
+    for name in names:
+        if not NAME_RE.match(name):
+            raise ValueError(f"bad vertex name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate vertex {name!r}")
+        seen.add(name)
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Two ordered vertex sides and a set of left-to-right edges."""
@@ -57,13 +69,7 @@ class BipartiteGraph:
     edges: frozenset[tuple[str, str]]
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for name in self.left + self.right:
-            if not NAME_RE.match(name):
-                raise ValueError(f"bad vertex name {name!r}")
-            if name in seen:
-                raise ValueError(f"duplicate vertex {name!r}")
-            seen.add(name)
+        _check_names(self.left + self.right)
         lset, rset = set(self.left), set(self.right)
         for x, y in self.edges:
             if x not in lset or y not in rset:
@@ -98,6 +104,24 @@ class BipartiteGraph:
             adj[x].add(y)
             adj[y].add(x)
         return {v: frozenset(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def _blocks(self) -> BlockDecomposition:
+        """The classes of lefts with equal neighbourhoods, by position in `left`.
+
+        Built on first use and freed with the graph, like `_adjacency`.
+        When the graph is unmixed these are its cross blocks: under a pure
+        order the neighbourhood classes of its lefts are the blocks
+        (`neighbourhood_blocks`), and `find_pure_order` lists its lefts as
+        `left`, in the same order, so positions here are its pair indices.
+        `find_pure_order` reads this first, to fix the matching, and returns
+        an order only once that order is proved pure; every reader after it
+        (`classify`, `contract`, `macaulay_order`, `predicted_codim`) thus
+        has the blocks with no second grouping and no purity check.  A
+        caller's order may list its lefts otherwise, so `cross_blocks`
+        checks it and groups along it.
+        """
+        return neighbourhood_blocks(self, self.left)
 
 
 @dataclass(frozen=True)
@@ -173,13 +197,10 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
         raise GraphFormatError("missing 'L:' line")
     if right is None:
         raise GraphFormatError("missing 'R:' line")
-    seen: set[str] = set()
-    for name in left + right:
-        if not NAME_RE.match(name):
-            raise GraphFormatError(f"bad vertex name {name!r}")
-        if name in seen:
-            raise GraphFormatError(f"duplicate vertex {name!r}")
-        seen.add(name)
+    try:
+        _check_names(left + right)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
     lset, rset = set(left), set(right)
     edges: set[tuple[str, str]] = set()
     for u, v, lineno in edge_tokens:
@@ -263,7 +284,7 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
         return None
     adj = g._adjacency
     partner: dict[str, str] = {}
-    for block in neighbourhood_blocks(g, g.left).blocks:
+    for block in g._blocks.blocks:
         xs = [g.left[i - 1] for i in sorted(block)]
         least = min(len(adj[y]) for y in adj[xs[0]])
         ys = sorted(y for y in adj[xs[0]] if len(adj[y]) == least)

@@ -20,7 +20,6 @@ from .bigraph import (
     PureOrder,
     cross_blocks,
     find_pure_order,
-    neighbourhood_blocks,
 )
 from .construct import _sharp_codim
 from . import simplicial
@@ -52,14 +51,11 @@ class CmtClassification:
 
 
 def classify(g: BipartiteGraph) -> CmtClassification:
-    """Block-size classification; raises IsolatedVertexError outside its domain.
-
-    `find_pure_order` built the order, so its blocks need no purity check.
-    """
+    """Block-size classification; raises IsolatedVertexError outside its domain."""
     order = find_pure_order(g)
     if order is None:
         return CmtClassification(unmixed=False)
-    blocks = neighbourhood_blocks(g, order.lefts)
+    blocks = g._blocks
     sizes = tuple(sorted(blocks.sizes))
     n_min = min((n for n in sizes if n >= 2), default=None)
     return CmtClassification(True, len(order.pairs), sizes, n_min,
@@ -78,8 +74,7 @@ def macaulay_order(g: BipartiteGraph, po: PureOrder | None = None) -> MacaulayOr
 
     Exists exactly for cross-free graphs.  Crossed graphs return None; a
     graph without any pure order is outside the precondition and raises.
-    An order from the caller is checked by `cross_blocks`; one that
-    `find_pure_order` built here is pure, so its blocks need no check.
+    An order from the caller is checked by `cross_blocks`.
     """
     if po is not None:
         blocks = cross_blocks(g, po)
@@ -87,7 +82,7 @@ def macaulay_order(g: BipartiteGraph, po: PureOrder | None = None) -> MacaulayOr
         po = find_pure_order(g)
         if po is None:
             raise ValueError("graph is not unmixed, no pure order exists")
-        blocks = neighbourhood_blocks(g, po.lefts)
+        blocks = g._blocks
     if any(n >= 2 for n in blocks.sizes):
         return None
     return _topological_order(g, po)

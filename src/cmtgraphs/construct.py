@@ -26,7 +26,6 @@ from .bigraph import (
     PureOrder,
     find_pure_order,
     is_pure_order,
-    neighbourhood_blocks,
     parse_document,
     to_document,
 )
@@ -69,14 +68,22 @@ def expand(e: Expansion) -> BipartiteGraph:
     """Blow the i-th matched pair up to K_{n_i,n_i}, keeping all adjacencies.
 
     New vertices are named `<basename>_<k>` with k counting from 1, so the
-    output is deterministic and contract can be checked against it.  Each
-    x_iy_i is a base edge (`Expansion` checked), so one pass over the base
-    edges, joining every copy of x to every copy of y, builds every block.
+    output is deterministic and contract can be checked against it.
     """
-    base = e.base
+    return _blow_up(e.base, e.multiplicities)
+
+
+def _blow_up(base: BipartiteGraph, multiplicities: tuple[int, ...]) -> BipartiteGraph:
+    """`expand` on a base whose positional pairing the caller knows is pure.
+
+    `Expansion` checks it; `enumeration._family` proves it for the bases
+    `enumerate_cm` builds.  Each x_iy_i is then a base edge, so one pass
+    over the base edges, joining every copy of x to every copy of y, builds
+    every block.
+    """
     copies = {v: [f"{v}_{k}" for k in range(1, n + 1)]
               for side in (base.left, base.right)
-              for v, n in zip(side, e.multiplicities)}
+              for v, n in zip(side, multiplicities)}
     return BipartiteGraph.of((c for x in base.left for c in copies[x]),
                              (c for y in base.right for c in copies[y]),
                              ((cx, cy) for x, y in base.edges
@@ -94,13 +101,12 @@ def contract(g: BipartiteGraph) -> Expansion:
     representatives yields an isomorphic base.  The base is induced on the
     representatives, so two of them cross in it only if they cross in g,
     and then they would have equal neighbourhoods and share a block.  So
-    the base is cross-free.  `find_pure_order` built the order, so its
-    blocks need no purity check.
+    the base is cross-free.
     """
     po = find_pure_order(g)
     if po is None:
         raise ValueError("graph is not unmixed, nothing to contract")
-    decomposition = neighbourhood_blocks(g, po.lefts)
+    decomposition = g._blocks
     reps = [min(block) - 1 for block in decomposition.blocks]
     xs, ys = po.lefts, po.rights
     base = BipartiteGraph.of([xs[i] for i in reps], [ys[i] for i in reps],
@@ -116,9 +122,9 @@ def predicted_codim(e: Expansion) -> int:
     total and n_0 the smallest above 1, the expansion is exactly
     CM_{n-n_0+1}; the all-ones expansion is the base itself and stays
     Cohen-Macaulay.  `Expansion` is frozen and proved its positional
-    pairing pure, so the blocks need no purity check.
+    pairing pure, so the base's blocks are `e.base._blocks`.
     """
-    if any(n >= 2 for n in neighbourhood_blocks(e.base, e.base.left).sizes):
+    if any(n >= 2 for n in e.base._blocks.sizes):
         raise ValueError("base graph is not Cohen-Macaulay (it has a cross)")
     return _sharp_codim(e.multiplicities)
 

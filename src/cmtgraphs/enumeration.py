@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .bigraph import BipartiteGraph, _transitive, connected_components, is_connected
-from .construct import Expansion, _sharp_codim, expand
+from .construct import _blow_up, _sharp_codim
 
 MAX_SIDE = 8
 MAX_PAIRS_CM = 5
@@ -196,25 +196,33 @@ class CmtFamily:
     connected: bool
 
 
-def _family(expansions: list[Expansion], parametric: bool) -> CmtFamily:
-    """The family of expansions of one base, unclassified; the first is its record.
+def _family(base: BipartiteGraph, vectors: list[tuple[int, ...]],
+            parametric: bool) -> CmtFamily:
+    """The blow-ups of an `enumerate_cm` base, unclassified; the first vector is its record.
 
-    The base is cross-free.  In an expansion the copies of pair i all have
+    The base's positional pairing x_i~y_i is a pure order, so `_blow_up`
+    needs no check.  The base is the index graph of a reflexive transitive
+    relation: `_classes` builds it from the least labelling of a relation
+    kept as transitive, and that labelling relabels the relation or its
+    dual, which stay transitive.  The diagonal is then a perfect matching,
+    and on it Villarreal's condition is transitivity (`enumerate_unmixed`),
+    so it passes.
+
+    The base is cross-free.  In a blow-up the copies of pair i all have
     the same neighbourhood.  Copies of pairs i and j have different ones,
     because equal base neighbourhoods would put y_j next to x_i and y_i next
     to x_j, so i and j would cross.  So the blocks are the blown-up pairs,
     and `classify` would read `predicted_codim`'s value off their sizes.
     """
-    instances = tuple(map(expand, expansions))
-    first = expansions[0]
-    return CmtFamily(first.base, first.multiplicities, parametric, instances,
-                     is_connected(instances[0]))
+    instances = tuple(_blow_up(base, vec) for vec in vectors)
+    return CmtFamily(base, vectors[0], parametric, instances, is_connected(instances[0]))
 
 
 def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]:
-    """All families of graphs with sharp codimension exactly t, for t >= 2.
+    """All families of graphs with sharp codimension exactly t, for 2 <= t <= MAX_PAIRS_CM.
 
-    Bases run over Cohen-Macaulay graphs of dimension 1 through t-1.  A
+    Bases run over Cohen-Macaulay graphs of dimension 1 through t-1, so t
+    is refused where `enumerate_cm(t - 1)` would be, before any work.  A
     base of dimension h <= t-2 needs at least two blown-up pairs, each of
     size at most t-h, and the multiplicity vector must predict t on the
     nose; those families are finite.  A base of dimension exactly t-1 takes
@@ -231,8 +239,8 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
     least (h + 1 - k) + 2(k - 1) + 1 = h + k > t: the ones add h + 1 - k,
     and the k - 1 large entries other than the least add at least 2 each.
     """
-    if t < 2:
-        raise ValueError("sharp families are enumerated for t >= 2 only")
+    if not 2 <= t <= MAX_PAIRS_CM:
+        raise ValueError(f"t must be between 2 and {MAX_PAIRS_CM}")
     found: dict[CanonicalForm, CmtFamily] = {}
     for h in range(1, t):
         cap = t - h
@@ -240,16 +248,15 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
             d_base = h + 1
             if h == t - 1:
                 for slot in range(d_base):
-                    expansions = [
-                        Expansion(base, tuple(n if k == slot else 1 for k in range(d_base)))
-                        for n in (2, 3) if max_total is None or h + n <= max_total]
-                    if expansions:
-                        fam = _family(expansions, True)
+                    vectors = [tuple(n if k == slot else 1 for k in range(d_base))
+                               for n in (2, 3) if max_total is None or h + n <= max_total]
+                    if vectors:
+                        fam = _family(base, vectors, True)
                         found.setdefault(canonical_form(fam.graphs[0]), fam)
             else:
                 for vec in itertools.product(range(1, cap + 1), repeat=d_base):
                     if _sharp_codim(vec) == t and (max_total is None or sum(vec) <= max_total):
-                        fam = _family([Expansion(base, vec)], False)
+                        fam = _family(base, [vec], False)
                         found.setdefault(canonical_form(fam.graphs[0]), fam)
     return [found[code] for code in sorted(found, key=lambda c: c.code)]
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -23,6 +24,7 @@ from cmtgraphs import (
     parse_graph,
     verify_against_oracle,
 )
+from cmtgraphs import bigraph
 from conftest import (brute_betti, brute_maximal_independent_sets, complete,
                       graph, relabeled_copy, rename)
 
@@ -35,6 +37,27 @@ UNION_POOL = [  # (graph, matched pairs, sharp codimension)
     (complete(2), 2, 1),
     (complete(3), 3, 1),
 ]
+
+
+def calls_through_every_binding(monkeypatch, name: str) -> list:
+    """Count calls to `bigraph.<name>` made through any `cmtgraphs` module.
+
+    Every module that holds the function gets a counting wrapper, so a
+    module that imports it under its own binding is counted too.  Returns
+    the list of first arguments, which grows as calls are made.
+    """
+    original, calls = getattr(bigraph, name), []
+
+    def counting(first, *rest):
+        calls.append(first)
+        return original(first, *rest)
+
+    for key, module in list(sys.modules.items()):
+        if key == "cmtgraphs" or key.startswith("cmtgraphs."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counting)
+    return calls
 
 
 def brute_codim(g: BipartiteGraph) -> int:
@@ -123,30 +146,16 @@ class TestClassificationJson:
         assert "macaulay_order" not in data
 
     def test_one_cross_blocks_per_report(self, monkeypatch):
-        # One grouping and one Villarreal check on the input per report:
-        # the order find_pure_order built is not validated again.
-        import importlib
-
-        classify_mod = importlib.import_module("cmtgraphs.classify")
-        bigraph_mod = importlib.import_module("cmtgraphs.bigraph")
-        real, calls = classify_mod.neighbourhood_blocks, []
-        real_check, checked = bigraph_mod._matching_transitive, []
-
-        def counting(g, lefts):
-            calls.append(lefts)
-            return real(g, lefts)
-
-        def counting_check(g, match):
-            checked.append(g)
-            return real_check(g, match)
-
-        monkeypatch.setattr(classify_mod, "neighbourhood_blocks", counting)
-        monkeypatch.setattr(bigraph_mod, "_matching_transitive", counting_check)
+        # One grouping and one Villarreal check on the input per report,
+        # counted in every module: the blocks find_pure_order grouped are
+        # read again, and the order it built is not validated again.
+        grouped = calls_through_every_binding(monkeypatch, "neighbourhood_blocks")
+        checked = calls_through_every_binding(monkeypatch, "_matching_transitive")
         stair = parse_graph(
             "L: x1 x2 x3\nR: y1 y2 y3\n"
             "E: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n")
         data = classification_json(stair)
-        assert len(calls) == 1
+        assert len(grouped) == 1
         assert sum(g is stair for g in checked) == 1
         assert data["macaulay_order"] == list(macaulay_order(stair).order)
 
@@ -180,6 +189,16 @@ class TestMacaulayOrder:
             "E: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n")
         assert macaulay_order(stair).order == (1, 2, 3)
         assert sum(g is stair for g in checked) == 1
+
+    def test_one_grouping_of_the_input(self, monkeypatch):
+        # The order built here lists its lefts as stair.left, so its blocks
+        # are the classes find_pure_order grouped.
+        grouped = calls_through_every_binding(monkeypatch, "neighbourhood_blocks")
+        stair = parse_graph(
+            "L: x1 x2 x3\nR: y1 y2 y3\n"
+            "E: x1-y1 x1-y2 x1-y3 x2-y2 x2-y3 x3-y3\n")
+        assert macaulay_order(stair).order == (1, 2, 3)
+        assert grouped == [stair]
 
     def test_rejects_invalid_caller_order(self):
         # An order from the caller is still checked: x2-y1 is not an edge,

@@ -285,6 +285,11 @@ class TestEnumerate:
         code, report = run(capsys, "enumerate", "--cm", "7")
         assert code == 1 and report["status"] == "error"
 
+    def test_cmt_past_the_cm_bases(self, capsys):
+        code, report = run(capsys, "enumerate", "--cmt", "6", "--max-total", "7")
+        assert code == 1 and report["status"] == "error"
+        assert report["result"]["message"] == "t must be between 2 and 5"
+
     def test_max_total_only_with_cmt(self, capsys):
         code, report = run(capsys, "enumerate", "--cm", "2", "--max-total", "1")
         assert code == 1 and report["status"] == "error"

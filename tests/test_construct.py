@@ -21,6 +21,7 @@ from cmtgraphs import (
     predicted_codim,
 )
 from conftest import complete, graph, graphs_isomorphic
+from test_classify import calls_through_every_binding
 
 PATH = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
 TWO_EDGES = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x2-y2\n")
@@ -120,6 +121,16 @@ class TestContract:
         g = builtin_graph("fig1")
         assert contract(g).multiplicities == (1, 3)
         assert sum(h is g for h in checked) == 1
+
+    def test_one_grouping_of_the_input(self, monkeypatch):
+        # contract reads the blocks find_pure_order grouped; the one other
+        # grouping is predicted_codim's, on the base.
+        grouped = calls_through_every_binding(monkeypatch, "neighbourhood_blocks")
+        g = builtin_graph("fig1")
+        e = contract(g)
+        assert grouped == [g]
+        assert predicted_codim(e) == 2
+        assert grouped == [g, e.base]
 
     @pytest.mark.parametrize("d", [9, 12])
     def test_chain_beyond_eight_pairs(self, d):

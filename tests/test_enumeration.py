@@ -29,6 +29,7 @@ from hypothesis import given, settings, strategies as st
 from cmtgraphs import (
     BipartiteGraph,
     Expansion,
+    PureOrder,
     builtin_graph,
     canonical_form,
     classify,
@@ -42,6 +43,7 @@ from cmtgraphs import (
     is_cohen_macaulay,
     is_connected,
     is_pure,
+    is_pure_order,
     is_unmixed,
     parse_graph,
     to_document,
@@ -222,6 +224,13 @@ class TestEnumerateCm:
             for g in enumerate_cm(dimension):
                 r = classify(g)
                 assert r.cohen_macaulay and r.dimension == dimension
+
+    def test_diagonal_of_every_base_is_pure(self):
+        # enumerate_sharp_cmt blows these bases up without checking them;
+        # this is the check it leaves out (the proof is in `_family`).
+        for dimension in (1, 2, 3, 4):
+            for base in enumerate_cm(dimension):
+                assert is_pure_order(base, PureOrder(tuple(zip(base.left, base.right))))
 
     def test_guard(self):
         with pytest.raises(ValueError):
@@ -463,8 +472,32 @@ class TestSharpFamilies:
         assert enumerate_sharp_cmt(3, max_total=3) == []
 
     def test_t_below_two_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t must be between 2 and 5$"):
             enumerate_sharp_cmt(1)
+
+    @pytest.mark.parametrize("max_total", [7, None])
+    def test_t_past_the_cm_bases_rejected_at_once(self, monkeypatch, max_total):
+        # t needs the bases enumerate_cm(t - 1) refuses past MAX_PAIRS_CM,
+        # so the range check comes before any base is built.
+        def no_bases(h):
+            raise AssertionError(f"enumerate_cm({h}) reached")
+
+        monkeypatch.setattr(enumeration, "enumerate_cm", no_bases)
+        with pytest.raises(ValueError, match=r"^t must be between 2 and 5$"):
+            enumerate_sharp_cmt(6, max_total)
+
+    def test_no_villarreal_check_per_vector(self, monkeypatch):
+        # The bases come from enumerate_cm, whose diagonals are pure orders
+        # (`_family`), so no blow-up checks its base again.
+        real, checked = bigraph._matching_transitive, []
+
+        def counting(g, match):
+            checked.append(g)
+            return real(g, match)
+
+        monkeypatch.setattr(bigraph, "_matching_transitive", counting)
+        assert len(enumerate_sharp_cmt(4)) == 37
+        assert checked == []
 
 
 class TestWriteEnumeration:
