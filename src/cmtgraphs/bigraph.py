@@ -79,6 +79,20 @@ class BipartiteGraph:
     def of(cls, left, right, edges) -> "BipartiteGraph":
         return cls(tuple(left), tuple(right), frozenset(tuple(e) for e in edges))
 
+    @classmethod
+    def _trusted(cls, left: tuple[str, ...], right: tuple[str, ...],
+                 edges: frozenset[tuple[str, str]]) -> "BipartiteGraph":
+        """A graph whose names and edge sides the caller has already checked.
+
+        `parse_document` checks each name once and each edge once, with line
+        numbers, before building; `__post_init__` would check them again.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "left", left)
+        object.__setattr__(g, "right", right)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @property
     def vertices(self) -> tuple[str, ...]:
         return self.left + self.right
@@ -104,6 +118,20 @@ class BipartiteGraph:
             adj[x].add(y)
             adj[y].add(x)
         return {v: frozenset(ns) for v, ns in adj.items()}
+
+    @cached_property
+    def _masks(self) -> tuple[dict[str, int], tuple[int, ...]]:
+        """Each vertex's position in `vertices`, and its neighbours as a bitmask.
+
+        Bit i of a mask is the vertex at position i.  Built on first use and
+        freed with the graph, like `_adjacency`.
+        """
+        index = {v: i for i, v in enumerate(self.vertices)}
+        nbrs = [0] * len(index)
+        for x, y in self.edges:
+            nbrs[index[x]] |= 1 << index[y]
+            nbrs[index[y]] |= 1 << index[x]
+        return index, tuple(nbrs)
 
     @cached_property
     def _blocks(self) -> BlockDecomposition:
@@ -212,7 +240,7 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
         if (u, v) in edges:
             raise GraphFormatError(f"line {lineno}: duplicate edge {u}-{v}")
         edges.add((u, v))
-    return BipartiteGraph.of(left, right, edges), mult
+    return BipartiteGraph._trusted(tuple(left), tuple(right), frozenset(edges)), mult
 
 
 def parse_graph(text: str) -> BipartiteGraph:

@@ -110,15 +110,14 @@ def _cmd_classify(args) -> tuple[str, dict]:
 
 
 def _cmd_oracle(args) -> tuple[str, dict]:
-    ind = simplicial.independence_complex(parse_graph(_read_input(args)), ORACLE_FACE_LIMIT)
-    codim, profile = simplicial._codim_sweep(ind)
-    if profile is None:
-        profile = simplicial.reduced_homology(ind)
+    sweep = simplicial.oracle_sweep(parse_graph(_read_input(args)), ORACLE_FACE_LIMIT,
+                                    homology=True)
+    codim = sweep.cm_codim
     result = {
-        "facet_count": len(ind.facets),
-        "dimension": simplicial.dim(ind),
-        "pure": simplicial.is_pure(ind),
-        "betti": profile.as_dict(),
+        "facet_count": sweep.facet_count,
+        "dimension": sweep.dimension,
+        "pure": sweep.pure,
+        "betti": sweep.homology.as_dict(),
         "cm_codim": codim,
     }
     if args.max_t is not None:

@@ -2,26 +2,36 @@
 
 Everything here is exact.  A complex is stored by its facets; reduced
 homology is computed over the rationals from the boundary matrices, with
-no floating point anywhere.  The independence complex of a graph comes
-from one walk over its independent sets as bitmasks, which also bounds
-the work: past a face limit (`ORACLE_FACE_LIMIT` for the oracle) it
-raises.  Each boundary rank is first taken mod 2, by XOR elimination of
-bitmask columns.  When the mod-2 Betti numbers are non-zero in at most
-one degree they are already the rational ones (the proof is in
-`reduced_homology`); otherwise every rank is recomputed by the same pivot
-loop on sparse integer columns, which torsion needs.
+no floating point anywhere.  For homology, faces are vertex bitmasks, and
+each boundary rank is first taken mod 2, by XOR elimination of bitmask
+columns.  When the mod-2 Betti numbers are non-zero in at most one degree
+they are already the rational ones (the proof is in `_homology`);
+otherwise every rank is recomputed by the same pivot loop on sparse
+integer columns, which torsion needs.
+
+The oracle reads the independence complex off the graph (`oracle_sweep`).
+Its faces are the independent sets, listed by one bitmask walk (`_walk`)
+over the graph's neighbourhood masks (`BipartiteGraph._masks`), which also
+bounds the work: past a face limit (`ORACLE_FACE_LIMIT` for the oracle)
+it raises.  The link of a face F is Ind(G - N[F]), the independence
+complex of an induced subgraph, so a link is keyed by one int, is a cone
+exactly when that subgraph has an isolated vertex, and has its faces
+listed by the same walk.  `independence_complex` reads the facets off the
+walk, for the generic routines below.
 
 Cohen-Macaulayness is decided by the Reisner criterion: every face link
 must have vanishing reduced homology below its own dimension.  `is_cm_t`
 is the literal relaxation that only inspects links of faces with at least
 t vertices, and `cm_codim` finds the least such t in one sweep over the
-faces.  `cm_codim_recursive` reaches the same number along a different
-route (peeling one vertex link at a time, through `is_cohen_macaulay`),
-which gives the test suite an internal cross-check.
+faces of any complex; `oracle_sweep` is that sweep on Ind(G), and
+`cm_codim` stays as its cross-check.  `cm_codim_recursive` reaches the
+same number along a different route (peeling one vertex link at a time,
+through the Reisner scan), which gives the test suite another.
 
-Nothing here is cached across calls.  `cm_codim` and `cm_codim_recursive`
-each keep their verdicts per distinct link in a table local to one call,
-so nothing outlives a call and a complex is freed once its caller drops it.
+Nothing here is cached across calls.  `cm_codim`, `oracle_sweep`,
+`is_cm_t` and `cm_codim_recursive` each keep their verdicts per distinct
+link in a table local to one call, so nothing outlives a call and a
+complex is freed once its caller drops it.
 
 Two degenerate complexes are kept distinct: the empty complex (no faces
 at all) and the complex whose only face is the empty set.  The latter has
@@ -34,14 +44,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigraph import BipartiteGraph, ConsistencyError
 
 # The oracle's work grows with the faces of the independence complex, not
-# with its vertices.  Measured on one Xeon core under Python 3.11: 19,683
-# faces (a perfect matching on 9 pairs, no cone links) take 4-5 s, 6,144
-# (the 20-vertex chain) 0.3-0.4 s, and 59,049 (a matching on 10 pairs)
-# 23-25 s.
+# with its vertices.  Measured by `oracle_sweep` on one Xeon core under
+# Python 3.11: 19,683 faces (a perfect matching on 9 pairs, no cone links)
+# take 0.55-0.8 s, 6,144 (the 20-vertex chain) 0.06-0.11 s, and 59,049 (a
+# matching on 10 pairs) 2.6-3.4 s.
 ORACLE_FACE_LIMIT = 20_000
 
 
@@ -73,29 +84,22 @@ def from_facets(vertices, faces) -> SimplicialComplex:
     return SimplicialComplex(tuple(vertices), frozenset(candidates))
 
 
-def independence_complex(g: BipartiteGraph, limit: int | None = None) -> SimplicialComplex:
-    """The complex of independent vertex sets of g, given by its facets.
+def _walk(closed: list[int], allowed: int, limit: int | None = None) -> list[tuple[int, int]]:
+    """Every independent set inside `allowed`, as (taken, covered) bitmasks.
 
-    Raises the oracle guard's ValueError when g has more than `limit`
-    independent sets, the empty one included, after walking limit + 1 of
-    them; the oracle's callers pass ORACLE_FACE_LIMIT.  The walk branches on
-    the lowest remaining vertex, left out or taken with its neighbours
-    removed; it follows the first branch in place and stacks the second.
-    Every independent set S is exactly one leaf, so the work is linear in
-    the number of faces and each facet is met once.  Along a
-    branch the walk carries the union of the closed neighbourhoods of the
-    vertices taken, and S is a facet exactly when that union is every
-    vertex: if some v outside S has no neighbour in S, then S | {v} is
-    independent; otherwise nothing can be added to S.
+    Bit i is vertex i and closed[i] is its closed neighbourhood; `covered`
+    is the union of the closed neighbourhoods of the vertices `taken`.
+    Raises the oracle guard's ValueError after walking limit + 1 sets.
+    The walk branches on the lowest allowed vertex, left out or taken with
+    its neighbours removed; it follows the first branch in place and
+    stacks the second.  Every independent set S is exactly one leaf, so
+    the work is linear in the number of sets.  S is maximal in `allowed`
+    exactly when `covered` contains `allowed`: if some v in `allowed`
+    outside S has no neighbour in S, then S | {v} is independent;
+    otherwise nothing can be added to S.
     """
-    verts = g.vertices
-    index = {v: i for i, v in enumerate(verts)}
-    closed = [1 << i | sum(1 << index[u] for u in g.neighbors(v))
-              for i, v in enumerate(verts)]
-    everything = (1 << len(verts)) - 1
-    facets: list[frozenset[str]] = []
-    leaves = 0
-    stack = [(everything, 0, 0)]
+    out: list[tuple[int, int]] = []
+    stack = [(allowed, 0, 0)]
     while stack:
         allowed, taken, covered = stack.pop()
         while allowed:
@@ -103,13 +107,31 @@ def independence_complex(g: BipartiteGraph, limit: int | None = None) -> Simplic
             around = closed[lowest.bit_length() - 1]
             stack.append((allowed & ~around, taken | lowest, covered | around))
             allowed &= ~lowest
-        leaves += 1
-        if limit is not None and leaves > limit:
+        out.append((taken, covered))
+        if limit is not None and len(out) > limit:
             raise ValueError(f"oracle guard: the independence complex has more than "
                              f"{limit} faces (independent sets)")
-        if covered == everything:
-            facets.append(frozenset(v for i, v in enumerate(verts) if taken >> i & 1))
-    return SimplicialComplex(tuple(verts), frozenset(facets))
+    return out
+
+
+def _closed(g: BipartiteGraph) -> list[int]:
+    """Closed neighbourhood bitmasks, bit i being position i in `g.vertices`."""
+    return [nbrs | 1 << i for i, nbrs in enumerate(g._masks[1])]
+
+
+def independence_complex(g: BipartiteGraph, limit: int | None = None) -> SimplicialComplex:
+    """The complex of independent vertex sets of g, given by its facets.
+
+    Raises the oracle guard's ValueError when g has more than `limit`
+    independent sets, the empty one included, after walking limit + 1 of
+    them.  The facets are the sets `_walk` finds maximal, so each is met
+    once.
+    """
+    verts = g.vertices
+    everything = (1 << len(verts)) - 1
+    return SimplicialComplex(tuple(verts), frozenset(
+        frozenset(v for i, v in enumerate(verts) if taken >> i & 1)
+        for taken, covered in _walk(_closed(g), everything, limit) if covered == everything))
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -194,28 +216,48 @@ def _exact_rank(columns: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _boundary_rank(lower: list[tuple[str, ...]], upper: list[tuple[str, ...]]) -> int:
-    """Rank over Q of the boundary map from the span of `upper` down to `lower`."""
+def _bits(mask: int):
+    """The single-bit masks of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _boundary_rank(lower: list[int], upper: list[int]) -> int:
+    """Rank over Q of the boundary map from the span of `upper` down to `lower`.
+
+    Faces are vertex bitmasks.  Removing the i-th lowest vertex of a face
+    has sign (-1)^i, which is the boundary of the face listed in bit order.
+    """
     row_of = {f: i for i, f in enumerate(lower)}
-    return _exact_rank([{row_of[face[:i] + face[i + 1:]]: (-1) ** i for i in range(len(face))}
-                        for face in upper])
+    columns = []
+    for face in upper:
+        column, sign = {}, 1
+        for low in _bits(face):
+            column[row_of[face ^ low]] = sign
+            sign = -sign
+        columns.append(column)
+    return _exact_rank(columns)
 
 
-def _gf2_boundary_rank(lower: list[tuple[str, ...]], upper: list[tuple[str, ...]]) -> int:
+def _gf2_boundary_rank(lower: list[int], upper: list[int]) -> int:
     """Rank mod 2 of the boundary map from the span of `upper` down to `lower`.
 
-    Each column is an int bitmask over `lower`; it is XORed against the
-    stored pivot with the same leading bit until it vanishes or becomes a
-    new pivot.
+    Faces are vertex bitmasks, and each column is an int bitmask over
+    `lower`; it is XORed against the stored pivot with the same leading
+    bit until it vanishes or becomes a new pivot.
     """
     if not lower or not upper:
         return 0
     bit_of = {f: 1 << i for i, f in enumerate(lower)}
     pivots: dict[int, int] = {}
     for face in upper:
-        column = 0
-        for i in range(len(face)):
-            column |= bit_of[face[:i] + face[i + 1:]]
+        column, rest = 0, face
+        while rest:
+            low = rest & -rest
+            column |= bit_of[face ^ low]
+            rest ^= low
         while column:
             lead = column.bit_length()
             pivot = pivots.get(lead)
@@ -226,26 +268,24 @@ def _gf2_boundary_rank(lower: list[tuple[str, ...]], upper: list[tuple[str, ...]
     return len(pivots)
 
 
-def _betti(by_dim: dict[int, list[tuple[str, ...]]], top: int, rank) -> tuple[int, ...]:
-    """Reduced Betti numbers from degree -1 through `top`, with ranks from `rank`.
+def _betti(levels: list[list[int]], rank) -> tuple[int, ...]:
+    """Reduced Betti numbers from degree -1 up, with ranks from `rank`.
 
+    levels[k] lists the faces with k vertices, so level k is degree k - 1.
     No Euler-Poincare comparison is made: beta_k = f_k - r_k - r_{k+1}, so
     the alternating sum of the Betti numbers telescopes to that of the face
     counts whatever the ranks are.  Only a negative Betti number can show
     an overcounted rank.
     """
-    ranks = {k: rank(by_dim[k - 1], by_dim[k]) for k in range(0, top + 1)}
-    ranks[-1] = 0
-    ranks[top + 1] = 0
-    betti = tuple(len(by_dim[k]) - ranks[k] - ranks[k + 1]
-                  for k in range(-1, top + 1))
+    ranks = [0] + [rank(levels[k - 1], levels[k]) for k in range(1, len(levels))] + [0]
+    betti = tuple(len(level) - ranks[k] - ranks[k + 1] for k, level in enumerate(levels))
     if min(betti) < 0:
         raise ConsistencyError(f"negative Betti number in {betti}")
     return betti
 
 
-def reduced_homology(c: SimplicialComplex) -> HomologyProfile:
-    """Reduced Betti numbers of c over Q, from degree -1 through dim(c).
+def _homology(masks) -> HomologyProfile:
+    """Reduced Betti numbers over Q of the complex with these faces, as bitmasks.
 
     The ranks are taken mod 2 first.  When the mod-2 Betti numbers are
     non-zero in at most one degree q, they are the rational ones: a
@@ -257,44 +297,78 @@ def reduced_homology(c: SimplicialComplex) -> HomologyProfile:
     (-1)^q times that characteristic.  Otherwise mod-2 classes may come
     from torsion, and every rank is recomputed exactly by `_exact_rank`.
     """
+    levels: list[list[int]] = [[]]
+    for face in masks:
+        size = face.bit_count()
+        while len(levels) <= size:
+            levels.append([])
+        levels[size].append(face)
+    betti = _betti(levels, _gf2_boundary_rank)
+    if sum(1 for b in betti if b) > 1:
+        betti = _betti(levels, _boundary_rank)
+    return HomologyProfile(betti)
+
+
+def reduced_homology(c: SimplicialComplex) -> HomologyProfile:
+    """Reduced Betti numbers of c over Q, from degree -1 through dim(c).
+
+    Faces become bitmasks over c.vertices, the subsets of each facet's
+    mask, and `_homology` takes the ranks.
+    """
     if not c.facets:
         return HomologyProfile(())
-    top = dim(c)
-    by_dim: dict[int, list[tuple[str, ...]]] = {k: [] for k in range(-1, top + 1)}
-    for f in faces(c):
-        by_dim[len(f) - 1].append(tuple(sorted(f)))
-    for group in by_dim.values():
-        group.sort()
-    betti = _betti(by_dim, top, _gf2_boundary_rank)
-    if sum(1 for b in betti if b) > 1:
-        betti = _betti(by_dim, top, _boundary_rank)
-    return HomologyProfile(betti)
+    bit = {v: 1 << i for i, v in enumerate(c.vertices)}
+    found: set[int] = set()
+    for facet in c.facets:
+        whole = sum(bit[v] for v in facet)
+        sub = whole
+        while sub:
+            found.add(sub)
+            sub = (sub - 1) & whole
+    found.add(0)
+    return _homology(found)
 
 
 def reduced_euler_characteristic(c: SimplicialComplex) -> int:
     return sum((-1) ** (len(f) - 1) for f in faces(c))
 
 
-def is_cohen_macaulay(c: SimplicialComplex) -> bool:
-    """Reisner criterion over the rationals, every face link inspected.
+def _reisner_fails(c: SimplicialComplex, memo: dict) -> bool:
+    """Whether some face link of c has homology below its top degree.
 
-    Every entry of a link's profile but the last lies below its top degree.
+    Every entry of a link's profile but the last lies below that degree.
+    Homology depends only on the facets, so verdicts are kept in `memo`,
+    keyed by link facets, which the caller keeps for one call.
     """
-    return not any(any(reduced_homology(link(c, f)).betti[:-1]) for f in faces(c))
+    for f in faces(c):
+        sub = link(c, f)
+        if sub.facets not in memo:
+            memo[sub.facets] = any(reduced_homology(sub).betti[:-1])
+        if memo[sub.facets]:
+            return True
+    return False
+
+
+def is_cohen_macaulay(c: SimplicialComplex) -> bool:
+    """Reisner criterion over the rationals, every face link inspected."""
+    return not _reisner_fails(c, {})
 
 
 def is_cm_t(c: SimplicialComplex, t: int) -> bool:
     """Pure, and every face with at least t vertices has a Cohen-Macaulay link.
 
     Negative t is read as 0: the condition cannot see faces of negative size.
+    Links of links are links, so the same link recurs under many faces;
+    one table for the call computes each distinct link's homology once.
     """
     t = max(t, 0)
     if not is_pure(c):
         return False
     if not c.facets:
         return True
-    return all(is_cohen_macaulay(link(c, f))
-               for f in faces(c) if len(f) >= t)
+    memo: dict[frozenset[frozenset[str]], bool] = {}
+    return not any(_reisner_fails(link(c, f), memo)
+                   for f in faces(c) if len(f) >= t)
 
 
 def cm_codim(c: SimplicialComplex) -> int | None:
@@ -312,30 +386,91 @@ def cm_codim(c: SimplicialComplex) -> int | None:
     computed once per call, keyed by its facets {G - F : F <= G facet of c}
     before it is built; c is pure, so none of them nest.  Every entry of
     the profile but the last lies below the top degree.
-    """
-    return _codim_sweep(c)[0]
 
-
-def _codim_sweep(c: SimplicialComplex) -> tuple[int | None, HomologyProfile | None]:
-    """`cm_codim`, and the profile of c itself when the sweep computed it.
-
-    The empty face comes last and its link is c, keyed by c.facets.  The
-    profile is None when the sweep stopped at a larger face, when c is a
-    cone, and when c is not pure or has no faces.
+    This is the generic route, for any complex; `oracle_sweep` is the same
+    sweep on an independence complex, read off the graph.
     """
     if not is_pure(c):
-        return None, None
+        return None
     if not c.facets:
-        return 0, None
-    profiles: dict[frozenset[frozenset[str]], HomologyProfile | None] = {}
+        return 0
+    fails: dict[frozenset[frozenset[str]], bool] = {}
     for f in sorted(faces(c), key=len, reverse=True):
         star = frozenset(facet - f for facet in c.facets if f <= facet)
-        if star not in profiles:
-            profiles[star] = (None if frozenset.intersection(*star)
-                              else reduced_homology(link(c, f)))
-        if profiles[star] is not None and any(profiles[star].betti[:-1]):
-            return len(f) + 1, profiles.get(c.facets)
-    return 0, profiles.get(c.facets)
+        if star not in fails:
+            fails[star] = (not frozenset.intersection(*star)
+                           and any(reduced_homology(link(c, f)).betti[:-1]))
+        if fails[star]:
+            return len(f) + 1
+    return 0
+
+
+# A NamedTuple, not a frozen dataclass: defining one at import takes a
+# sixth of the time, and every CLI process imports this module.
+class OracleSweep(NamedTuple):
+    """What `oracle_sweep` reads off Ind(G); `homology` only when asked for."""
+
+    facet_count: int
+    dimension: int
+    pure: bool
+    cm_codim: int | None
+    homology: HomologyProfile | None
+
+
+def _free_vertex(nbrs: tuple[int, ...], rest: int) -> bool:
+    """Whether some vertex of `rest` has no neighbour in `rest`."""
+    return any(not nbrs[low.bit_length() - 1] & rest for low in _bits(rest))
+
+
+def oracle_sweep(g: BipartiteGraph, limit: int | None = None,
+                 homology: bool = False) -> OracleSweep:
+    """`cm_codim(independence_complex(g))`, with the complex's shape, read off g.
+
+    Faces are the independent sets of g as bitmasks, walked once by
+    `_walk` under `limit`, so the oracle guard is raised before any
+    homology.  The link of a face F of Ind(G) is Ind(G[R]) for
+    R = V - N[F]: a set H disjoint from F has H | F independent exactly
+    when H is independent and misses N(F).  So each link is keyed by the
+    int R, and two faces share a link exactly when they share R, since
+    every vertex of R is a vertex of Ind(G[R]).
+
+    Ind(G[R]) is a cone, its facets sharing a vertex, exactly when some v
+    in R has no neighbour in R.  If v has none, every maximal independent
+    set of G[R] contains v, as v could be added to one that missed it.  If
+    every one contains v and v had a neighbour u in R, a maximal
+    independent set containing u would miss v.  So this test on masks is
+    `cm_codim`'s star intersection.  Cones have no reduced homology and are
+    skipped; the faces of any other link are the independent sets of G[R],
+    walked the same way.  The faces are scanned largest first and the first
+    failing one decides, as in `cm_codim`, whose docstring has the proof.
+    With `homology`, the profile of Ind(G) itself, the link of the empty
+    face, is taken from the sweep or computed once.
+    """
+    nbrs = g._masks[1]
+    closed = _closed(g)
+    everything = (1 << len(nbrs)) - 1
+    sets = _walk(closed, everything, limit)
+    sizes = [taken.bit_count() for taken, covered in sets if covered == everything]
+    pure = len(set(sizes)) == 1
+    profiles: dict[int, HomologyProfile | None] = {}
+    codim = 0 if pure else None
+    if pure:
+        sets.sort(key=lambda face: face[0].bit_count(), reverse=True)
+        for taken, covered in sets:
+            rest = everything & ~covered
+            if rest not in profiles:
+                profiles[rest] = None if _free_vertex(nbrs, rest) else _homology(
+                    [face for face, _ in _walk(closed, rest)])
+            profile = profiles[rest]
+            if profile is not None and any(profile.betti[:-1]):
+                codim = taken.bit_count() + 1
+                break
+    whole = None
+    if homology:
+        whole = profiles.get(everything)
+        if whole is None:
+            whole = _homology([taken for taken, _ in sets])
+    return OracleSweep(len(sizes), max(sizes) - 1, pure, codim, whole)
 
 
 def cm_codim_recursive(c: SimplicialComplex) -> int | None:
@@ -344,17 +479,19 @@ def cm_codim_recursive(c: SimplicialComplex) -> int | None:
     For t >= 1 a pure complex is CM_t exactly when every vertex link is
     CM_{t-1}, so the sharp codimension of a non-CM complex is one more than
     the worst sharp codimension among its vertex links.  Links of different
-    faces often coincide; within one call each is peeled once.
+    faces often coincide; within one call each is peeled once, and each
+    distinct link's homology is computed once.
     """
     if not is_pure(c):
         return None
     memo: dict[frozenset[frozenset[str]], int] = {}
+    fails: dict[frozenset[frozenset[str]], bool] = {}
 
     def peel(sub: SimplicialComplex) -> int:
         if sub.facets not in memo:
             if not is_pure(sub):
                 raise ConsistencyError("vertex link of a pure complex came out non-pure")
-            memo[sub.facets] = 0 if is_cohen_macaulay(sub) else 1 + max(
+            memo[sub.facets] = 0 if not _reisner_fails(sub, fails) else 1 + max(
                 (peel(link(sub, {v})) for v in frozenset().union(*sub.facets)), default=0)
         return memo[sub.facets]
 

@@ -161,6 +161,24 @@ class TestParsing:
         with pytest.raises(GraphFormatError, match="line 3"):
             parse_graph("L: x1\nR: y1\nE: x1-y1 x1-y1\n")
 
+    def test_each_name_and_edge_checked_once(self, monkeypatch):
+        from cmtgraphs import bigraph
+
+        real, checked, rebuilt = bigraph._check_names, [], []
+
+        def counting(names):
+            checked.append(tuple(names))
+            return real(names)
+
+        monkeypatch.setattr(bigraph, "_check_names", counting)
+        monkeypatch.setattr(BipartiteGraph, "__post_init__", rebuilt.append)
+        g = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
+        assert checked == [("x1", "x2", "y1", "y2")]
+        assert rebuilt == []
+        assert g.edges == frozenset({("x1", "y1"), ("x1", "y2"), ("x2", "y2")})
+        with pytest.raises(GraphFormatError, match="duplicate vertex"):
+            parse_graph("L: x1 x1\nR: y1\nE: x1-y9 y1-x1\n")
+
     def test_construction_rejects_edge_off_sides(self):
         with pytest.raises(ValueError, match="left to right"):
             BipartiteGraph.of(["a"], ["b"], [("b", "a")])

@@ -80,22 +80,33 @@ class TestOracle:
     def test_whole_complex_homology_once(self, capsys, monkeypatch, tmp_path,
                                          pairs, codim):
         # The sweep reaches the empty face, whose link is the whole
-        # complex; the report's betti must reuse that computation.
+        # complex; the report's betti must reuse that computation, and the
+        # command walks the whole complex under the guard once.
         n = max(j for _, j in pairs) + 1
         doc = tmp_path / "g.graph"
         doc.write_text(f"L: {' '.join(f'x{i}' for i in range(n))}\n"
                        f"R: {' '.join(f'y{i}' for i in range(n))}\n"
                        f"E: {' '.join(f'x{i}-y{j}' for i, j in pairs)}\n")
-        real, seen = simplicial.reduced_homology, []
+        homology, seen = simplicial._homology, []
+        walk, guarded = simplicial._walk, []
 
-        def counting(c):
-            seen.append(c.facets)
-            return real(c)
+        def counting_homology(masks):
+            seen.append(frozenset(masks))
+            return homology(masks)
 
-        monkeypatch.setattr(simplicial, "reduced_homology", counting)
+        def counting_walk(closed, allowed, limit=None):
+            sets = walk(closed, allowed, limit)
+            if limit is not None:
+                guarded.append(frozenset(taken for taken, _ in sets))
+            return sets
+
+        monkeypatch.setattr(simplicial, "_homology", counting_homology)
+        monkeypatch.setattr(simplicial, "_walk", counting_walk)
         code, report = run(capsys, "oracle", str(doc))
         assert code == 0 and report["result"]["cm_codim"] == codim
+        assert len(guarded) == 1
         assert seen and len(seen) == len(set(seen))
+        assert seen.count(guarded[0]) == 1
 
     def test_max_t_flag(self, capsys):
         code, report = run(capsys, "oracle", "--builtin", "fig2", "--max-t", "2")
@@ -154,17 +165,20 @@ class TestVerify:
         assert code == 1 and report["status"] == "error"
 
     def test_one_walk_per_graph(self, capsys, monkeypatch, tmp_path):
+        # One walk over the whole complex, under the guard; the other walks
+        # list the faces of single links and carry no limit.
         doc = tmp_path / "k22.graph"
         doc.write_text(K22)
-        real, calls = simplicial.independence_complex, []
+        real, calls = simplicial._walk, []
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(closed, allowed, limit=None):
+            calls.append((allowed, limit))
+            return real(closed, allowed, limit)
 
-        monkeypatch.setattr(simplicial, "independence_complex", counting)
+        monkeypatch.setattr(simplicial, "_walk", counting)
         assert main(["verify", str(doc)]) == 0
-        assert len(calls) == 1
+        assert [limit for _, limit in calls if limit is not None] == [cli.ORACLE_FACE_LIMIT]
+        assert calls[0] == (0b1111, cli.ORACLE_FACE_LIMIT)
 
     @pytest.mark.parametrize("builtin", [False, True], ids=["path", "builtin"])
     def test_d_and_a_graph_rejected(self, capsys, tmp_path, builtin):

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import random
 import weakref
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmtgraphs import (
+    BUILTIN_NAMES,
     BipartiteGraph,
     ConsistencyError,
+    builtin_graph,
     classify,
     cm_codim,
     cm_codim_recursive,
@@ -29,6 +32,7 @@ from cmtgraphs import (
     reduced_homology,
 )
 from cmtgraphs import simplicial
+from cmtgraphs.cli import main
 from cmtgraphs.simplicial import SimplicialComplex
 from conftest import (
     brute_betti,
@@ -394,6 +398,26 @@ class TestCodim:
         assert cm_codim(independence_complex(chain)) == 0
         assert seen and len(seen) == len(set(seen))
 
+    def test_relaxations_compute_each_distinct_link_once(self, monkeypatch):
+        # is_cm_t scans the link of every face, and each scan meets the
+        # links of larger faces again; one table per call takes each once.
+        d = 5
+        chain = BipartiteGraph.of([f"x{i}" for i in range(d)], [f"y{i}" for i in range(d)],
+                                  [(f"x{i}", f"y{j}") for i in range(d) for j in range(i, d)])
+        c = independence_complex(chain)
+        real, seen = simplicial.reduced_homology, []
+
+        def counting(sub):
+            seen.append(sub.facets)
+            return real(sub)
+
+        monkeypatch.setattr(simplicial, "reduced_homology", counting)
+        assert is_cm_t(c, 0)
+        assert len(seen) == len(set(seen)) == 84
+        seen.clear()
+        assert cm_codim_recursive(c) == 0
+        assert seen and len(seen) == len(set(seen))
+
     def test_nothing_outlives_a_call(self):
         g = parse_graph("L: a1 a2 b1 b2\nR: c1 c2 d1 d2\n"
                         "E: a1-c1 a1-c2 a2-c1 a2-c2 b1-d1 b1-d2 b2-d1 b2-d2\n")
@@ -450,3 +474,88 @@ class TestJoinCodim:
                 assert r_b <= t - d_a
                 checked += 1
         assert checked > 0
+
+
+def every_graph_with_sides_up_to(k):
+    """Every bipartite graph with at most k vertices a side, empty sides included."""
+    for p, q in itertools.product(range(k + 1), repeat=2):
+        left, right = [f"x{i}" for i in range(p)], [f"y{j}" for j in range(q)]
+        cells = list(itertools.product(left, right))
+        for mask in range(1 << len(cells)):
+            yield BipartiteGraph.of(left, right, [e for bit, e in enumerate(cells)
+                                                  if mask >> bit & 1])
+
+
+class TestOracleSweep:
+    """The graph-native sweep against the generic route on Ind(G)."""
+
+    @staticmethod
+    def check(g):
+        ind = independence_complex(g)
+        sweep = simplicial.oracle_sweep(g, homology=True)
+        assert sweep.cm_codim == cm_codim(ind)
+        assert sweep.homology == reduced_homology(ind)
+        assert sweep.facet_count == len(ind.facets)
+        assert sweep.dimension == dim(ind)
+        assert sweep.pure == is_pure(ind)
+        # The cone test on R = V - N[F] is the star-intersection test on lk F.
+        index, nbrs = g._masks
+        everything = (1 << len(nbrs)) - 1
+        for f in faces(ind):
+            covered = 0
+            for v in f:
+                covered |= 1 << index[v] | nbrs[index[v]]
+            star = [facet - f for facet in ind.facets if f <= facet]
+            assert simplicial._free_vertex(nbrs, everything & ~covered) == \
+                bool(frozenset.intersection(*star))
+
+    def test_every_graph_with_sides_up_to_three(self):
+        checked = 0
+        for g in every_graph_with_sides_up_to(3):
+            self.check(g)
+            checked += 1
+        assert checked == 689
+
+    @pytest.mark.parametrize("side", [4, 5])
+    def test_seeded_square_graphs(self, side):
+        rng = random.Random(side)
+        for _ in range(25):
+            left, right = [f"x{i}" for i in range(side)], [f"y{j}" for j in range(side)]
+            self.check(BipartiteGraph.of(left, right, [(x, y) for x in left for y in right
+                                                       if rng.random() < 0.5]))
+
+    def test_figures_and_every_unmixed_graph_up_to_four_pairs(self):
+        for name in BUILTIN_NAMES:
+            self.check(builtin_graph(name))
+        for d in range(1, 5):
+            for g in enumerate_unmixed(d):
+                self.check(g)
+
+    def test_guard_before_any_homology(self, monkeypatch):
+        def refuse(masks):
+            raise AssertionError("homology computed past the guard")
+
+        monkeypatch.setattr(simplicial, "_homology", refuse)
+        with pytest.raises(ValueError, match="oracle guard"):
+            simplicial.oracle_sweep(complete(3), 2 * 2 ** 3 - 2)
+
+    def test_two_degrees_take_the_exact_route(self, monkeypatch, capsys, tmp_path):
+        # Reduced Betti numbers (0, 0, 1, 1, 0): mod 2 they are non-zero in
+        # two degrees, where torsion could hide, so the exact ranks decide.
+        doc = ("L: x0 x1 x2 x3\nR: y0 y1 y2 y3\n"
+               "E: x0-y0 x0-y2 x1-y0 x1-y1 x1-y3 x2-y1 x2-y2 x3-y2 x3-y3\n")
+        ind = independence_complex(parse_graph(doc))
+        generic = reduced_homology(ind)
+        assert generic.betti == (0, 0, 1, 1, 0) == brute_betti(ind.facets)
+        real, calls = simplicial._exact_rank, []
+
+        def counting(columns):
+            calls.append(len(columns))
+            return real(columns)
+
+        monkeypatch.setattr(simplicial, "_exact_rank", counting)
+        path = tmp_path / "g.graph"
+        path.write_text(doc)
+        assert main(["oracle", str(path)]) == 0
+        assert calls
+        assert json.loads(capsys.readouterr().out)["result"]["betti"] == generic.as_dict()
