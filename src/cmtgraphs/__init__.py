@@ -26,7 +26,6 @@ from .bigraph import (
 )
 from .simplicial import (
     HomologyProfile,
-    OracleSweep,
     SimplicialComplex,
     cm_codim,
     cm_codim_recursive,
@@ -39,7 +38,6 @@ from .simplicial import (
     is_pure,
     join,
     link,
-    oracle_sweep,
     reduced_euler_characteristic,
     reduced_homology,
 )
@@ -80,10 +78,9 @@ __all__ = [
     "IsolatedVertexError", "PureOrder", "connected_components", "cross_blocks",
     "delete_closed_neighborhood", "disjoint_union", "find_pure_order", "is_connected",
     "is_pure_order", "is_unmixed", "parse_graph", "to_document",
-    "HomologyProfile", "OracleSweep", "SimplicialComplex", "cm_codim",
-    "cm_codim_recursive", "dim", "faces", "from_facets", "independence_complex",
-    "is_cm_t", "is_cohen_macaulay", "is_pure", "join", "link", "oracle_sweep",
-    "reduced_euler_characteristic", "reduced_homology",
+    "HomologyProfile", "SimplicialComplex", "cm_codim", "cm_codim_recursive", "dim",
+    "faces", "from_facets", "independence_complex", "is_cm_t", "is_cohen_macaulay",
+    "is_pure", "join", "link", "reduced_euler_characteristic", "reduced_homology",
     "CmtClassification", "MacaulayOrder", "OracleAgreement",
     "classification_json", "classify", "disjoint_union_codim", "is_buchsbaum",
     "macaulay_order", "verify_against_oracle",

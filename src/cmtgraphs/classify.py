@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .bigraph import (
     BipartiteGraph,
     BlockDecomposition,
+    IsolatedVertexError,
     PureOrder,
     cross_blocks,
     find_pure_order,
@@ -159,13 +160,19 @@ def verify_against_oracle(g: BipartiteGraph) -> OracleAgreement:
     """Run the block classifier and the homology oracle side by side.
 
     Compares unmixedness with purity, then (when unmixed) the dimension and
-    the sharp codimension.  The oracle sweeps first, so a graph with more
-    than `simplicial.ORACLE_FACE_LIMIT` faces raises the oracle guard's
+    the sharp codimension.  A graph with more than
+    `simplicial.ORACLE_FACE_LIMIT` faces raises the oracle guard's
     ValueError before anything else.  Isolated vertices then raise
-    IsolatedVertexError because the structural half cannot speak for them.
+    IsolatedVertexError because the structural half cannot speak for them;
+    the classifier finds them first, so only the guarded walk runs, and no
+    link's homology is computed for an answer that is not given.
     """
-    sweep = simplicial.oracle_sweep(g, simplicial.ORACLE_FACE_LIMIT)
-    verdict = classify(g)
+    try:
+        verdict = classify(g)
+    except IsolatedVertexError:
+        simplicial.independence_complex(g, simplicial.ORACLE_FACE_LIMIT)
+        raise
+    sweep = simplicial.oracle_sweep(g)
     pure, oracle_dim, oracle_codim = sweep.pure, sweep.dimension, sweep.cm_codim
     problems: list[str] = []
     if verdict.unmixed != pure:

@@ -28,7 +28,6 @@ from .classify import classification_json, verify_against_oracle
 from .construct import contract, expand, expansion_document, parse_expansion, predicted_codim
 from .enumeration import enumerate_cm, enumerate_sharp_cmt, enumerate_unmixed, write_enumeration
 from .figures import BUILTIN_NAMES, builtin_document
-from .simplicial import ORACLE_FACE_LIMIT
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -110,8 +109,7 @@ def _cmd_classify(args) -> tuple[str, dict]:
 
 
 def _cmd_oracle(args) -> tuple[str, dict]:
-    sweep = simplicial.oracle_sweep(parse_graph(_read_input(args)), ORACLE_FACE_LIMIT,
-                                    homology=True)
+    sweep = simplicial.oracle_sweep(parse_graph(_read_input(args)), homology=True)
     codim = sweep.cm_codim
     result = {
         "facet_count": sweep.facet_count,

@@ -8,6 +8,7 @@ import pytest
 
 from cmtgraphs import (
     BipartiteGraph,
+    IsolatedVertexError,
     PureOrder,
     builtin_graph,
     classification_json,
@@ -24,7 +25,7 @@ from cmtgraphs import (
     parse_graph,
     verify_against_oracle,
 )
-from cmtgraphs import bigraph
+from cmtgraphs import bigraph, simplicial
 from conftest import (brute_betti, brute_maximal_independent_sets, complete,
                       graph, relabeled_copy, rename)
 
@@ -335,6 +336,29 @@ class TestOracleHarness:
         g = BipartiteGraph.of(["x1", "x2"], ["y1"], [("x1", "y1")])
         with pytest.raises(ValueError, match="isolated"):
             verify_against_oracle(g)
+
+    def test_isolated_vertices_refused_before_any_homology(self, monkeypatch):
+        # Under the face limit the graph is walked once, under the guard,
+        # and no link's homology is computed for a report that is refused.
+        g = BipartiteGraph.of(["a", "b", "c"], ["d", "e"],
+                              [("a", "d"), ("b", "d"), ("b", "e")])
+        homology, seen = simplicial.reduced_homology, []
+        walk, guarded = simplicial._walk, []
+
+        def counting_homology(c):
+            seen.append(c)
+            return homology(c)
+
+        def counting_walk(closed, allowed, limit=None):
+            guarded.append(limit)
+            return walk(closed, allowed, limit)
+
+        monkeypatch.setattr(simplicial, "reduced_homology", counting_homology)
+        monkeypatch.setattr(simplicial, "_walk", counting_walk)
+        with pytest.raises(IsolatedVertexError):
+            verify_against_oracle(g)
+        assert seen == []
+        assert guarded == [simplicial.ORACLE_FACE_LIMIT]
 
     def test_report_fields(self):
         report = verify_against_oracle(complete(2))

@@ -87,12 +87,12 @@ class TestOracle:
         doc.write_text(f"L: {' '.join(f'x{i}' for i in range(n))}\n"
                        f"R: {' '.join(f'y{i}' for i in range(n))}\n"
                        f"E: {' '.join(f'x{i}-y{j}' for i, j in pairs)}\n")
-        homology, seen = simplicial._homology, []
+        homology, seen = simplicial.reduced_homology, []
         walk, guarded = simplicial._walk, []
 
-        def counting_homology(masks):
-            seen.append(frozenset(masks))
-            return homology(masks)
+        def counting_homology(faces):
+            seen.append(frozenset(faces))
+            return homology(faces)
 
         def counting_walk(closed, allowed, limit=None):
             sets = walk(closed, allowed, limit)
@@ -100,7 +100,7 @@ class TestOracle:
                 guarded.append(frozenset(taken for taken, _ in sets))
             return sets
 
-        monkeypatch.setattr(simplicial, "_homology", counting_homology)
+        monkeypatch.setattr(simplicial, "reduced_homology", counting_homology)
         monkeypatch.setattr(simplicial, "_walk", counting_walk)
         code, report = run(capsys, "oracle", str(doc))
         assert code == 0 and report["result"]["cm_codim"] == codim
@@ -130,7 +130,7 @@ class TestOracle:
         assert code == 1
         assert report["status"] == "error"
         assert "guard" in report["result"]["message"]
-        assert str(cli.ORACLE_FACE_LIMIT) in report["result"]["message"]
+        assert str(simplicial.ORACLE_FACE_LIMIT) in report["result"]["message"]
 
     def test_guard_counts_faces_not_vertices(self, capsys, tmp_path):
         # K_{11,11}: 22 vertices, but only 2 * 2^11 - 1 = 4095 faces.
@@ -177,8 +177,8 @@ class TestVerify:
 
         monkeypatch.setattr(simplicial, "_walk", counting)
         assert main(["verify", str(doc)]) == 0
-        assert [limit for _, limit in calls if limit is not None] == [cli.ORACLE_FACE_LIMIT]
-        assert calls[0] == (0b1111, cli.ORACLE_FACE_LIMIT)
+        assert [limit for _, limit in calls if limit is not None] == [simplicial.ORACLE_FACE_LIMIT]
+        assert calls[0] == (0b1111, simplicial.ORACLE_FACE_LIMIT)
 
     @pytest.mark.parametrize("builtin", [False, True], ids=["path", "builtin"])
     def test_d_and_a_graph_rejected(self, capsys, tmp_path, builtin):

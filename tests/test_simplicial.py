@@ -532,12 +532,14 @@ class TestOracleSweep:
                 self.check(g)
 
     def test_guard_before_any_homology(self, monkeypatch):
-        def refuse(masks):
+        def refuse(c):
             raise AssertionError("homology computed past the guard")
 
-        monkeypatch.setattr(simplicial, "_homology", refuse)
+        # K_{3,3} has 2 * 2^3 - 1 faces, one past this limit.
+        monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", 2 * 2 ** 3 - 2)
+        monkeypatch.setattr(simplicial, "reduced_homology", refuse)
         with pytest.raises(ValueError, match="oracle guard"):
-            simplicial.oracle_sweep(complete(3), 2 * 2 ** 3 - 2)
+            simplicial.oracle_sweep(complete(3), homology=True)
 
     def test_two_degrees_take_the_exact_route(self, monkeypatch, capsys, tmp_path):
         # Reduced Betti numbers (0, 0, 1, 1, 0): mod 2 they are non-zero in
