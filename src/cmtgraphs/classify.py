@@ -170,7 +170,7 @@ def verify_against_oracle(g: BipartiteGraph) -> OracleAgreement:
     try:
         verdict = classify(g)
     except IsolatedVertexError:
-        simplicial.independence_complex(g, simplicial.ORACLE_FACE_LIMIT)
+        simplicial.independence_complex(g)
         raise
     sweep = simplicial.oracle_sweep(g)
     pure, oracle_dim, oracle_codim = sweep.pure, sweep.dimension, sweep.cm_codim

@@ -174,20 +174,17 @@ def _cmd_contract(args) -> tuple[str, dict]:
 
 
 def _cmd_enumerate(args) -> tuple[str, dict]:
+    families = None
     if args.cm is not None:
         if args.max_total is not None:
             raise ValueError("give --max-total only with --cmt, not with --cm")
-        graphs = enumerate_cm(args.cm)
+        instances = enumerate_cm(args.cm)
         label, value = "dimension", args.cm
-        count = len(graphs)
-        connected = sum(1 for g in graphs if is_connected(g))
-        instances = graphs
-        families = None
+        connected = [is_connected(g) for g in instances]
     else:
         fams = enumerate_sharp_cmt(args.cmt, args.max_total)
         label, value = "t", args.cmt
-        count = len(fams)
-        connected = sum(1 for f in fams if f.connected)
+        connected = [f.connected for f in fams]
         instances = [g for f in fams for g in f.graphs]
         families = [
             {
@@ -198,18 +195,16 @@ def _cmd_enumerate(args) -> tuple[str, dict]:
             }
             for f in fams
         ]
+    manifest = {
+        "dimension_or_t": {label: value},
+        "count": len(connected),
+        "connected_count": sum(connected),
+        "files": [],
+    }
     if args.out:
-        manifest = write_enumeration(args.out, label, value, instances,
-                                     connected_count=connected, count=count)
-    else:
-        manifest = {
-            "dimension_or_t": {label: value},
-            "count": count,
-            "connected_count": connected,
-            "files": [],
-        }
+        manifest = write_enumeration(args.out, manifest, instances)
     if families is not None:
-        manifest = dict(manifest, families=families)
+        manifest["families"] = families
     return "ok", manifest
 
 

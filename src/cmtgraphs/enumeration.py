@@ -34,7 +34,8 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .bigraph import BipartiteGraph, _transitive, connected_components, is_connected
+from .bigraph import (BipartiteGraph, _transitive, connected_components, is_connected,
+                      to_document)
 from .construct import _blow_up, _sharp_codim
 
 MAX_SIDE = 8
@@ -266,16 +267,13 @@ def _code_digest(g: BipartiteGraph) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def write_enumeration(out_dir: str | Path, label: str, value: int,
-                      graphs: list[BipartiteGraph],
-                      connected_count: int | None = None,
-                      count: int | None = None) -> dict:
-    """Write one graph document per instance plus a manifest, return the manifest.
+def write_enumeration(out_dir: str | Path, manifest: dict,
+                      graphs: list[BipartiteGraph]) -> dict:
+    """Write one graph document per instance and `manifest.json`; return the manifest.
 
-    `count` defaults to the number of instances; family enumerations pass
-    their own family count, which the parametric representatives inflate.
+    The manifest comes from the caller, which counts what it enumerated;
+    only its `files` are filled in here, with the sorted document names.
     """
-    from .bigraph import to_document
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []
@@ -283,13 +281,6 @@ def write_enumeration(out_dir: str | Path, label: str, value: int,
         name = f"g_{_code_digest(g)}.graph"
         (out / name).write_text(to_document(g))
         files.append(name)
-    if connected_count is None:
-        connected_count = sum(1 for g in graphs if is_connected(g))
-    manifest = {
-        "dimension_or_t": {label: value},
-        "count": len(graphs) if count is None else count,
-        "connected_count": connected_count,
-        "files": sorted(files),
-    }
+    manifest = dict(manifest, files=sorted(files))
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest

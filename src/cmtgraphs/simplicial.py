@@ -17,8 +17,11 @@ link of a face F is Ind(G - N[F]), the independence complex of an induced
 subgraph, so a link is keyed by one int, is a cone exactly when that
 subgraph has an isolated vertex, and has its faces listed by the same
 walk, as the bitmask faces that `reduced_homology` also takes.
-`independence_complex` reads the facets off the walk, for the generic
-routines below.
+`independence_complex` reads the facets off the same walk, under the
+same limit, for the generic routines below: the limit is this module's
+alone, and no caller names it.  `link` and `join` build their complexes
+directly, since their facets are already antichains (proofs in their
+docstrings); only `from_facets` prunes.
 
 Cohen-Macaulayness is decided by the Reisner criterion: every face link
 must have vanishing reduced homology below its own dimension.  `is_cm_t`
@@ -120,19 +123,20 @@ def _closed(g: BipartiteGraph) -> list[int]:
     return [nbrs | 1 << i for i, nbrs in enumerate(g._masks[1])]
 
 
-def independence_complex(g: BipartiteGraph, limit: int | None = None) -> SimplicialComplex:
+def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
     """The complex of independent vertex sets of g, given by its facets.
 
-    Raises the oracle guard's ValueError when g has more than `limit`
-    independent sets, the empty one included, after walking limit + 1 of
-    them.  The facets are the sets `_walk` finds maximal, so each is met
-    once.
+    Raises the oracle guard's ValueError when g has more than
+    `ORACLE_FACE_LIMIT` independent sets, the empty one included, after
+    walking one set past the limit.  The facets are the sets `_walk` finds
+    maximal, so each is met once.
     """
     verts = g.vertices
     everything = (1 << len(verts)) - 1
     return SimplicialComplex(tuple(verts), frozenset(
         frozenset(v for i, v in enumerate(verts) if taken >> i & 1)
-        for taken, covered in _walk(_closed(g), everything, limit) if covered == everything))
+        for taken, covered in _walk(_closed(g), everything, ORACLE_FACE_LIMIT)
+        if covered == everything))
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -156,21 +160,33 @@ def faces(c: SimplicialComplex) -> frozenset[frozenset[str]]:
 
 
 def link(c: SimplicialComplex, face) -> SimplicialComplex:
-    """Faces disjoint from `face` whose union with it stays a face."""
+    """Faces disjoint from `face` whose union with it stays a face.
+
+    The facets are G - F for the facets G containing F, and they need no
+    pruning: G - F <= H - F with F <= G and F <= H gives G <= H, so G = H,
+    the facets of c being an antichain.
+    """
     f = frozenset(face)
     containing = [facet for facet in c.facets if f <= facet]
     if not containing:
         raise ValueError(f"{sorted(f)} is not a face of the complex")
     remaining = tuple(v for v in c.vertices if v not in f)
-    return from_facets(remaining, (facet - f for facet in containing))
+    return SimplicialComplex(remaining, frozenset(facet - f for facet in containing))
 
 
 def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
+    """The complex of unions fa | fb of a face of a and a face of b.
+
+    The facets are the unions of a facet of each, and they need no
+    pruning: the vertex sets are disjoint, so fa | fb <= fa' | fb' gives
+    fa <= fa' and fb <= fb', hence fa = fa' and fb = fb' within each
+    antichain of facets.
+    """
     overlap = set(a.vertices) & set(b.vertices)
     if overlap:
         raise ValueError(f"vertex names shared between operands: {sorted(overlap)}")
-    return from_facets(a.vertices + b.vertices,
-                       (fa | fb for fa in a.facets for fb in b.facets))
+    return SimplicialComplex(a.vertices + b.vertices,
+                             frozenset(fa | fb for fa in a.facets for fb in b.facets))
 
 
 @dataclass(frozen=True)
@@ -361,12 +377,11 @@ def is_cm_t(c: SimplicialComplex, t: int) -> bool:
     Negative t is read as 0: the condition cannot see faces of negative size.
     Links of links are links, so the same link recurs under many faces;
     one table for the call computes each distinct link's homology once.
+    The empty complex has no faces, so nothing fails and it passes.
     """
     t = max(t, 0)
     if not is_pure(c):
         return False
-    if not c.facets:
-        return True
     memo: dict[frozenset[frozenset[str]], bool] = {}
     return not any(_reisner_fails(link(c, f), memo)
                    for f in faces(c) if len(f) >= t)
@@ -386,15 +401,14 @@ def cm_codim(c: SimplicialComplex) -> int | None:
     Homology depends only on the facets, so each distinct link is
     computed once per call, keyed by its facets {G - F : F <= G facet of c}
     before it is built; c is pure, so none of them nest.  Every entry of
-    the profile but the last lies below the top degree.
+    the profile but the last lies below the top degree.  The empty complex
+    has no faces to scan, so its answer is 0.
 
     This is the generic route, for any complex; `oracle_sweep` is the same
     sweep on an independence complex, read off the graph.
     """
     if not is_pure(c):
         return None
-    if not c.facets:
-        return 0
     fails: dict[frozenset[frozenset[str]], bool] = {}
     for f in sorted(faces(c), key=len, reverse=True):
         star = frozenset(facet - f for facet in c.facets if f <= facet)

@@ -168,6 +168,71 @@ def poset_counts(n: int) -> tuple[int, int]:
     return len(orbits), self_dual
 
 
+def block_codim(multiplicities) -> int:
+    """Sharp codimension d - n_min + 1 of a blow-up, from its block sizes.
+
+    d is the number of matched pairs, the sum of the sizes, and n_min the
+    least size above 1.  With no size above 1 the graph is cross-free and
+    Cohen-Macaulay, so the answer is 0.
+    """
+    large = [n for n in multiplicities if n > 1]
+    return sum(multiplicities) - min(large) + 1 if large else 0
+
+
+def _comparability_connected(rel, n: int) -> bool:
+    reached, frontier = {0}, [0]
+    while frontier:
+        a = frontier.pop()
+        for b in range(n):
+            if b not in reached and ((a, b) in rel or (b, a) in rel):
+                reached.add(b)
+                frontier.append(b)
+    return len(reached) == n
+
+
+def sharp_cmt_orbit_counts(t: int) -> tuple[int, int]:
+    """Families of graphs of sharp codimension t, and how many are connected.
+
+    By the structure theorem a sharp CM_t graph contracts to a
+    Cohen-Macaulay base, a poset P on p points taken up to isomorphism and
+    duality (the side swap), with a multiplicity vector m.  Two such graphs
+    are isomorphic exactly when their bases are and some automorphism or
+    anti-automorphism of P carries one vector to the other, so families are
+    orbits of vectors under that group, summed over base classes.  A
+    blow-up is connected exactly when P's comparability graph is.
+
+    With one entry n above 1 the codimension is (p - 1 + n) - n + 1 = p,
+    whatever n is: for p = t that is one parametric family per orbit of
+    slots, counted here by its size-2 member.  With k >= 2 entries above 1,
+    any one of them, n, other than the least gives
+    t >= (p - k) + n + 2(k - 2) + 1 >= n + 1, so every entry is at most
+    t - 1 and the vectors with entries up to t are enough.  The same sum
+    is at least p + 1, so no base has more than t points, and a one-point
+    base gives K_{n,n}, of codimension 1, so bases start at two points.
+    """
+    families = connected = 0
+    for p in range(2, t + 1):
+        vectors = [m for m in itertools.product(range(1, t + 1), repeat=p)
+                   if block_codim(m) == t and (sum(n > 1 for n in m) > 1 or max(m) == 2)]
+        posets = [r for r in preorders(p)
+                  if not any((b, a) in r for a, b in r if a != b)]
+        perms = list(itertools.permutations(range(p)))
+        covered: set[frozenset] = set()
+        for orbit in relabelling_orbits(posets, p):
+            base = next(iter(orbit))
+            if base in covered:
+                continue
+            dual = frozenset((b, a) for a, b in base)
+            covered |= orbit | {frozenset((b, a) for a, b in r) for r in orbit}
+            group = [s for s in perms
+                     if frozenset((s[a], s[b]) for a, b in base) in (base, dual)]
+            orbits = len({min(tuple(m[s[i]] for i in range(p)) for s in group)
+                          for m in vectors})
+            families += orbits
+            connected += orbits if _comparability_connected(base, p) else 0
+    return families, connected
+
+
 def relation_graph(rel, n: int) -> BipartiteGraph:
     """The graph on n matched pairs with edge x_i y_j for every related i, j."""
     return BipartiteGraph.of([f"x{i + 1}" for i in range(n)],

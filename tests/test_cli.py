@@ -290,6 +290,20 @@ class TestEnumerate:
         for f in files:
             assert classify(parse_graph((out / f).read_text())).t_sharp == 0
 
+    @pytest.mark.parametrize("mode", ["--cm", "--cmt"])
+    def test_out_changes_only_files(self, capsys, tmp_path, mode):
+        code, bare = run(capsys, "enumerate", mode, "3")
+        assert code == 0
+        code, written = run(capsys, "enumerate", mode, "3", "--out", str(tmp_path))
+        assert code == 0
+        bare, written = bare["result"], written["result"]
+        assert bare["files"] == [] and written["files"]
+        assert dict(bare, files=written["files"]) == written
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            written["files"] + ["manifest.json"])
+        written.pop("families", None)
+        assert json.loads((tmp_path / "manifest.json").read_text()) == written
+
     def test_requires_a_mode(self, capsys):
         with pytest.raises(SystemExit) as err:
             main(["enumerate"])

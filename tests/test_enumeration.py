@@ -61,6 +61,7 @@ from conftest import (
     relabeled_copy,
     relabelling_orbits,
     relation_graph,
+    sharp_cmt_orbit_counts,
 )
 
 PATH = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
@@ -455,6 +456,20 @@ class TestSharpFamilies:
         assert hashlib.sha256(blob).hexdigest() == (
             "50811bd1518e81c747ed864139160c8c06ac01f2e74354b684afef82ef97fd86")
 
+    @pytest.mark.parametrize("t, expected", [(2, (2, 1)), (3, (9, 5)), (4, (37, 22))])
+    def test_orbit_route_equals_enumerator(self, t, expected):
+        # Families as orbits of multiplicity vectors under each base's
+        # automorphisms and anti-automorphisms, counted in `conftest` by a
+        # route that shares no code with the enumerator.
+        fams = enumerate_sharp_cmt(t)
+        assert sharp_cmt_orbit_counts(t) == expected
+        assert (len(fams), sum(f.connected for f in fams)) == expected
+
+    def test_orbit_route_pins_t5(self):
+        # `enumerate --cmt 5` takes seconds, so the CI workflow checks the
+        # command's count against these numbers in a step of its own.
+        assert sharp_cmt_orbit_counts(5) == (197, 129)
+
     def test_parametric_families_carry_two_sizes(self):
         for fam in enumerate_sharp_cmt(3):
             if fam.parametric:
@@ -503,10 +518,11 @@ class TestSharpFamilies:
 class TestWriteEnumeration:
     def test_manifest_and_files(self, tmp_path):
         graphs = enumerate_cm(2)
-        manifest = write_enumeration(tmp_path, "dimension", 2, graphs)
-        assert manifest["dimension_or_t"] == {"dimension": 2}
-        assert manifest["count"] == 4
-        assert manifest["connected_count"] == sum(is_connected(g) for g in graphs)
+        given = {"dimension_or_t": {"dimension": 2}, "count": 4,
+                 "connected_count": sum(is_connected(g) for g in graphs), "files": []}
+        manifest = write_enumeration(tmp_path, given, graphs)
+        assert manifest == dict(given, files=manifest["files"])
+        assert given["files"] == []
         assert sorted(manifest["files"]) == manifest["files"]
         assert len(manifest["files"]) == 4
         written = []
@@ -515,14 +531,16 @@ class TestWriteEnumeration:
             written.append(parse_graph(text))
         got = {canonical_form(g) for g in written}
         assert got == {canonical_form(g) for g in graphs}
-        assert (tmp_path / "manifest.json").exists()
+        assert json.loads((tmp_path / "manifest.json").read_text()) == manifest
 
     def test_count_override_for_families(self, tmp_path):
+        # The caller counts families; the parametric representatives add
+        # files but not to the count.
         fams = enumerate_sharp_cmt(2)
         instances = [g for f in fams for g in f.graphs]
-        manifest = write_enumeration(
-            tmp_path, "t", 2, instances,
-            connected_count=sum(f.connected for f in fams), count=len(fams))
+        given = {"dimension_or_t": {"t": 2}, "count": len(fams),
+                 "connected_count": sum(f.connected for f in fams), "files": []}
+        manifest = write_enumeration(tmp_path, given, instances)
         assert manifest["count"] == 2
         assert manifest["connected_count"] == 1
         assert len(manifest["files"]) == len(instances) == 4

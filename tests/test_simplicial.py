@@ -111,18 +111,25 @@ class TestIndependenceComplex:
         ind = independence_complex(BipartiteGraph.of([], [], []))
         assert ind.facets == frozenset({frozenset()})
 
-    def test_limit_is_face_count(self):
+    def test_limit_is_face_count(self, monkeypatch):
+        # The limit is read when the walk runs, so patching the module's
+        # constant moves the guard for every caller.
         rng = random.Random(41)
         for _ in range(100):
             g = random_bipartite(rng, max_side=4)
-            n = len(faces(from_facets(g.vertices, brute_maximal_independent_sets(g))))
-            assert independence_complex(g, n) == independence_complex(g)
+            facets = frozenset(brute_maximal_independent_sets(g))
+            n = len(faces(from_facets(g.vertices, facets)))
+            monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n)
+            assert independence_complex(g).facets == facets
+            monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n - 1)
             with pytest.raises(ValueError, match="oracle guard"):
-                independence_complex(g, n - 1)
+                independence_complex(g)
         empty = BipartiteGraph.of([], [], [])
-        assert independence_complex(empty, 1).facets == frozenset({frozenset()})
+        monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", 1)
+        assert independence_complex(empty).facets == frozenset({frozenset()})
+        monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", 0)
         with pytest.raises(ValueError, match="oracle guard"):
-            independence_complex(empty, 0)
+            independence_complex(empty)
 
 
 class TestBasics:
@@ -196,6 +203,26 @@ class TestLinkAndJoin:
         point = from_facets("v", [("v",)])
         with pytest.raises(ValueError, match="shared"):
             join(point, point)
+
+    def test_link_needs_no_pruning(self):
+        # Every face of every complex on four vertices: the link built
+        # directly equals the one `from_facets` prunes.
+        checked = 0
+        for c in all_complexes("abcd"):
+            for f in faces(c):
+                got = link(c, f)
+                assert got == from_facets(got.vertices,
+                                          (g - f for g in c.facets if f <= g))
+                checked += 1
+        assert checked > 1000
+
+    def test_join_needs_no_pruning(self):
+        # Every pair of complexes on disjoint vertex sets, empty ones included.
+        for a in all_complexes("abc"):
+            for b in all_complexes("xyz"):
+                got = join(a, b)
+                assert got == from_facets(a.vertices + b.vertices,
+                                          (fa | fb for fa in a.facets for fb in b.facets))
 
 
 class TestHomology:
@@ -301,6 +328,9 @@ class TestCohenMacaulay:
     def test_void_and_empty_are_cm(self):
         assert is_cohen_macaulay(VOID)
         assert is_cohen_macaulay(EMPTY)
+        # The empty complex has no faces: the scans find nothing failing.
+        assert cm_codim(EMPTY) == 0
+        assert all(is_cm_t(EMPTY, t) for t in range(-1, 3))
 
     def test_cm_t_on_k22(self):
         ind = independence_complex(complete(2))
