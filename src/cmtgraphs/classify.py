@@ -19,7 +19,6 @@ from .bigraph import (
     BlockDecomposition,
     IsolatedVertexError,
     PureOrder,
-    cross_blocks,
     find_pure_order,
 )
 from .construct import _sharp_codim
@@ -70,23 +69,17 @@ class MacaulayOrder:
     order: tuple[int, ...]
 
 
-def macaulay_order(g: BipartiteGraph, po: PureOrder | None = None) -> MacaulayOrder | None:
+def macaulay_order(g: BipartiteGraph) -> MacaulayOrder | None:
     """Topological reindexing with every edge x_iy_j satisfying i <= j.
 
     Exists exactly for cross-free graphs.  Crossed graphs return None; a
     graph without any pure order is outside the precondition and raises.
-    An order from the caller is checked by `cross_blocks`.
+    The indices are those of the pure order `classify` reports.
     """
-    if po is not None:
-        blocks = cross_blocks(g, po)
-    else:
-        po = find_pure_order(g)
-        if po is None:
-            raise ValueError("graph is not unmixed, no pure order exists")
-        blocks = g._blocks
-    if any(n >= 2 for n in blocks.sizes):
-        return None
-    return _topological_order(g, po)
+    verdict = classify(g)
+    if not verdict.unmixed:
+        raise ValueError("graph is not unmixed, no pure order exists")
+    return _topological_order(g, verdict.order) if verdict.cohen_macaulay else None
 
 
 def _topological_order(g: BipartiteGraph, po: PureOrder) -> MacaulayOrder:
@@ -201,6 +194,6 @@ def classification_json(g: BipartiteGraph) -> dict:
     }
     if verdict.unmixed and verdict.cohen_macaulay:
         # Every block of verdict.blocks is a single pair, so the order is
-        # cross-free and cross_blocks need not run again.
+        # cross-free; macaulay_order would classify again.
         payload["macaulay_order"] = list(_topological_order(g, verdict.order).order)
     return payload

@@ -2,7 +2,7 @@
 
 Isomorphism here means any vertex bijection that maps edges onto edges and
 either preserves the two sides or swaps them wholesale.  `canonical_form`
-realizes it by brute force, which is fine at the sizes the guards allow.
+tries each distinct arrangement of each side's neighbourhood rows once.
 
 Three generators are provided.  `enumerate_cm` lists the Cohen-Macaulay
 bipartite graphs of a given dimension by walking the reflexive transitive
@@ -48,34 +48,34 @@ class CanonicalForm:
     code: tuple
 
 
-def _component_code(g: BipartiteGraph, comp: frozenset[str]) -> tuple:
-    lefts = tuple(v for v in g.left if v in comp)
-    rights = tuple(v for v in g.right if v in comp)
-    columns = {y: [x for x in lefts if (x, y) in g.edges] for y in rights}
-    best: tuple | None = None
-    for sigma in itertools.permutations(lefts):
-        position = {x: i for i, x in enumerate(sigma)}
-        cols = tuple(sorted(sum(1 << position[x] for x in columns[y])
-                            for y in rights))
-        if best is None or cols < best:
-            best = cols
-    return (len(lefts), len(rights), best)
+def _component_code(rows: list[frozenset[str]], columns: list[str]) -> tuple:
+    """The least sorted column-mask tuple, trying each distinct arrangement of `rows` once.
 
-
-def _oriented_code(g: BipartiteGraph) -> tuple:
-    return tuple(sorted(_component_code(g, comp)
-                        for comp in connected_components(g)))
-
-
-def _swap_sides(g: BipartiteGraph) -> BipartiteGraph:
-    return BipartiteGraph.of(g.right, g.left, ((y, x) for x, y in g.edges))
+    With row i at bit i, a column's mask holds the bits of the rows that
+    contain it.  Swapping two equal rows (twins) changes no column mask, so
+    every permutation of the row vertices has the masks of the arrangement
+    it lays out, and the least over all permutations is the least here.
+    """
+    codes = set()
+    for arrangement in set(itertools.permutations(rows)):
+        masks = dict.fromkeys(columns, 0)
+        for i, row in enumerate(arrangement):
+            for y in row:
+                masks[y] |= 1 << i
+        codes.add(tuple(sorted(masks.values())))
+    return (len(rows), len(columns), min(codes))
 
 
 def canonical_form(g: BipartiteGraph) -> CanonicalForm:
     """Total-order key, equal for two graphs exactly when they are isomorphic."""
     if len(g.left) > MAX_SIDE or len(g.right) > MAX_SIDE:
         raise ValueError(f"side size guard exceeded ({MAX_SIDE} vertices per side)")
-    return CanonicalForm(min(_oriented_code(g), _oriented_code(_swap_sides(g))))
+    adj = g._adjacency
+    sides = [([v for v in g.left if v in comp], [v for v in g.right if v in comp])
+             for comp in connected_components(g)]
+    straight = sorted(_component_code([adj[x] for x in xs], ys) for xs, ys in sides)
+    swapped = sorted(_component_code([adj[y] for y in ys], xs) for xs, ys in sides)
+    return CanonicalForm(min(tuple(straight), tuple(swapped)))
 
 
 def _index_graph(d: int, relation: set[tuple[int, int]]) -> BipartiteGraph:

@@ -14,6 +14,7 @@ from cmtgraphs import (
     classification_json,
     classify,
     cm_codim,
+    cross_blocks,
     disjoint_union,
     disjoint_union_codim,
     enumerate_cm,
@@ -202,13 +203,14 @@ class TestMacaulayOrder:
         assert grouped == [stair]
 
     def test_rejects_invalid_caller_order(self):
-        # An order from the caller is still checked: x2-y1 is not an edge,
-        # and a pairing that uses y2 twice is no perfect matching.
+        # macaulay_order takes no order; the one place a caller's order is
+        # read, cross_blocks, still checks it: x2-y1 is not an edge, and a
+        # pairing that uses y2 twice is no perfect matching.
         swapped = PureOrder((("x1", "y2"), ("x2", "y1")))
         repeated = PureOrder((("x1", "y2"), ("x2", "y2")))
         for po in (swapped, repeated):
             with pytest.raises(ValueError, match="not a pure order"):
-                macaulay_order(PATH, po)
+                cross_blocks(PATH, po)
 
     def test_order_soundness(self):
         # Relabel i -> position of i in order; every edge x_iy_j of the
@@ -224,7 +226,7 @@ class TestMacaulayOrder:
                    for g in enumerate_cm(dimension)]
         for g in inputs:
             po = find_pure_order(g)
-            order = macaulay_order(g, po)
+            order = macaulay_order(g)
             assert order is not None
             assert sorted(order.order) == list(range(1, len(po.pairs) + 1))
             rank = {pair_index: k for k, pair_index in enumerate(order.order)}

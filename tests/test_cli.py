@@ -7,7 +7,7 @@ import json
 import pytest
 
 from cmtgraphs import ConsistencyError, canonical_form, classify, parse_graph
-from cmtgraphs import cli, simplicial
+from cmtgraphs import cli, construct, simplicial
 from cmtgraphs.cli import main
 
 K22 = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y1 x2-y2\n"
@@ -228,6 +228,20 @@ class TestExpandContract:
         doc.write_text("L: x1\nR: y1\nE: x1-y1\n")
         code, report = run(capsys, "expand", str(doc))
         assert code == 1 and "M:" in report["result"]["message"]
+
+    def test_expand_refused_past_the_edge_limit(self, capsys, tmp_path, monkeypatch):
+        # One pair at M: 6000 asks for 36 million edges: an error report,
+        # with nothing built.
+        def no_build(base, multiplicities):
+            raise AssertionError("_blow_up reached")
+
+        monkeypatch.setattr(construct, "_blow_up", no_build)
+        doc = tmp_path / "huge.exp"
+        doc.write_text("L: x1\nR: y1\nE: x1-y1\nM: 6000\n")
+        code, report = run(capsys, "expand", str(doc))
+        assert code == 1 and report["status"] == "error"
+        assert report["result"]["message"] == (
+            "expansion guard: 36000000 edges asked for, more than 250000")
 
     def test_contract_fig1(self, capsys):
         code, report = run(capsys, "contract", "--builtin", "fig1")

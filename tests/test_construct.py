@@ -20,6 +20,7 @@ from cmtgraphs import (
     parse_graph,
     predicted_codim,
 )
+from cmtgraphs import construct
 from conftest import complete, graph, graphs_isomorphic
 from test_classify import calls_through_every_binding
 
@@ -78,6 +79,21 @@ class TestExpand:
             for k in (1, 2):
                 assert g.has_edge(f"x1_{i}", f"y2_{k}")
                 assert not g.has_edge(f"x2_{i}", f"y1_{k}")
+
+    def test_edge_limit_is_the_sum_of_block_products(self, monkeypatch):
+        # PATH at (2, 3) asks for 2*2 + 2*3 + 3*3 = 19 edges: built at a
+        # limit of 19, refused at 18 before anything is built.
+        e = Expansion(PATH, (2, 3))
+        monkeypatch.setattr(construct, "EXPAND_EDGE_LIMIT", 19)
+        assert len(expand(e).edges) == 19
+
+        def no_build(base, multiplicities):
+            raise AssertionError("_blow_up reached")
+
+        monkeypatch.setattr(construct, "EXPAND_EDGE_LIMIT", 18)
+        monkeypatch.setattr(construct, "_blow_up", no_build)
+        with pytest.raises(ValueError, match=r"^expansion guard: 19 edges asked for, more than 18$"):
+            expand(e)
 
 
 class TestContract:

@@ -34,6 +34,7 @@ from cmtgraphs import (
     canonical_form,
     classify,
     cm_codim,
+    connected_components,
     contract,
     enumerate_cm,
     enumerate_sharp_cmt,
@@ -49,7 +50,7 @@ from cmtgraphs import (
     to_document,
     write_enumeration,
 )
-from cmtgraphs import bigraph, enumeration
+from cmtgraphs import bigraph, enumeration, simplicial
 from conftest import (
     complete,
     count_iso_classes,
@@ -102,6 +103,50 @@ def first_of_each_class(graphs):
     return [found[code] for code in sorted(found, key=lambda c: c.code)]
 
 
+def brute_force_code(g):
+    """The former `canonical_form`: every permutation of each component's lefts.
+
+    Each component's rights become columns masked by the permuted lefts;
+    the code is the lesser of the sorted component codes of g and of its
+    side-swapped copy.
+    """
+    def component_code(h, comp):
+        lefts = tuple(v for v in h.left if v in comp)
+        rights = tuple(v for v in h.right if v in comp)
+        columns = {y: [x for x in lefts if (x, y) in h.edges] for y in rights}
+        best = None
+        for sigma in itertools.permutations(lefts):
+            position = {x: i for i, x in enumerate(sigma)}
+            cols = tuple(sorted(sum(1 << position[x] for x in columns[y])
+                                for y in rights))
+            if best is None or cols < best:
+                best = cols
+        return (len(lefts), len(rights), best)
+
+    def oriented_code(h):
+        return tuple(sorted(component_code(h, comp) for comp in connected_components(h)))
+
+    swapped = BipartiteGraph.of(g.right, g.left, ((y, x) for x, y in g.edges))
+    return min(oriented_code(g), oriented_code(swapped))
+
+
+def every_small_graph(max_side):
+    for a, b in itertools.product(range(max_side + 1), repeat=2):
+        left, right = [f"x{i}" for i in range(a)], [f"y{j}" for j in range(b)]
+        pairs = list(itertools.product(left, right))
+        for mask in itertools.product((False, True), repeat=len(pairs)):
+            yield BipartiteGraph.of(left, right, itertools.compress(pairs, mask))
+
+
+def twin_heavy_graphs(rng, count, max_side):
+    """Graphs whose lefts share a few neighbourhoods, so twins abound on both sides."""
+    for _ in range(count):
+        left = [f"x{i}" for i in range(rng.randint(1, max_side))]
+        right = [f"y{j}" for j in range(rng.randint(1, max_side))]
+        rows = [[y for y in right if rng.random() < 0.5] for _ in range(rng.randint(1, 3))]
+        yield BipartiteGraph.of(left, right, [(x, y) for x in left for y in rng.choice(rows)])
+
+
 def iso_distinct(graphs):
     reps = []
     for g in graphs:
@@ -139,6 +184,21 @@ class TestCanonicalForm:
             [(f"x{i}", f"y{i}") for i in range(9)])
         with pytest.raises(ValueError, match="guard"):
             canonical_form(wide)
+
+    @pytest.mark.parametrize("pool", ["small", "twins", "enumerators"])
+    def test_distinct_arrangements_equal_brute_force(self, pool):
+        # The search over distinct row arrangements against the former loop
+        # over every permutation of the lefts, on both sides.
+        if pool == "small":
+            graphs = list(every_small_graph(3))
+        elif pool == "twins":
+            graphs = list(twin_heavy_graphs(random.Random(17), 200, 6))
+        else:
+            graphs = [g for d in range(5) for g in enumerate_cm(d)]
+            graphs += [g for d in range(1, 5) for g in enumerate_unmixed(d)]
+            graphs += [g for t in (2, 3, 4) for f in enumerate_sharp_cmt(t) for g in f.graphs]
+        for g in graphs:
+            assert canonical_form(g).code == brute_force_code(g), to_document(g)
 
     def test_agrees_with_pairwise_oracle(self):
         rng = random.Random(41)
@@ -423,6 +483,22 @@ class TestSharpFamilies:
             g = fam.graphs[0]
             if len(g.vertices) <= 12:
                 assert cm_codim(independence_complex(g)) == 4
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_every_instance_against_the_oracle_sweep(self, t):
+        # Every instance, the size-3 representatives included, on both routes.
+        for fam in enumerate_sharp_cmt(t):
+            for g in fam.graphs:
+                assert simplicial.oracle_sweep(g).cm_codim == t, to_document(g)
+                assert classify(g).t_sharp == t, to_document(g)
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_families_pairwise_non_isomorphic(self, t):
+        # A wrong canonical key could merge two families or split one;
+        # the brute-force isomorphism test shares no code with it.
+        firsts = [f.graphs[0] for f in enumerate_sharp_cmt(t)]
+        for g, h in itertools.combinations(firsts, 2):
+            assert not graphs_isomorphic(g, h), (to_document(g), to_document(h))
 
     def test_cmt_reports_pinned(self):
         # The families `enumerate --cmt` reports and the base each records.
