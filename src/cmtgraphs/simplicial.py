@@ -14,9 +14,12 @@ Its faces are the independent sets, listed by one bitmask walk (`_walk`)
 over the graph's neighbourhood masks (`BipartiteGraph._masks`), which also
 bounds the work: past `ORACLE_FACE_LIMIT` faces the oracle raises.  The
 link of a face F is Ind(G - N[F]), the independence complex of an induced
-subgraph, so a link is keyed by one int, is a cone exactly when that
-subgraph has an isolated vertex, and has its faces listed by the same
-walk, as the bitmask faces that `reduced_homology` also takes.
+subgraph, so a link is keyed by one int, and its Betti numbers are read
+off that subgraph before any matrix (`_link_betti`): an isolated vertex
+makes it a cone, folds delete dominated vertices, the rest splits into
+components whose complexes join, and a component that is one edge is
+S^0.  Only another component has its faces listed by the same walk, as
+the bitmask faces that `reduced_homology` also takes.
 `independence_complex` reads the facets off the same walk, under the
 same limit, for the generic routines below: the limit is this module's
 alone, and no caller names it.  `link` and `join` build their complexes
@@ -53,10 +56,12 @@ from typing import NamedTuple
 from .bigraph import BipartiteGraph, ConsistencyError
 
 # The oracle's work grows with the faces of the independence complex, not
-# with its vertices.  Measured by `oracle_sweep` on one Xeon core under
-# Python 3.11: 19,683 faces (a perfect matching on 9 pairs, no cone links)
-# take 0.55-0.8 s, 6,144 (the 20-vertex chain) 0.06-0.11 s, and 59,049 (a
-# matching on 10 pairs) 2.6-3.4 s.
+# with its vertices.  Measured by `oracle_sweep(g, homology=True)` on one
+# core of a shared Xeon VM under Python 3.11: 19,683 faces (a perfect
+# matching on 9 pairs, every link folded to disjoint edges) take 30-50 ms,
+# 6,144 (the 20-vertex chain) 6-13 ms, 16,396 (K_{13,13} minus a perfect
+# matching, no folds, so its whole homology is ranked) 40-65 ms, and
+# 59,049 (a matching on 10 pairs) 85-120 ms.
 ORACLE_FACE_LIMIT = 20_000
 
 
@@ -432,9 +437,71 @@ class OracleSweep(NamedTuple):
     homology: HomologyProfile | None
 
 
-def _free_vertex(nbrs: tuple[int, ...], rest: int) -> bool:
-    """Whether some vertex of `rest` has no neighbour in `rest`."""
-    return any(not nbrs[low.bit_length() - 1] & rest for low in _bits(rest))
+def _join_betti(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Shifted Betti numbers of a join: entry s is degree s - 1 on every side."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _link_betti(nbrs: tuple[int, ...], closed: list[int], rest: int,
+                walked: list[tuple[int, int]] | None = None) -> tuple[int, ...]:
+    """Reduced Betti numbers over Q of Ind(G[rest]), entry s in degree s - 1.
+
+    Trailing zeros are dropped, so a complex with no reduced homology gives
+    ().  The graph is cut down by cones, folds and the split into
+    components before any face is listed; the proofs are in `oracle_sweep`.
+    Each pass of the fold loop meets every vertex still kept, so it also
+    finds an isolated vertex, at the start or left by a fold: a cone.
+    Only a component that is not one edge has its faces walked, and
+    `walked`, the walk of all of `rest` when the caller has it, stands in
+    for that walk when nothing folds and `rest` is one component.
+    """
+    kept, folding = rest, True
+    while folding:
+        folding, todo = False, kept
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if not low & kept:
+                continue
+            inside = nbrs[low.bit_length() - 1] & kept
+            if not inside:
+                return ()
+            # A w with N(u) in N(w) is a neighbour of each vertex of N(u).
+            first = inside & -inside
+            others = nbrs[first.bit_length() - 1] & kept & ~low
+            while others:
+                w = others & -others
+                others ^= w
+                if not inside & ~nbrs[w.bit_length() - 1]:
+                    kept ^= w
+                    folding = True
+    betti: tuple[int, ...] = (1,)
+    while kept:
+        part = grow = kept & -kept
+        while grow:
+            reach = 0
+            while grow:
+                low = grow & -grow
+                reach |= nbrs[low.bit_length() - 1]
+                grow ^= low
+            grow = reach & kept & ~part
+            part |= grow
+        kept ^= part
+        if part.bit_count() == 2:
+            betti = _join_betti(betti, (0, 1))
+            continue
+        sets = walked if part == rest and walked is not None else _walk(closed, part)
+        profile = reduced_homology(tuple([face for face, _ in sets])).betti
+        if not any(profile):
+            return ()
+        top = max(s for s, b in enumerate(profile) if b)
+        betti = _join_betti(betti, profile[:top + 1])
+    return betti
 
 
 def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
@@ -446,45 +513,76 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     R = V - N[F]: a set H disjoint from F has H | F independent exactly
     when H is independent and misses N(F).  So each link is keyed by the
     int R, and two faces share a link exactly when they share R, since
-    every vertex of R is a vertex of Ind(G[R]).
+    every vertex of R is a vertex of Ind(G[R]).  The faces are scanned
+    largest first and the first failing one decides, as in `cm_codim`,
+    whose docstring has the proof.
 
-    Ind(G[R]) is a cone, its facets sharing a vertex, exactly when some v
-    in R has no neighbour in R.  If v has none, every maximal independent
-    set of G[R] contains v, as v could be added to one that missed it.  If
-    every one contains v and v had a neighbour u in R, a maximal
-    independent set containing u would miss v.  So this test on masks is
-    `cm_codim`'s star intersection.  Cones have no reduced homology and are
-    skipped; the faces of any other link are the independent sets of G[R],
-    walked the same way.  The faces are scanned largest first and the first
-    failing one decides, as in `cm_codim`, whose docstring has the proof.
-    With `homology`, the profile of Ind(G) itself, the link of the empty
-    face, is taken from the sweep or computed once.
+    Each distinct link's Betti numbers come from `_link_betti`, which
+    reads them off G[R] by four exact rules and walks faces only for what
+    they leave:
+    - **Cone.** If v in R has no neighbour in R, v can join every face of
+      Ind(G[R]), so the complex is the cone v * Ind(G[R - v]), which is
+      contractible: no reduced homology.
+    - **Fold** (Engstrom, Eur. J. Combin. 2008).  If u != w in R and
+      N(u) & R <= N(w), then Ind(G[R]) and Ind(G[R - w]) have the same
+      reduced homology.  u is not adjacent to w, or w would lie in
+      N(u) & R <= N(w).  The faces containing w form the cone w * lk(w)
+      with lk(w) = Ind(G[R - N[w]]), which holds u and none of u's
+      neighbours, so lk(w) is a cone on u.  Ind(G[R]) is Ind(G[R - w])
+      and w * lk(w) glued along lk(w); neither the cone nor lk(w) has
+      reduced homology, so by Mayer-Vietoris the union has that of
+      Ind(G[R - w]).  Folds repeat until none applies, and a vertex that
+      a fold leaves isolated is a cone again.
+    - **Join** (Kozlov, Combinatorial Algebraic Topology, 2008).  If G[R]
+      is the disjoint union of A and B, the independent sets are the
+      unions of one of each, so Ind(G[R]) = Ind(A) * Ind(B).  Over a
+      field, H~_{k+1}(X * Y) is the sum over i + j = k of
+      H~_i(X) (x) H~_j(Y).  With entry s holding degree s - 1, degree
+      k + 1 is entry (i + 1) + (j + 1), so the join's entries are the
+      coefficients of the product of the parts' polynomials
+      (`_join_betti`).  The empty graph, whose complex is {empty set}
+      with one class in degree -1, is the unit (1,).  A component with
+      no reduced homology leaves the whole join with none.
+    - **One edge.** Once no vertex is isolated, a component with two
+      vertices is one edge, and Ind(K_2) is two points, S^0: one class
+      in degree 0.
+    Any other component is walked by `_walk` and goes to `reduced_homology`.
+
+    Folds lower the dimension, so the test does not read it off the
+    reduced complex.  Ind(G) is pure of dimension d - 1, d = max(sizes),
+    so lk F is pure of dimension d - 1 - |F|, and F fails the Reisner
+    criterion exactly when H~ is non-zero in a degree below that, that is
+    at an entry s < d - |F|.  With `homology`, the profile of Ind(G)
+    itself, the link of the empty face, is taken from the sweep or
+    computed once, and padded with zeros to the d + 1 entries, degrees
+    -1 to d - 1, that `reduced_homology` gives the whole complex.
     """
     nbrs = g._masks[1]
     closed = _closed(g)
     everything = (1 << len(nbrs)) - 1
     sets = _walk(closed, everything, ORACLE_FACE_LIMIT)
     sizes = [taken.bit_count() for taken, covered in sets if covered == everything]
+    d = max(sizes)
     pure = len(set(sizes)) == 1
-    profiles: dict[int, HomologyProfile | None] = {}
+    profiles: dict[int, tuple[int, ...]] = {}
     codim = 0 if pure else None
     if pure:
         sets.sort(key=lambda face: face[0].bit_count(), reverse=True)
         for taken, covered in sets:
             rest = everything & ~covered
             if rest not in profiles:
-                profiles[rest] = None if _free_vertex(nbrs, rest) else reduced_homology(
-                    tuple([face for face, _ in _walk(closed, rest)]))
-            profile = profiles[rest]
-            if profile is not None and any(profile.betti[:-1]):
+                profiles[rest] = _link_betti(nbrs, closed, rest,
+                                             sets if rest == everything else None)
+            if any(profiles[rest][:d - taken.bit_count()]):
                 codim = taken.bit_count() + 1
                 break
     whole = None
     if homology:
-        whole = profiles.get(everything)
-        if whole is None:
-            whole = reduced_homology(tuple([taken for taken, _ in sets]))
-    return OracleSweep(len(sizes), max(sizes) - 1, pure, codim, whole)
+        if everything not in profiles:
+            profiles[everything] = _link_betti(nbrs, closed, everything, sets)
+        betti = profiles[everything]
+        whole = HomologyProfile(betti + (0,) * (d + 1 - len(betti)))
+    return OracleSweep(len(sizes), d - 1, pure, codim, whole)
 
 
 def cm_codim_recursive(c: SimplicialComplex) -> int | None:

@@ -267,6 +267,20 @@ def all_pure_pairings(g: BipartiteGraph) -> list[dict[str, str]]:
 
 # ------------------------------------------------------ homology oracle
 
+def induced_matching_number(g: BipartiteGraph) -> int:
+    """Most edges with no shared vertex and no edge of g joining two of them."""
+    edges = sorted(g.edges)
+    best = 0
+    for k in range(1, len(edges) + 1):
+        if not any(len({v for e in combo for v in e}) == 2 * k
+                   and all((x, y) not in g.edges
+                           for (x, _), (_, y) in itertools.permutations(combo, 2))
+                   for combo in itertools.combinations(edges, k)):
+            break
+        best = k
+    return best
+
+
 def brute_maximal_independent_sets(g: BipartiteGraph) -> set[frozenset[str]]:
     verts = g.vertices
     independent = []

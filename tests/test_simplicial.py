@@ -18,6 +18,7 @@ from cmtgraphs import (
     cm_codim,
     cm_codim_recursive,
     dim,
+    enumerate_sharp_cmt,
     enumerate_unmixed,
     faces,
     from_facets,
@@ -40,6 +41,7 @@ from conftest import (
     complete,
     fraction_rank,
     graph,
+    induced_matching_number,
     random_bipartite,
     rename,
 )
@@ -528,16 +530,17 @@ class TestOracleSweep:
         assert sweep.facet_count == len(ind.facets)
         assert sweep.dimension == dim(ind)
         assert sweep.pure == is_pure(ind)
-        # The cone test on R = V - N[F] is the star-intersection test on lk F.
+        # The reduction of R = V - N[F] is the homology of lk F, padded.
         index, nbrs = g._masks
+        closed = simplicial._closed(g)
         everything = (1 << len(nbrs)) - 1
         for f in faces(ind):
             covered = 0
             for v in f:
                 covered |= 1 << index[v] | nbrs[index[v]]
-            star = [facet - f for facet in ind.facets if f <= facet]
-            assert simplicial._free_vertex(nbrs, everything & ~covered) == \
-                bool(frozenset.intersection(*star))
+            expected = reduced_homology(link(ind, f)).betti
+            betti = simplicial._link_betti(nbrs, closed, everything & ~covered)
+            assert betti + (0,) * (len(expected) - len(betti)) == expected
 
     def test_every_graph_with_sides_up_to_three(self):
         checked = 0
@@ -591,3 +594,104 @@ class TestOracleSweep:
         assert main(["oracle", str(path)]) == 0
         assert calls
         assert json.loads(capsys.readouterr().out)["result"]["betti"] == generic.as_dict()
+
+
+def crown(n):
+    """K_{n,n} minus a perfect matching: Ind is a wedge of n - 1 circles."""
+    left, right = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
+    return BipartiteGraph.of(left, right, [(left[i], right[j])
+                                           for i in range(n) for j in range(n) if i != j])
+
+
+def even_cycle(m):
+    """The cycle on 2m vertices x0 y0 x1 y1 ... x{m-1} y{m-1}."""
+    left, right = [f"x{i}" for i in range(m)], [f"y{i}" for i in range(m)]
+    return BipartiteGraph.of(left, right, [(left[i], right[i]) for i in range(m)]
+                             + [(left[(i + 1) % m], right[i]) for i in range(m)])
+
+
+class TestLinkReduction:
+    """Cones, folds, components and joins against the matrices they replace."""
+
+    @staticmethod
+    def check(g, subsets=None):
+        # Every induced subgraph G[W], or a seeded sample of them: the
+        # reduction equals `reduced_homology` of the walked faces, padded.
+        nbrs, closed = g._masks[1], simplicial._closed(g)
+        everything = (1 << len(nbrs)) - 1
+        masks = range(everything + 1)
+        if subsets is not None:
+            masks = random.Random(len(nbrs)).sample(masks, min(subsets, len(masks)))
+        for w in masks:
+            expected = reduced_homology(tuple(f for f, _ in simplicial._walk(closed, w))).betti
+            betti = simplicial._link_betti(nbrs, closed, w)
+            assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
+
+    def test_every_graph_with_sides_up_to_three(self):
+        for g in every_graph_with_sides_up_to(3):
+            self.check(g)
+
+    @pytest.mark.parametrize("side", [4, 5, 6, 7])
+    def test_seeded_square_graphs(self, side):
+        rng = random.Random(100 + side)
+        left, right = [f"x{i}" for i in range(side)], [f"y{j}" for j in range(side)]
+        for _ in range(3):
+            g = BipartiteGraph.of(left, right, [(x, y) for x in left for y in right
+                                                if rng.random() < 0.5])
+            self.check(g, None if side <= 5 else 400)
+
+    def test_crowns_and_even_cycles(self):
+        for n in range(3, 7):
+            self.check(crown(n))
+        for m in range(3, 7):
+            self.check(even_cycle(m))
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_every_cmt_instance(self, t):
+        for fam in enumerate_sharp_cmt(t):
+            for g in fam.graphs:
+                self.check(g, None if len(g.vertices) <= 10 else 64)
+
+    def test_fold_free_graphs_reach_the_matrices(self, monkeypatch):
+        # Crowns and even cycles have no fold and are connected, so the
+        # whole complex goes to `reduced_homology`, on the guarded walk's
+        # faces.  Ind(crown n) is a wedge of n - 1 circles; Ind(C_{2m}) is
+        # S^{k-1} v S^{k-1} for 2m = 3k and S^{k-1} for 2m = 3k +- 1
+        # (Kozlov, J. Combin. Theory Ser. A 1999).
+        real, seen = simplicial.reduced_homology, []
+        walk, walks = simplicial._walk, []
+
+        def counting(c):
+            seen.append(c)
+            return real(c)
+
+        def counting_walk(closed, allowed, limit=None):
+            walks.append(allowed)
+            return walk(closed, allowed, limit)
+
+        monkeypatch.setattr(simplicial, "reduced_homology", counting)
+        monkeypatch.setattr(simplicial, "_walk", counting_walk)
+        for n in range(3, 7):
+            del seen[:], walks[:]
+            betti = simplicial.oracle_sweep(crown(n), homology=True).homology.betti
+            assert len(seen) == len(walks) == 1
+            assert betti == (0, 0, n - 1) + (0,) * (n - 2)
+        for m in range(3, 7):
+            del seen[:], walks[:]
+            betti = simplicial.oracle_sweep(even_cycle(m), homology=True).homology.betti
+            assert len(seen) == len(walks) == 1
+            k = round(2 * m / 3)
+            assert {s - 1: b for s, b in enumerate(betti) if b} == \
+                {k - 1: 2 if 2 * m == 3 * k else 1}
+
+    def test_hochster_regularity_is_the_induced_matching_number(self):
+        # Hochster: reg R/I(G) is the largest k + 1 with H~_k(Ind(G[W]))
+        # non-zero over all W, the empty W giving 0.  For unmixed bipartite
+        # graphs it is the induced matching number (Kummini, J. Algebraic
+        # Combin. 2009), which conftest finds by brute force.
+        for d in range(1, 5):
+            for g in enumerate_unmixed(d):
+                nbrs, closed = g._masks[1], simplicial._closed(g)
+                regularity = max(len(b) - 1 for w in range(1 << len(nbrs))
+                                 if (b := simplicial._link_betti(nbrs, closed, w)))
+                assert regularity == induced_matching_number(g), g
