@@ -16,9 +16,9 @@ bounds the work: past `ORACLE_FACE_LIMIT` faces the oracle raises.  The
 link of a face F is Ind(G - N[F]), the independence complex of an induced
 subgraph, so a link is keyed by one int, and its Betti numbers are read
 off that subgraph before any matrix (`_link_betti`): an isolated vertex
-makes it a cone, folds delete dominated vertices, the rest splits into
-components whose complexes join, and a component that is one edge is
-S^0.  Only another component has its faces listed by the same walk, as
+makes it a cone, folds delete dominated vertices, and the rest splits
+into components whose complexes join.  Each component, once per sweep
+however many links share it, has its faces listed by the same walk, as
 the bitmask faces that `reduced_homology` also takes.
 `independence_complex` reads the facets off the same walk, under the
 same limit, for the generic routines below: the limit is this module's
@@ -58,7 +58,7 @@ from .bigraph import BipartiteGraph, ConsistencyError
 # The oracle's work grows with the faces of the independence complex, not
 # with its vertices.  Measured by `oracle_sweep(g, homology=True)` on one
 # core of a shared Xeon VM under Python 3.11: 19,683 faces (a perfect
-# matching on 9 pairs, every link folded to disjoint edges) take 30-50 ms,
+# matching on 9 pairs, every link folded to disjoint edges) take 20-50 ms,
 # 6,144 (the 20-vertex chain) 6-13 ms, 16,396 (K_{13,13} minus a perfect
 # matching, no folds, so its whole homology is ranked) 40-65 ms, and
 # 59,049 (a matching on 10 pairs) 85-120 ms.
@@ -448,6 +448,7 @@ def _join_betti(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _link_betti(nbrs: tuple[int, ...], closed: list[int], rest: int,
+                known: dict[int, tuple[int, ...]],
                 walked: list[tuple[int, int]] | None = None) -> tuple[int, ...]:
     """Reduced Betti numbers over Q of Ind(G[rest]), entry s in degree s - 1.
 
@@ -456,7 +457,8 @@ def _link_betti(nbrs: tuple[int, ...], closed: list[int], rest: int,
     components before any face is listed; the proofs are in `oracle_sweep`.
     Each pass of the fold loop meets every vertex still kept, so it also
     finds an isolated vertex, at the start or left by a fold: a cone.
-    Only a component that is not one edge has its faces walked, and
+    A component's faces are walked and ranked only when `known`, which maps
+    vertex masks to their Betti numbers, does not hold it yet, and
     `walked`, the walk of all of `rest` when the caller has it, stands in
     for that walk when nothing folds and `rest` is one component.
     """
@@ -492,15 +494,14 @@ def _link_betti(nbrs: tuple[int, ...], closed: list[int], rest: int,
             grow = reach & kept & ~part
             part |= grow
         kept ^= part
-        if part.bit_count() == 2:
-            betti = _join_betti(betti, (0, 1))
-            continue
-        sets = walked if part == rest and walked is not None else _walk(closed, part)
-        profile = reduced_homology(tuple([face for face, _ in sets])).betti
-        if not any(profile):
+        if part not in known:
+            sets = walked if part == rest and walked is not None else _walk(closed, part)
+            profile = reduced_homology(tuple([face for face, _ in sets])).betti
+            top = max((s for s, b in enumerate(profile) if b), default=-1)
+            known[part] = profile[:top + 1]
+        if not known[part]:
             return ()
-        top = max(s for s, b in enumerate(profile) if b)
-        betti = _join_betti(betti, profile[:top + 1])
+        betti = _join_betti(betti, known[part])
     return betti
 
 
@@ -518,7 +519,7 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     whose docstring has the proof.
 
     Each distinct link's Betti numbers come from `_link_betti`, which
-    reads them off G[R] by four exact rules and walks faces only for what
+    reads them off G[R] by three exact rules and walks faces only for what
     they leave:
     - **Cone.** If v in R has no neighbour in R, v can join every face of
       Ind(G[R]), so the complex is the cone v * Ind(G[R - v]), which is
@@ -543,10 +544,11 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       (`_join_betti`).  The empty graph, whose complex is {empty set}
       with one class in degree -1, is the unit (1,).  A component with
       no reduced homology leaves the whole join with none.
-    - **One edge.** Once no vertex is isolated, a component with two
-      vertices is one edge, and Ind(K_2) is two points, S^0: one class
-      in degree 0.
-    Any other component is walked by `_walk` and goes to `reduced_homology`.
+    Each component is walked by `_walk` and goes to `reduced_homology`.
+    Links share components (a one-edge component, S^0, recurs in many),
+    and a component is an induced subgraph like a link, so one table of
+    Betti numbers keyed by vertex mask holds both, and each distinct
+    link or component is computed once per sweep.
 
     Folds lower the dimension, so the test does not read it off the
     reduced complex.  Ind(G) is pure of dimension d - 1, d = max(sizes),
@@ -571,7 +573,7 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
         for taken, covered in sets:
             rest = everything & ~covered
             if rest not in profiles:
-                profiles[rest] = _link_betti(nbrs, closed, rest,
+                profiles[rest] = _link_betti(nbrs, closed, rest, profiles,
                                              sets if rest == everything else None)
             if any(profiles[rest][:d - taken.bit_count()]):
                 codim = taken.bit_count() + 1
@@ -579,7 +581,7 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     whole = None
     if homology:
         if everything not in profiles:
-            profiles[everything] = _link_betti(nbrs, closed, everything, sets)
+            profiles[everything] = _link_betti(nbrs, closed, everything, profiles, sets)
         betti = profiles[everything]
         whole = HomologyProfile(betti + (0,) * (d + 1 - len(betti)))
     return OracleSweep(len(sizes), d - 1, pure, codim, whole)

@@ -82,7 +82,8 @@ class TestOracle:
         # The sweep reaches the empty face, whose link is the whole
         # complex; the report's betti must reuse that computation, and the
         # command walks the whole complex under the guard once.  Folds and
-        # cones may settle every link with no `reduced_homology` call.
+        # cones may settle every link with no `reduced_homology` call, and
+        # a component shared by several links is ranked once.
         n = max(j for _, j in pairs) + 1
         doc = tmp_path / "g.graph"
         doc.write_text(f"L: {' '.join(f'x{i}' for i in range(n))}\n"
@@ -102,9 +103,9 @@ class TestOracle:
                 guarded.append(frozenset(taken for taken, _ in sets))
             return sets
 
-        def counting_reduction(nbrs, closed, rest, walked=None):
+        def counting_reduction(nbrs, closed, rest, known, walked=None):
             reduced.append(rest)
-            return reduce(nbrs, closed, rest, walked)
+            return reduce(nbrs, closed, rest, known, walked)
 
         monkeypatch.setattr(simplicial, "reduced_homology", counting_homology)
         monkeypatch.setattr(simplicial, "_walk", counting_walk)

@@ -518,11 +518,25 @@ def every_graph_with_sides_up_to(k):
                                                   if mask >> bit & 1])
 
 
+def crown(n):
+    """K_{n,n} minus a perfect matching: Ind is a wedge of n - 1 circles."""
+    left, right = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
+    return BipartiteGraph.of(left, right, [(left[i], right[j])
+                                           for i in range(n) for j in range(n) if i != j])
+
+
+def even_cycle(m):
+    """The cycle on 2m vertices x0 y0 x1 y1 ... x{m-1} y{m-1}."""
+    left, right = [f"x{i}" for i in range(m)], [f"y{i}" for i in range(m)]
+    return BipartiteGraph.of(left, right, [(left[i], right[i]) for i in range(m)]
+                             + [(left[(i + 1) % m], right[i]) for i in range(m)])
+
+
 class TestOracleSweep:
     """The graph-native sweep against the generic route on Ind(G)."""
 
     @staticmethod
-    def check(g):
+    def check(g, subsets=None):
         ind = independence_complex(g)
         sweep = simplicial.oracle_sweep(g, homology=True)
         assert sweep.cm_codim == cm_codim(ind)
@@ -530,17 +544,17 @@ class TestOracleSweep:
         assert sweep.facet_count == len(ind.facets)
         assert sweep.dimension == dim(ind)
         assert sweep.pure == is_pure(ind)
-        # The reduction of R = V - N[F] is the homology of lk F, padded.
-        index, nbrs = g._masks
-        closed = simplicial._closed(g)
-        everything = (1 << len(nbrs)) - 1
-        for f in faces(ind):
-            covered = 0
-            for v in f:
-                covered |= 1 << index[v] | nbrs[index[v]]
-            expected = reduced_homology(link(ind, f)).betti
-            betti = simplicial._link_betti(nbrs, closed, everything & ~covered)
-            assert betti + (0,) * (len(expected) - len(betti)) == expected
+        # Every link is Ind(G[W]) for a vertex mask W.  On every W, or a
+        # seeded sample of them, cones, folds, components and joins give
+        # `reduced_homology` of the walked faces, padded.
+        nbrs, closed = g._masks[1], simplicial._closed(g)
+        masks = range(1 << len(nbrs))
+        if subsets is not None:
+            masks = random.Random(len(nbrs)).sample(masks, min(subsets, len(masks)))
+        for w in masks:
+            expected = reduced_homology(tuple(f for f, _ in simplicial._walk(closed, w))).betti
+            betti = simplicial._link_betti(nbrs, closed, w, {})
+            assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
 
     def test_every_graph_with_sides_up_to_three(self):
         checked = 0
@@ -549,13 +563,26 @@ class TestOracleSweep:
             checked += 1
         assert checked == 689
 
-    @pytest.mark.parametrize("side", [4, 5])
+    @pytest.mark.parametrize("side", [4, 5, 6, 7])
     def test_seeded_square_graphs(self, side):
         rng = random.Random(side)
-        for _ in range(25):
+        for _ in range(25 if side <= 5 else 3):
             left, right = [f"x{i}" for i in range(side)], [f"y{j}" for j in range(side)]
             self.check(BipartiteGraph.of(left, right, [(x, y) for x in left for y in right
-                                                       if rng.random() < 0.5]))
+                                                       if rng.random() < 0.5]),
+                       None if side == 4 else 200)
+
+    def test_crowns_and_even_cycles(self):
+        for n in range(3, 7):
+            self.check(crown(n))
+        for m in range(3, 7):
+            self.check(even_cycle(m))
+
+    @pytest.mark.parametrize("t", [2, 3, 4])
+    def test_every_cmt_instance(self, t):
+        for fam in enumerate_sharp_cmt(t):
+            for g in fam.graphs:
+                self.check(g, None if len(g.vertices) <= 10 else 64)
 
     def test_figures_and_every_unmixed_graph_up_to_four_pairs(self):
         for name in BUILTIN_NAMES:
@@ -594,63 +621,6 @@ class TestOracleSweep:
         assert main(["oracle", str(path)]) == 0
         assert calls
         assert json.loads(capsys.readouterr().out)["result"]["betti"] == generic.as_dict()
-
-
-def crown(n):
-    """K_{n,n} minus a perfect matching: Ind is a wedge of n - 1 circles."""
-    left, right = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
-    return BipartiteGraph.of(left, right, [(left[i], right[j])
-                                           for i in range(n) for j in range(n) if i != j])
-
-
-def even_cycle(m):
-    """The cycle on 2m vertices x0 y0 x1 y1 ... x{m-1} y{m-1}."""
-    left, right = [f"x{i}" for i in range(m)], [f"y{i}" for i in range(m)]
-    return BipartiteGraph.of(left, right, [(left[i], right[i]) for i in range(m)]
-                             + [(left[(i + 1) % m], right[i]) for i in range(m)])
-
-
-class TestLinkReduction:
-    """Cones, folds, components and joins against the matrices they replace."""
-
-    @staticmethod
-    def check(g, subsets=None):
-        # Every induced subgraph G[W], or a seeded sample of them: the
-        # reduction equals `reduced_homology` of the walked faces, padded.
-        nbrs, closed = g._masks[1], simplicial._closed(g)
-        everything = (1 << len(nbrs)) - 1
-        masks = range(everything + 1)
-        if subsets is not None:
-            masks = random.Random(len(nbrs)).sample(masks, min(subsets, len(masks)))
-        for w in masks:
-            expected = reduced_homology(tuple(f for f, _ in simplicial._walk(closed, w))).betti
-            betti = simplicial._link_betti(nbrs, closed, w)
-            assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
-
-    def test_every_graph_with_sides_up_to_three(self):
-        for g in every_graph_with_sides_up_to(3):
-            self.check(g)
-
-    @pytest.mark.parametrize("side", [4, 5, 6, 7])
-    def test_seeded_square_graphs(self, side):
-        rng = random.Random(100 + side)
-        left, right = [f"x{i}" for i in range(side)], [f"y{j}" for j in range(side)]
-        for _ in range(3):
-            g = BipartiteGraph.of(left, right, [(x, y) for x in left for y in right
-                                                if rng.random() < 0.5])
-            self.check(g, None if side <= 5 else 400)
-
-    def test_crowns_and_even_cycles(self):
-        for n in range(3, 7):
-            self.check(crown(n))
-        for m in range(3, 7):
-            self.check(even_cycle(m))
-
-    @pytest.mark.parametrize("t", [2, 3, 4])
-    def test_every_cmt_instance(self, t):
-        for fam in enumerate_sharp_cmt(t):
-            for g in fam.graphs:
-                self.check(g, None if len(g.vertices) <= 10 else 64)
 
     def test_fold_free_graphs_reach_the_matrices(self, monkeypatch):
         # Crowns and even cycles have no fold and are connected, so the
@@ -691,7 +661,7 @@ class TestLinkReduction:
         # Combin. 2009), which conftest finds by brute force.
         for d in range(1, 5):
             for g in enumerate_unmixed(d):
-                nbrs, closed = g._masks[1], simplicial._closed(g)
+                nbrs, closed, known = g._masks[1], simplicial._closed(g), {}
                 regularity = max(len(b) - 1 for w in range(1 << len(nbrs))
-                                 if (b := simplicial._link_betti(nbrs, closed, w)))
+                                 if (b := simplicial._link_betti(nbrs, closed, w, known)))
                 assert regularity == induced_matching_number(g), g
