@@ -11,9 +11,11 @@ pattern of a cross-free graph, and relabelled along a linear extension
 every Cohen-Macaulay bipartite graph arises that way).
 `enumerate_unmixed` lists every unmixed graph on d matched pairs by walking
 the reflexive transitive relations (preorders); it is the universe the
-oracle cross-checks run over.  Both walks name each class by its least
-labelling, the least indicator vector among all relabellings of a
-relation and of its dual, and keep the graph of that labelling, so
+oracle cross-checks run over.  Both walks label each class once: the
+first member met lists the class's orbit, every relabelling of the
+relation and of its dual, and later members are found in it and
+skipped.  The least indicator vector in the orbit, the least labelling,
+names the class, and the graph of that labelling is kept, so
 `canonical_form` runs once per class and never inside a walk.
 `enumerate_sharp_cmt` builds the graphs of sharp codimension exactly t as
 block expansions of Cohen-Macaulay bases and groups them into families: a
@@ -55,15 +57,34 @@ def _component_code(rows: list[frozenset[str]], columns: list[str]) -> tuple:
     contain it.  Swapping two equal rows (twins) changes no column mask, so
     every permutation of the row vertices has the masks of the arrangement
     it lays out, and the least over all permutations is the least here.
+    The arrangements are laid out one position at a time, each position
+    taking one of the twin classes not yet used up, so each is met once;
+    arrangements that share a prefix share its masks.
     """
-    codes = set()
-    for arrangement in set(itertools.permutations(rows)):
-        masks = dict.fromkeys(columns, 0)
-        for i, row in enumerate(arrangement):
-            for y in row:
-                masks[y] |= 1 << i
-        codes.add(tuple(sorted(masks.values())))
-    return (len(rows), len(columns), min(codes))
+    distinct = list(dict.fromkeys(rows))
+    unplaced = [rows.count(row) for row in distinct]
+    where = {y: c for c, y in enumerate(columns)}
+    hits = [[where[y] for y in row] for row in distinct]
+    best = None
+
+    def place(i: int, masks: list[int]) -> None:
+        nonlocal best
+        if i == len(rows):
+            code = tuple(sorted(masks))
+            if best is None or code < best:
+                best = code
+            return
+        for k, n in enumerate(unplaced):
+            if n:
+                unplaced[k] -= 1
+                grown = masks[:]
+                for c in hits[k]:
+                    grown[c] |= 1 << i
+                place(i + 1, grown)
+                unplaced[k] += 1
+
+    place(0, [0] * len(columns))
+    return (len(rows), len(columns), best)
 
 
 def canonical_form(g: BipartiteGraph) -> CanonicalForm:
@@ -86,39 +107,49 @@ def _index_graph(d: int, relation: set[tuple[int, int]]) -> BipartiteGraph:
     )
 
 
-def _least_labelling(d: int, relation: set[tuple[int, int]],
-                     order: list[tuple[int, int]]) -> tuple[bool, ...]:
-    """Least indicator vector over `order` among relabellings of the relation and its dual.
+def _orbit(d: int, relation: set[tuple[int, int]],
+           bit: dict[tuple[int, int], int]) -> set[int]:
+    """Every relabelling of the relation and of its dual, as an int over `bit`.
 
-    The relation is reflexive, and its index graph is unmixed with the
-    diagonal as a pure order; two such relations get the same vector
-    exactly when their index graphs are isomorphic.  A relabelling is a
-    side-preserving isomorphism and the dual is the side swap, so equal
-    vectors mean isomorphic graphs.  Conversely, take an isomorphism that
-    keeps the sides, sending x_i to x_s(i) and y_i to y_u(i).  The image of
-    the diagonal is a perfect matching, and a perfect matching sends each
-    block's lefts onto that block's rights (`find_pure_order`), so s(i)
-    and u(i) lie in one block.  Pairs in one block have equal
-    neighbourhoods on both sides (`neighbourhood_blocks`), so x_s(i)y_u(j)
-    is an edge exactly when x_s(i)y_s(j) is: the second relation is the
-    first relabelled by s.  An isomorphism that swaps the sides does the
-    same to the dual.  Both relations thus have the same relabellings, up
-    to duality, and the same least vector.
+    `bit` gives each off-diagonal pair its own bit; the diagonal, in every
+    relation, gets none.  The relation is reflexive, and its index graph
+    is unmixed with the diagonal as a pure order; two such relations have
+    the same orbit exactly when their index graphs are isomorphic, and
+    otherwise disjoint ones.  A relabelling is a side-preserving
+    isomorphism and the dual is the side swap, so a shared member means
+    isomorphic graphs.  Conversely, take an isomorphism that keeps the
+    sides, sending x_i to x_s(i) and y_i to y_u(i).  The image of the
+    diagonal is a perfect matching, and a perfect matching sends each
+    block's lefts onto that block's rights (`find_pure_order`), so s(i) and
+    u(i) lie in one block.  Pairs in one block have equal neighbourhoods on
+    both sides (`neighbourhood_blocks`), so x_s(i)y_u(j) is an edge exactly
+    when x_s(i)y_s(j) is: the second relation is the first relabelled by s.
+    An isomorphism that swaps the sides does the same to the dual.  Both
+    relations thus have the same relabellings, up to duality: one orbit.
     """
-    dual = {(j, i) for i, j in relation}
-    return min(tuple((s[a], s[b]) in r for a, b in order)
-               for r in (relation, dual) for s in itertools.permutations(range(d)))
+    pairs = [(i, j) for i, j in relation if i != j]
+    orbit = set()
+    for s in itertools.permutations(range(d)):
+        image = [(s[i], s[j]) for i, j in pairs]
+        orbit.add(sum(bit[p] for p in image))
+        orbit.add(sum(bit[j, i] for i, j in image))
+    return orbit
 
 
 def _classes(d: int, walk: list[tuple[int, int]],
              order: list[tuple[int, int]]) -> list[BipartiteGraph]:
     """One index graph per class of the reflexive transitive relations the walk meets.
 
-    Each subset of `walk`, added to the diagonal, is a relation, kept when
-    it is transitive (`bigraph._transitive` on its successor sets).  A class
-    is recorded once, by `_least_labelling`, and its graph is built from
-    that least vector, so `canonical_form` runs once per class, to sort
-    them.
+    Each subset of `walk`, added to the diagonal, is a relation, read as
+    an int over `order` with `order[0]` as its most significant bit, so
+    ints sort as the indicator vectors over `order` do.  The first member
+    of a class the walk meets, kept when transitive (`bigraph._transitive`
+    on its successor sets), puts the class's whole `_orbit` into `seen`,
+    and the least int there, its least labelling, records the class.
+    Every later member is in `seen` as it stands and is skipped unchecked:
+    relabelling and duality keep a relation transitive.  So each class is
+    labelled once, and its graph is built from that least vector, so
+    `canonical_form` runs once per class, to sort them.
 
     The graph kept is the one a first-come dedupe keeps on any walk that
     meets relations in increasing order of their vectors over `order` and
@@ -128,13 +159,20 @@ def _classes(d: int, walk: list[tuple[int, int]],
     which yields the vectors in lexicographic order, is such a walk for
     `enumerate_unmixed`; `enumerate_cm` names its own.
     """
+    bit = {p: 1 << k for k, p in enumerate(reversed(order))}
+    walk_bits = [bit[p] for p in walk]
     diagonal = {(i, i) for i in range(d)}
-    codes = set()
+    seen: set[int] = set()
+    codes = []
     for mask in itertools.product((False, True), repeat=len(walk)):
+        if sum(itertools.compress(walk_bits, mask)) in seen:
+            continue
         relation = diagonal | set(itertools.compress(walk, mask))
         if _transitive({i: {j for a, j in relation if a == i} for i in range(d)}):
-            codes.add(_least_labelling(d, relation, order))
-    graphs = [_index_graph(d, diagonal | set(itertools.compress(order, code)))
+            orbit = _orbit(d, relation, bit)
+            seen |= orbit
+            codes.append(min(orbit))
+    graphs = [_index_graph(d, diagonal | {p for p in order if code & bit[p]})
               for code in codes]
     return sorted(graphs, key=lambda g: canonical_form(g).code)
 

@@ -515,8 +515,9 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     when H is independent and misses N(F).  So each link is keyed by the
     int R, and two faces share a link exactly when they share R, since
     every vertex of R is a vertex of Ind(G[R]).  The faces are scanned
-    largest first and the first failing one decides, as in `cm_codim`,
-    whose docstring has the proof.
+    largest first (bucketed by size, in walk order within a size) and the
+    first failing one decides, as in `cm_codim`, whose docstring has the
+    proof.
 
     Each distinct link's Betti numbers come from `_link_betti`, which
     reads them off G[R] by three exact rules and walks faces only for what
@@ -569,8 +570,10 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     profiles: dict[int, tuple[int, ...]] = {}
     codim = 0 if pure else None
     if pure:
-        sets.sort(key=lambda face: face[0].bit_count(), reverse=True)
-        for taken, covered in sets:
+        by_size: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
+        for face in sets:
+            by_size[face[0].bit_count()].append(face)
+        for taken, covered in itertools.chain.from_iterable(reversed(by_size)):
             rest = everything & ~covered
             if rest not in profiles:
                 profiles[rest] = _link_betti(nbrs, closed, rest, profiles,

@@ -103,6 +103,32 @@ def first_of_each_class(graphs):
     return [found[code] for code in sorted(found, key=lambda c: c.code)]
 
 
+def least_labelling(d, relation, order):
+    """The former `_least_labelling`: the least vector over `order` among relabellings.
+
+    Every permutation of the points is tried on the relation and on its
+    dual, each read as a tuple of booleans over `order`.
+    """
+    dual = {(j, i) for i, j in relation}
+    return min(tuple((s[a], s[b]) in r for a, b in order)
+               for r in (relation, dual) for s in itertools.permutations(range(d)))
+
+
+def upward_posets(d):
+    """Every transitive relation on range(d) relating only i <= j, the diagonal included."""
+    slots = list(itertools.combinations(range(d), 2))
+    for mask in itertools.product((False, True), repeat=len(slots)):
+        relation = {(i, i) for i in range(d)} | set(itertools.compress(slots, mask))
+        if all((a, c) in relation for a, b in relation for b2, c in relation if b == b2):
+            yield relation
+
+
+def recorded_labellings(graphs, order):
+    """The vector over `order` of each index graph's relation (x_i y_j for related i, j)."""
+    return {tuple(f"x{a + 1}" in g._adjacency[f"y{b + 1}"] for a, b in order)
+            for g in graphs}
+
+
 def brute_force_code(g):
     """The former `canonical_form`: every permutation of each component's lefts.
 
@@ -280,6 +306,27 @@ class TestEnumerateCm:
         calls.clear()
         assert len(enumerate_cm(4)) == len(calls) == 39
 
+    def test_recorded_labellings_equal_the_former_least_labelling(self):
+        # Each class is recorded by the least int of its orbit; that must
+        # be the least labelling the former per-relation search found.
+        for d in (1, 2, 3, 4, 5):
+            order = [p for i, j in itertools.combinations(range(d), 2)
+                     for p in ((j, i), (i, j))]
+            expected = {least_labelling(d, r, order) for r in upward_posets(d)}
+            assert recorded_labellings(enumerate_cm(d - 1), order) == expected
+
+    def test_one_orbit_per_class(self, monkeypatch):
+        real, calls = enumeration._orbit, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, "_orbit", counting)
+        assert len(enumerate_cm(3)) == len(calls) == 12
+        calls.clear()
+        assert len(enumerate_cm(4)) == len(calls) == 39
+
     def test_outputs_are_classified_cm(self):
         for dimension in (0, 1, 2, 3):
             for g in enumerate_cm(dimension):
@@ -320,6 +367,22 @@ class TestEnumerateUnmixed:
             return real(g)
 
         monkeypatch.setattr(enumeration, "canonical_form", counting)
+        assert len(enumerate_unmixed(4)) == len(calls) == 24
+
+    def test_recorded_labellings_equal_the_former_least_labelling(self):
+        for d in (1, 2, 3, 4):
+            order = [(i, j) for i in range(d) for j in range(d) if i != j]
+            expected = {least_labelling(d, set(r), order) for r in preorders(d)}
+            assert recorded_labellings(enumerate_unmixed(d), order) == expected
+
+    def test_one_orbit_per_class(self, monkeypatch):
+        real, calls = enumeration._orbit, []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(enumeration, "_orbit", counting)
         assert len(enumerate_unmixed(4)) == len(calls) == 24
 
     def test_no_matching_search_per_relation(self, monkeypatch):
