@@ -120,20 +120,6 @@ class BipartiteGraph:
         return {v: frozenset(ns) for v, ns in adj.items()}
 
     @cached_property
-    def _masks(self) -> tuple[dict[str, int], tuple[int, ...]]:
-        """Each vertex's position in `vertices`, and its neighbours as a bitmask.
-
-        Bit i of a mask is the vertex at position i.  Built on first use and
-        freed with the graph, like `_adjacency`.
-        """
-        index = {v: i for i, v in enumerate(self.vertices)}
-        nbrs = [0] * len(index)
-        for x, y in self.edges:
-            nbrs[index[x]] |= 1 << index[y]
-            nbrs[index[y]] |= 1 << index[x]
-        return index, tuple(nbrs)
-
-    @cached_property
     def _blocks(self) -> BlockDecomposition:
         """The classes of lefts with equal neighbourhoods, by position in `left`.
 

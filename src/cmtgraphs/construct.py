@@ -65,10 +65,6 @@ class Expansion:
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(zip(self.base.left, self.base.right))
 
-    @property
-    def d(self) -> int:
-        return len(self.multiplicities)
-
 
 def expand(e: Expansion) -> BipartiteGraph:
     """Blow the i-th matched pair up to K_{n_i,n_i}, keeping all adjacencies.
@@ -90,7 +86,7 @@ def expand(e: Expansion) -> BipartiteGraph:
 def _blow_up(base: BipartiteGraph, multiplicities: tuple[int, ...]) -> BipartiteGraph:
     """`expand` on a base whose positional pairing the caller knows is pure.
 
-    `Expansion` checks the pairing; `enumeration._family` proves it for the
+    `Expansion` checks the pairing; `enumerate_sharp_cmt` proves it for the
     bases `enumerate_cm` builds.  Each x_iy_i is then a base edge, so one
     pass over the base edges, joining every copy of x to every copy of y,
     builds every block.  There is no edge limit here: a blow-up of sharp
@@ -109,15 +105,17 @@ def _blow_up(base: BipartiteGraph, multiplicities: tuple[int, ...]) -> Bipartite
 def contract(g: BipartiteGraph) -> Expansion:
     """Collapse each complete bipartite block back to a single matched edge.
 
-    Picks the smallest index of every block as its representative.  The
-    result needs no re-check.  In a block the lefts have equal
+    Picks the smallest index of every block as its representative.  In
+    theory the result needs no check.  In a block the lefts have equal
     neighbourhoods, and so do the rights (`neighbourhood_blocks`), so
     whether x_iy_j is an edge depends only on the blocks of i and j:
     adjacency between two blocks is uniform, and any choice of
     representatives yields an isomorphic base.  The base is induced on the
     representatives, so two of them cross in it only if they cross in g,
     and then they would have equal neighbourhoods and share a block.  So
-    the base is cross-free.
+    the base is cross-free.  `Expansion` still checks the base's pairs at
+    its boundary, as it does for any caller: one Villarreal check on the
+    base, after the one `find_pure_order` makes on g.
     """
     po = find_pure_order(g)
     if po is None:

@@ -235,28 +235,6 @@ class CmtFamily:
     connected: bool
 
 
-def _family(base: BipartiteGraph, vectors: list[tuple[int, ...]],
-            parametric: bool) -> CmtFamily:
-    """The blow-ups of an `enumerate_cm` base, unclassified; the first vector is its record.
-
-    The base's positional pairing x_i~y_i is a pure order, so `_blow_up`
-    needs no check.  The base is the index graph of a reflexive transitive
-    relation: `_classes` builds it from the least labelling of a relation
-    kept as transitive, and that labelling relabels the relation or its
-    dual, which stay transitive.  The diagonal is then a perfect matching,
-    and on it Villarreal's condition is transitivity (`enumerate_unmixed`),
-    so it passes.
-
-    The base is cross-free.  In a blow-up the copies of pair i all have
-    the same neighbourhood.  Copies of pairs i and j have different ones,
-    because equal base neighbourhoods would put y_j next to x_i and y_i next
-    to x_j, so i and j would cross.  So the blocks are the blown-up pairs,
-    and `classify` would read `predicted_codim`'s value off their sizes.
-    """
-    instances = tuple(_blow_up(base, vec) for vec in vectors)
-    return CmtFamily(base, vectors[0], parametric, instances, is_connected(instances[0]))
-
-
 def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]:
     """All families of graphs with sharp codimension exactly t, for 2 <= t <= MAX_PAIRS_CM.
 
@@ -267,36 +245,60 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
     nose; those families are finite.  A base of dimension exactly t-1 takes
     one blown-up pair of arbitrary size, which is the parametric case.
     `max_total` drops every instance whose multiplicities sum past it (a
-    family survives if any representative does).
+    family survives if any representative does).  The candidate vectors
+    depend only on h, so they are listed once per base size, and a family
+    is built only when its first instance's canonical form is new.
 
-    The multiplicities are the blocks (`_family`), so `predicted_codim`'s
-    formula gives each instance's codimension; the bases come from
-    `enumerate_cm`, so its cross check would not fire.  On a base of
+    The blow-ups need no check, and are not classified.  The base's
+    positional pairing x_i~y_i is a pure order, so `_blow_up` applies.
+    The base is the index graph of a reflexive transitive relation:
+    `_classes` builds it from the least labelling of a relation kept as
+    transitive, and that labelling relabels the relation or its dual,
+    which stay transitive.  The diagonal is then a perfect matching, and
+    on it Villarreal's condition is transitivity (`enumerate_unmixed`), so
+    it passes.
+
+    The multiplicities are the blocks.  The base is cross-free.  In a
+    blow-up the copies of pair i all have the same neighbourhood.  Copies
+    of pairs i and j have different ones, because equal base
+    neighbourhoods would put y_j next to x_i and y_i next to x_j, so i and
+    j would cross.  So the blocks are the blown-up pairs, and `classify`
+    would read `predicted_codim`'s value off their sizes; the bases come
+    from `enumerate_cm`, so its cross check would not fire.  On a base of
     h + 1 <= t - 1 pairs the formula alone keeps the vectors described
     above.  No entry above 1 predicts 0.  One entry n above 1 predicts
     (h + n) - n + 1 = h + 1 < t.  k > t - h entries above 1 predict at
     least (h + 1 - k) + 2(k - 1) + 1 = h + k > t: the ones add h + 1 - k,
     and the k - 1 large entries other than the least add at least 2 each.
+
+    A blow-up is connected exactly when its base is.  The diagonal edge
+    x_iy_i becomes a K_{n_i,n_i}, which is connected, and a base edge
+    x_iy_j joins every copy of x_i to every copy of y_j, so the copies of
+    two vertices share a component exactly when the vertices do: the
+    blow-up's components are the blow-ups of the base's.
     """
     if not 2 <= t <= MAX_PAIRS_CM:
         raise ValueError(f"t must be between 2 and {MAX_PAIRS_CM}")
     found: dict[CanonicalForm, CmtFamily] = {}
     for h in range(1, t):
-        cap = t - h
+        d_base = h + 1
+        if h == t - 1:
+            candidates = [([tuple(n if k == slot else 1 for k in range(d_base)) for n in (2, 3)],
+                           True) for slot in range(d_base)]
+        else:
+            candidates = [([vec], False)
+                          for vec in itertools.product(range(1, t - h + 1), repeat=d_base)
+                          if _sharp_codim(vec) == t]
+        candidates = [(kept, parametric) for vectors, parametric in candidates
+                      if (kept := [v for v in vectors if max_total is None or sum(v) <= max_total])]
         for base in enumerate_cm(h):
-            d_base = h + 1
-            if h == t - 1:
-                for slot in range(d_base):
-                    vectors = [tuple(n if k == slot else 1 for k in range(d_base))
-                               for n in (2, 3) if max_total is None or h + n <= max_total]
-                    if vectors:
-                        fam = _family(base, vectors, True)
-                        found.setdefault(canonical_form(fam.graphs[0]), fam)
-            else:
-                for vec in itertools.product(range(1, cap + 1), repeat=d_base):
-                    if _sharp_codim(vec) == t and (max_total is None or sum(vec) <= max_total):
-                        fam = _family(base, [vec], False)
-                        found.setdefault(canonical_form(fam.graphs[0]), fam)
+            connected = is_connected(base)
+            for vectors, parametric in candidates:
+                first = _blow_up(base, vectors[0])
+                code = canonical_form(first)
+                if code not in found:
+                    graphs = (first, *(_blow_up(base, vec) for vec in vectors[1:]))
+                    found[code] = CmtFamily(base, vectors[0], parametric, graphs, connected)
     return [found[code] for code in sorted(found, key=lambda c: c.code)]
 
 

@@ -11,13 +11,15 @@ integer columns, which torsion needs.
 
 The oracle reads the independence complex off the graph (`oracle_sweep`).
 Its faces are the independent sets, listed by one bitmask walk (`_walk`)
-over the graph's neighbourhood masks (`BipartiteGraph._masks`), which also
-bounds the work: past `ORACLE_FACE_LIMIT` faces the oracle raises.  The
-link of a face F is Ind(G - N[F]), the independence complex of an induced
-subgraph, so a link is keyed by one int, and its Betti numbers are read
-off that subgraph before any matrix (`_link_betti`): an isolated vertex
-makes it a cone, folds delete dominated vertices, and the rest splits
-into components whose complexes join.  Each component, once per sweep
+over the neighbourhood masks that `_masks` builds from the graph's public
+`vertices` and `edges`, bit i being `g.vertices[i]`; this module alone
+lays the bits out.  The walk also bounds the work: past
+`ORACLE_FACE_LIMIT` faces the oracle raises.  The link of a face F is
+Ind(G - N[F]), the independence complex of an induced subgraph, so a
+link is keyed by one int, and its Betti numbers are read off that
+subgraph before any matrix (`_link_betti`): an isolated vertex makes it
+a cone, folds delete dominated vertices, and the rest splits into
+components whose complexes join.  Each component, once per sweep
 however many links share it, has its faces listed by the same walk, as
 the bitmask faces that `reduced_homology` also takes.
 `independence_complex` reads the facets off the same walk, under the
@@ -93,15 +95,26 @@ def from_facets(vertices, faces) -> SimplicialComplex:
     return SimplicialComplex(tuple(vertices), frozenset(candidates))
 
 
-def _walk(closed: list[int], allowed: int, limit: int | None = None) -> list[tuple[int, int]]:
+def _masks(g: BipartiteGraph) -> tuple[int, ...]:
+    """Each vertex's neighbours as a bitmask, bit i being `g.vertices[i]`."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nbrs = [0] * len(index)
+    for x, y in g.edges:
+        nbrs[index[x]] |= 1 << index[y]
+        nbrs[index[y]] |= 1 << index[x]
+    return tuple(nbrs)
+
+
+def _walk(nbrs: tuple[int, ...], allowed: int,
+          limit: int | None = None) -> list[tuple[int, int]]:
     """Every independent set inside `allowed`, as (taken, covered) bitmasks.
 
-    Bit i is vertex i and closed[i] is its closed neighbourhood; `covered`
-    is the union of the closed neighbourhoods of the vertices `taken`.
+    Bit i is vertex i and nbrs[i] its neighbourhood; `covered` is the union
+    of the closed neighbourhoods of the vertices `taken`.
     Raises the oracle guard's ValueError after walking limit + 1 sets.
     The walk branches on the lowest allowed vertex, left out or taken with
-    its neighbours removed; it follows the first branch in place and
-    stacks the second.  Every independent set S is exactly one leaf, so
+    its closed neighbourhood removed; it follows the first branch in place
+    and stacks the second.  Every independent set S is exactly one leaf, so
     the work is linear in the number of sets.  S is maximal in `allowed`
     exactly when `covered` contains `allowed`: if some v in `allowed`
     outside S has no neighbour in S, then S | {v} is independent;
@@ -113,7 +126,7 @@ def _walk(closed: list[int], allowed: int, limit: int | None = None) -> list[tup
         allowed, taken, covered = stack.pop()
         while allowed:
             lowest = allowed & -allowed
-            around = closed[lowest.bit_length() - 1]
+            around = nbrs[lowest.bit_length() - 1] | lowest
             stack.append((allowed & ~around, taken | lowest, covered | around))
             allowed &= ~lowest
         out.append((taken, covered))
@@ -121,11 +134,6 @@ def _walk(closed: list[int], allowed: int, limit: int | None = None) -> list[tup
             raise ValueError(f"oracle guard: the independence complex has more than "
                              f"{limit} faces (independent sets)")
     return out
-
-
-def _closed(g: BipartiteGraph) -> list[int]:
-    """Closed neighbourhood bitmasks, bit i being position i in `g.vertices`."""
-    return [nbrs | 1 << i for i, nbrs in enumerate(g._masks[1])]
 
 
 def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
@@ -140,7 +148,7 @@ def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
     everything = (1 << len(verts)) - 1
     return SimplicialComplex(tuple(verts), frozenset(
         frozenset(v for i, v in enumerate(verts) if taken >> i & 1)
-        for taken, covered in _walk(_closed(g), everything, ORACLE_FACE_LIMIT)
+        for taken, covered in _walk(_masks(g), everything, ORACLE_FACE_LIMIT)
         if covered == everything))
 
 
@@ -238,14 +246,6 @@ def _exact_rank(columns: list[dict[int, int]]) -> int:
     return len(pivots)
 
 
-def _bits(mask: int):
-    """The single-bit masks of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
 def _boundary_rank(lower: list[int], upper: list[int]) -> int:
     """Rank over Q of the boundary map from the span of `upper` down to `lower`.
 
@@ -255,10 +255,12 @@ def _boundary_rank(lower: list[int], upper: list[int]) -> int:
     row_of = {f: i for i, f in enumerate(lower)}
     columns = []
     for face in upper:
-        column, sign = {}, 1
-        for low in _bits(face):
+        column, sign, rest = {}, 1, face
+        while rest:
+            low = rest & -rest
             column[row_of[face ^ low]] = sign
             sign = -sign
+            rest ^= low
         columns.append(column)
     return _exact_rank(columns)
 
@@ -275,10 +277,6 @@ def _gf2_boundary_rank(lower: list[int], upper: list[int]) -> int:
     bit_of = {f: 1 << i for i, f in enumerate(lower)}
     pivots: dict[int, int] = {}
     for face in upper:
-        # The lowest-bit loop is written out, not taken from `_bits`: this
-        # is the oracle's innermost loop, and the generator made the
-        # benchmark's oracle_large commands about 14% slower (12.1 against
-        # 10.6 ms median on a shared 2-core Xeon VM, Python 3.11).
         column, rest = 0, face
         while rest:
             low = rest & -rest
@@ -447,7 +445,7 @@ def _join_betti(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _link_betti(nbrs: tuple[int, ...], closed: list[int], rest: int,
+def _link_betti(nbrs: tuple[int, ...], rest: int,
                 known: dict[int, tuple[int, ...]],
                 walked: list[tuple[int, int]] | None = None) -> tuple[int, ...]:
     """Reduced Betti numbers over Q of Ind(G[rest]), entry s in degree s - 1.
@@ -495,7 +493,7 @@ def _link_betti(nbrs: tuple[int, ...], closed: list[int], rest: int,
             part |= grow
         kept ^= part
         if part not in known:
-            sets = walked if part == rest and walked is not None else _walk(closed, part)
+            sets = walked if part == rest and walked is not None else _walk(nbrs, part)
             profile = reduced_homology(tuple([face for face, _ in sets])).betti
             top = max((s for s, b in enumerate(profile) if b), default=-1)
             known[part] = profile[:top + 1]
@@ -560,10 +558,9 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     computed once, and padded with zeros to the d + 1 entries, degrees
     -1 to d - 1, that `reduced_homology` gives the whole complex.
     """
-    nbrs = g._masks[1]
-    closed = _closed(g)
+    nbrs = _masks(g)
     everything = (1 << len(nbrs)) - 1
-    sets = _walk(closed, everything, ORACLE_FACE_LIMIT)
+    sets = _walk(nbrs, everything, ORACLE_FACE_LIMIT)
     sizes = [taken.bit_count() for taken, covered in sets if covered == everything]
     d = max(sizes)
     pure = len(set(sizes)) == 1
@@ -576,7 +573,7 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
         for taken, covered in itertools.chain.from_iterable(reversed(by_size)):
             rest = everything & ~covered
             if rest not in profiles:
-                profiles[rest] = _link_betti(nbrs, closed, rest, profiles,
+                profiles[rest] = _link_betti(nbrs, rest, profiles,
                                              sets if rest == everything else None)
             if any(profiles[rest][:d - taken.bit_count()]):
                 codim = taken.bit_count() + 1
@@ -584,7 +581,7 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     whole = None
     if homology:
         if everything not in profiles:
-            profiles[everything] = _link_betti(nbrs, closed, everything, profiles, sets)
+            profiles[everything] = _link_betti(nbrs, everything, profiles, sets)
         betti = profiles[everything]
         whole = HomologyProfile(betti + (0,) * (d + 1 - len(betti)))
     return OracleSweep(len(sizes), d - 1, pure, codim, whole)

@@ -351,9 +351,9 @@ class TestOracleHarness:
             seen.append(c)
             return homology(c)
 
-        def counting_walk(closed, allowed, limit=None):
+        def counting_walk(nbrs, allowed, limit=None):
             guarded.append(limit)
-            return walk(closed, allowed, limit)
+            return walk(nbrs, allowed, limit)
 
         monkeypatch.setattr(simplicial, "reduced_homology", counting_homology)
         monkeypatch.setattr(simplicial, "_walk", counting_walk)

@@ -97,15 +97,15 @@ class TestOracle:
             seen.append(frozenset(faces))
             return homology(faces)
 
-        def counting_walk(closed, allowed, limit=None):
-            sets = walk(closed, allowed, limit)
+        def counting_walk(nbrs, allowed, limit=None):
+            sets = walk(nbrs, allowed, limit)
             if limit is not None:
                 guarded.append(frozenset(taken for taken, _ in sets))
             return sets
 
-        def counting_reduction(nbrs, closed, rest, known, walked=None):
+        def counting_reduction(nbrs, rest, known, walked=None):
             reduced.append(rest)
-            return reduce(nbrs, closed, rest, known, walked)
+            return reduce(nbrs, rest, known, walked)
 
         monkeypatch.setattr(simplicial, "reduced_homology", counting_homology)
         monkeypatch.setattr(simplicial, "_walk", counting_walk)
@@ -180,9 +180,9 @@ class TestVerify:
         doc.write_text(K22)
         real, calls = simplicial._walk, []
 
-        def counting(closed, allowed, limit=None):
+        def counting(nbrs, allowed, limit=None):
             calls.append((allowed, limit))
-            return real(closed, allowed, limit)
+            return real(nbrs, allowed, limit)
 
         monkeypatch.setattr(simplicial, "_walk", counting)
         assert main(["verify", str(doc)]) == 0

@@ -335,7 +335,7 @@ class TestEnumerateCm:
 
     def test_diagonal_of_every_base_is_pure(self):
         # enumerate_sharp_cmt blows these bases up without checking them;
-        # this is the check it leaves out (the proof is in `_family`).
+        # this is the check it leaves out (the proof is in its docstring).
         for dimension in (1, 2, 3, 4):
             for base in enumerate_cm(dimension):
                 assert is_pure_order(base, PureOrder(tuple(zip(base.left, base.right))))
@@ -567,9 +567,9 @@ class TestSharpFamilies:
         # The families `enumerate --cmt` reports and the base each records.
         # Which isomorphic base a family records follows the order the
         # relations are walked in (ROADMAP item 1).
-        def rows(t):
+        def rows(t, max_total=None):
             return [(f.multiplicities, f.parametric, f.connected, len(f.graphs),
-                     to_document(f.base)) for f in enumerate_sharp_cmt(t)]
+                     to_document(f.base)) for f in enumerate_sharp_cmt(t, max_total)]
 
         assert rows(3) == [
             ((2, 1, 1), True, False, 2,
@@ -591,9 +591,16 @@ class TestSharpFamilies:
             ((2, 2), False, True, 1,
              "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n"),
         ]
-        blob = json.dumps(rows(4)).encode()
-        assert hashlib.sha256(blob).hexdigest() == (
-            "50811bd1518e81c747ed864139160c8c06ac01f2e74354b684afef82ef97fd86")
+        # A `max_total` of t + 2 drops nothing at t = 4, so it gives the
+        # unrestricted digest; smaller ones drop instances and families.
+        for args, digest in [
+                ((3, 4), "cff2c8bb16d576518d7c6df2de34b3ed370d41693e6f40729da3af46c30b2cda"),
+                ((3, 5), "6dbce7716a49dc4407d7a3331c3750f58a16cbd65ace97b4b6b6864216268d67"),
+                ((4, 5), "afa917d44d07d0d4672c85c33e84cc5b339f80c254c56ca3fd94616b85ef18e3"),
+                ((4, 6), "50811bd1518e81c747ed864139160c8c06ac01f2e74354b684afef82ef97fd86"),
+                ((4,), "50811bd1518e81c747ed864139160c8c06ac01f2e74354b684afef82ef97fd86")]:
+            blob = json.dumps(rows(*args)).encode()
+            assert hashlib.sha256(blob).hexdigest() == digest, args
 
     @pytest.mark.parametrize("t, expected", [(2, (2, 1)), (3, (9, 5)), (4, (37, 22))])
     def test_orbit_route_equals_enumerator(self, t, expected):
@@ -642,7 +649,7 @@ class TestSharpFamilies:
 
     def test_no_villarreal_check_per_vector(self, monkeypatch):
         # The bases come from enumerate_cm, whose diagonals are pure orders
-        # (`_family`), so no blow-up checks its base again.
+        # (proved in its docstring), so no blow-up checks its base again.
         real, checked = bigraph._matching_transitive, []
 
         def counting(g, match):

@@ -547,13 +547,13 @@ class TestOracleSweep:
         # Every link is Ind(G[W]) for a vertex mask W.  On every W, or a
         # seeded sample of them, cones, folds, components and joins give
         # `reduced_homology` of the walked faces, padded.
-        nbrs, closed = g._masks[1], simplicial._closed(g)
+        nbrs = simplicial._masks(g)
         masks = range(1 << len(nbrs))
         if subsets is not None:
             masks = random.Random(len(nbrs)).sample(masks, min(subsets, len(masks)))
         for w in masks:
-            expected = reduced_homology(tuple(f for f, _ in simplicial._walk(closed, w))).betti
-            betti = simplicial._link_betti(nbrs, closed, w, {})
+            expected = reduced_homology(tuple(f for f, _ in simplicial._walk(nbrs, w))).betti
+            betti = simplicial._link_betti(nbrs, w, {})
             assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
 
     def test_every_graph_with_sides_up_to_three(self):
@@ -635,9 +635,9 @@ class TestOracleSweep:
             seen.append(c)
             return real(c)
 
-        def counting_walk(closed, allowed, limit=None):
+        def counting_walk(nbrs, allowed, limit=None):
             walks.append(allowed)
-            return walk(closed, allowed, limit)
+            return walk(nbrs, allowed, limit)
 
         monkeypatch.setattr(simplicial, "reduced_homology", counting)
         monkeypatch.setattr(simplicial, "_walk", counting_walk)
@@ -661,7 +661,7 @@ class TestOracleSweep:
         # Combin. 2009), which conftest finds by brute force.
         for d in range(1, 5):
             for g in enumerate_unmixed(d):
-                nbrs, closed, known = g._masks[1], simplicial._closed(g), {}
+                nbrs, known = simplicial._masks(g), {}
                 regularity = max(len(b) - 1 for w in range(1 << len(nbrs))
-                                 if (b := simplicial._link_betti(nbrs, closed, w, known)))
+                                 if (b := simplicial._link_betti(nbrs, w, known)))
                 assert regularity == induced_matching_number(g), g

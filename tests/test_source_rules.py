@@ -49,3 +49,21 @@ def test_structural_route_is_independent_and_nothing_caches_across_calls():
                    if isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
                    and isinstance(node.value, ast.Name) and node.value.id == "functools"}
         assert not cached, (path.name, cached)
+
+
+def test_oracle_reads_only_the_public_graph():
+    # The oracle's bitmask layout is decided in `simplicial` alone, from
+    # the graph's public `vertices` and `edges`: it reads no private member
+    # of `BipartiteGraph`.
+    bigraph = ast.parse((SRC / "bigraph.py").read_text())
+    (cls,) = [node for node in bigraph.body
+              if isinstance(node, ast.ClassDef) and node.name == "BipartiteGraph"]
+    defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    defined |= {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+    private = {name for name in defined
+               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
+    assert {"_adjacency", "_blocks"} <= private, private
+    simplicial = ast.parse((SRC / "simplicial.py").read_text())
+    read = {node.attr for node in ast.walk(simplicial)
+            if isinstance(node, ast.Attribute) and node.attr in private}
+    assert not read, read
