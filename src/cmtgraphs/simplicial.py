@@ -13,18 +13,21 @@ The oracle reads the independence complex off the graph (`oracle_sweep`).
 Its faces are the independent sets, listed by one bitmask walk (`_walk`)
 over the neighbourhood masks that `_masks` builds from the graph's public
 `vertices` and `edges`, bit i being `g.vertices[i]`; this module alone
-lays the bits out.  The walk also bounds the work: past
+lays the bits out, and groups the twins, vertices with equal masks.
+`_guarded_walk` walks one vertex per twin class and widens each set to
+whole classes, since a face holding part of a class has a cone for its
+link; it also bounds the work, counting every face on the classes: past
 `ORACLE_FACE_LIMIT` faces the oracle raises.  The link of a face F is
 Ind(G - N[F]), the independence complex of an induced subgraph, so a
 link is keyed by one int, and its Betti numbers are read off that
 subgraph before any matrix (`_link_betti`): an isolated vertex makes it
-a cone, folds delete dominated vertices, and the rest splits into
-components whose complexes join.  Each component, once per sweep
-however many links share it, has its faces listed by the same walk, as
+a cone, folds delete dominated vertices (twins among them), and the rest
+splits into components whose complexes join.  Each component, once per
+sweep however many links share it, has its faces listed by `_walk`, as
 the bitmask faces that `reduced_homology` also takes.
-`independence_complex` reads the facets off the same walk, under the
-same limit, for the generic routines below: the limit is this module's
-alone, and no caller names it.  `link` and `join` build their complexes
+`independence_complex` reads the facets off the same guarded walk, for
+the generic routines below: the limit is this module's alone, and no
+caller names it.  `link` and `join` build their complexes
 directly, since their facets are already antichains (proofs in their
 docstrings); only `from_facets` prunes.
 
@@ -58,12 +61,15 @@ from typing import NamedTuple
 from .bigraph import BipartiteGraph, ConsistencyError
 
 # The oracle's work grows with the faces of the independence complex, not
-# with its vertices.  Measured by `oracle_sweep(g, homology=True)` on one
-# core of a shared Xeon VM under Python 3.11: 19,683 faces (a perfect
-# matching on 9 pairs, every link folded to disjoint edges) take 20-50 ms,
-# 6,144 (the 20-vertex chain) 6-13 ms, 16,396 (K_{13,13} minus a perfect
-# matching, no folds, so its whole homology is ranked) 40-65 ms, and
-# 59,049 (a matching on 10 pairs) 85-120 ms.
+# with its vertices, or with the sets of twin classes when there are twins.
+# Measured by `oracle_sweep(g, homology=True)` on one core of a shared Xeon
+# VM under Python 3.11: 19,683 faces (a perfect matching on 9 pairs, every
+# link folded to disjoint edges) take 20-45 ms, 6,144 (the 20-vertex chain)
+# 6-13 ms, 16,396 (K_{13,13} minus a perfect matching, no folds, so its
+# whole homology is ranked) 45-65 ms, 16,807 (five disjoint K_{2,2}, all
+# twins, walked as 243 sets of classes) 0.4-0.6 ms, and 59,049 (a matching
+# on 10 pairs) 85-120 ms.  The limit still counts every face, so a
+# twin-heavy graph past it is refused though its walk is short.
 ORACLE_FACE_LIMIT = 20_000
 
 
@@ -131,25 +137,68 @@ def _walk(nbrs: tuple[int, ...], allowed: int,
             allowed &= ~lowest
         out.append((taken, covered))
         if limit is not None and len(out) > limit:
-            raise ValueError(f"oracle guard: the independence complex has more than "
-                             f"{limit} faces (independent sets)")
+            raise _refused(limit)
     return out
+
+
+def _refused(limit: int) -> ValueError:
+    """The oracle guard's error, for a complex past `limit` faces."""
+    return ValueError(f"oracle guard: the independence complex has more than "
+                      f"{limit} faces (independent sets)")
+
+
+def _guarded_walk(nbrs: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
+    """The independent sets made of whole twin classes, and one vertex per class.
+
+    Twins are vertices with equal neighbour masks.  `_walk` runs on the
+    lowest vertex of each class, under `ORACLE_FACE_LIMIT`, and each set it
+    finds is widened to the union of its representatives' classes, which
+    are added to `covered` too, twins sharing their neighbours.  Past the
+    limit the oracle guard's ValueError is raised, counting the faces of the
+    whole complex: a class set S stands for the prod over c in S of
+    (2^{w_c} - 1) faces, w_c the size of class c (the proof is in
+    `oracle_sweep`).  With no twins this is `_walk` of every vertex.
+    """
+    everything = (1 << len(nbrs)) - 1
+    classes: dict[int, int] = {}
+    for i, mask in enumerate(nbrs):
+        classes[mask] = classes.get(mask, 0) | 1 << i
+    if len(classes) == len(nbrs):
+        return _walk(nbrs, everything, ORACLE_FACE_LIMIT), everything
+    widen = {c & -c: (c, (1 << c.bit_count()) - 1) for c in classes.values()}
+    reps, count, sets = sum(widen), 0, []
+    for taken, covered in _walk(nbrs, reps, ORACLE_FACE_LIMIT):
+        weight, rest = 1, taken
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            whole, faces = widen[low]
+            taken |= whole
+            covered |= whole
+            weight *= faces
+        count += weight
+        if count > ORACLE_FACE_LIMIT:
+            raise _refused(ORACLE_FACE_LIMIT)
+        sets.append((taken, covered))
+    return sets, reps
 
 
 def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
     """The complex of independent vertex sets of g, given by its facets.
 
     Raises the oracle guard's ValueError when g has more than
-    `ORACLE_FACE_LIMIT` independent sets, the empty one included, after
-    walking one set past the limit.  The facets are the sets `_walk` finds
-    maximal, so each is met once.
+    `ORACLE_FACE_LIMIT` independent sets, the empty one included, counted
+    on the twin classes that `_guarded_walk` walks, before any facet is
+    built.  Every facet is a union of whole twin classes (proof in
+    `oracle_sweep`), so the facets are the sets that walk finds maximal,
+    each met once.
     """
     verts = g.vertices
     everything = (1 << len(verts)) - 1
+    sets, _ = _guarded_walk(_masks(g))
     return SimplicialComplex(tuple(verts), frozenset(
         frozenset(v for i, v in enumerate(verts) if taken >> i & 1)
-        for taken, covered in _walk(_masks(g), everything, ORACLE_FACE_LIMIT)
-        if covered == everything))
+        for taken, covered in sets if covered == everything))
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -506,13 +555,13 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
 def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     """`cm_codim(independence_complex(g))`, with the complex's shape, read off g.
 
-    Faces are the independent sets of g as bitmasks, walked once by
-    `_walk` under `ORACLE_FACE_LIMIT`, so the oracle guard is raised before
-    any homology.  The link of a face F of Ind(G) is Ind(G[R]) for
-    R = V - N[F]: a set H disjoint from F has H | F independent exactly
-    when H is independent and misses N(F).  So each link is keyed by the
-    int R, and two faces share a link exactly when they share R, since
-    every vertex of R is a vertex of Ind(G[R]).  The faces are scanned
+    Faces are the independent sets of g as bitmasks.  Those made of whole
+    twin classes, the only ones that can fail (below), are walked once by
+    `_guarded_walk`, which counts every face under `ORACLE_FACE_LIMIT`,
+    so the oracle guard is raised before any homology.  The link of a
+    face F of Ind(G) is Ind(G[R]) for R = V - N[F]: a set H disjoint from
+    F has H | F independent exactly when H is independent and misses
+    N(F).  So each link is read off the int R.  The faces are scanned
     largest first (bucketed by size, in walk order within a size) and the
     first failing one decides, as in `cm_codim`, whose docstring has the
     proof.
@@ -549,18 +598,51 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     Betti numbers keyed by vertex mask holds both, and each distinct
     link or component is computed once per sweep.
 
+    Twins, vertices with equal neighbourhoods, are never adjacent (one
+    would be its own neighbour), and between two classes the edges are
+    all or none.  So the sweep works on the classes:
+    - **A face holding part of a class has a cone link.**  Let u be in F
+      and its twin w not.  No vertex of F is in N(u) = N(w), so w is in
+      R, and N(w) & R lies in N(u) & R, which is empty.  So w is isolated
+      in G[R]: a cone, which passes.  Only unions of whole classes can
+      fail, and only those are scanned.
+    - **The facets are unions of whole classes.**  If a maximal
+      independent set S holds u, each twin w of u has no neighbour in S,
+      since N(w) = N(u) misses S, so w is in S.  So the class sets that
+      cover every vertex give every facet, each once, with its size.
+    - **R is a union of classes, and its twins fold down to one
+      representative each.**  With F a union of classes, a vertex lies
+      in F, or in N(F), together with its twins, so R does too.  For
+      twins u != w in R, N(u) & R <= N(w), so the fold deletes w; folding
+      every class down to its lowest vertex, the representative kept by
+      `_guarded_walk`, gives Ind(G[R]) the Betti numbers of
+      Ind(G[R & reps]).  So each link is keyed by R & reps, which
+      determines R, and `_link_betti` starts on the folded graph.  With no
+      twins, reps is every vertex and the key is R.
+    - **The weighted sum is the face count.**  An independent set meets
+      a set of classes whose representatives are independent, edges
+      between classes being all or none; conversely, any non-empty
+      subsets of the classes of an independent class set S form an
+      independent set that meets exactly those classes.  So S stands
+      for the prod over c in S of (2^{w_c} - 1) faces, w_c = |c|, the
+      empty S for the empty face, and summing over every S counts every
+      face of Ind(G) once.  `_guarded_walk` refuses past `ORACLE_FACE_LIMIT` on
+      that sum, so the guard refuses exactly the inputs it refused when
+      every face was walked, with the same message, while walking at most
+      limit + 1 class sets.
+
     Folds lower the dimension, so the test does not read it off the
     reduced complex.  Ind(G) is pure of dimension d - 1, d = max(sizes),
     so lk F is pure of dimension d - 1 - |F|, and F fails the Reisner
     criterion exactly when H~ is non-zero in a degree below that, that is
     at an entry s < d - |F|.  With `homology`, the profile of Ind(G)
-    itself, the link of the empty face, is taken from the sweep or
-    computed once, and padded with zeros to the d + 1 entries, degrees
-    -1 to d - 1, that `reduced_homology` gives the whole complex.
+    itself, the link of the empty face, keyed by reps, is taken from the
+    sweep or computed once, and padded with zeros to the d + 1 entries,
+    degrees -1 to d - 1, that `reduced_homology` gives the whole complex.
     """
     nbrs = _masks(g)
     everything = (1 << len(nbrs)) - 1
-    sets = _walk(nbrs, everything, ORACLE_FACE_LIMIT)
+    sets, reps = _guarded_walk(nbrs)
     sizes = [taken.bit_count() for taken, covered in sets if covered == everything]
     d = max(sizes)
     pure = len(set(sizes)) == 1
@@ -571,7 +653,7 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
         for face in sets:
             by_size[face[0].bit_count()].append(face)
         for taken, covered in itertools.chain.from_iterable(reversed(by_size)):
-            rest = everything & ~covered
+            rest = reps & ~covered
             if rest not in profiles:
                 profiles[rest] = _link_betti(nbrs, rest, profiles,
                                              sets if rest == everything else None)
@@ -580,9 +662,10 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
                 break
     whole = None
     if homology:
-        if everything not in profiles:
-            profiles[everything] = _link_betti(nbrs, everything, profiles, sets)
-        betti = profiles[everything]
+        if reps not in profiles:
+            profiles[reps] = _link_betti(nbrs, reps, profiles,
+                                         sets if reps == everything else None)
+        betti = profiles[reps]
         whole = HomologyProfile(betti + (0,) * (d + 1 - len(betti)))
     return OracleSweep(len(sizes), d - 1, pure, codim, whole)
 

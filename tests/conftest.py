@@ -77,6 +77,38 @@ def random_bipartite(rng: random.Random, max_side: int = 4,
     return BipartiteGraph.of(left, right, edges)
 
 
+def twin_blow_up(rng: random.Random, max_side: int = 5,
+                 max_class: int = 3) -> BipartiteGraph:
+    """A random base with sides up to `max_side`, each vertex made 1-`max_class` twins.
+
+    Base vertex i on the left becomes x{i}_0, x{i}_1, ..., each joined to
+    every copy of its base neighbours, so copies are twins.  A base vertex
+    with no edge gives isolated twins.
+    """
+    sides = rng.randint(1, max_side), rng.randint(1, max_side)
+    base = [(i, j) for i in range(sides[0]) for j in range(sides[1]) if rng.random() < 0.5]
+    copies = [[[f"{side}{i}_{a}" for a in range(rng.randint(1, max_class))]
+               for i in range(n)] for side, n in zip("xy", sides)]
+    return BipartiteGraph.of(
+        [v for c in copies[0] for v in c], [v for c in copies[1] for v in c],
+        [(x, y) for i, j in base for x in copies[0][i] for y in copies[1][j]])
+
+
+def independent_set_count(g: BipartiteGraph) -> int:
+    """Independent sets of g, the empty one included, by brute force over one side.
+
+    Lefts and rights are independent among themselves, so a set of lefts S
+    extends to an independent set by exactly the subsets of the rights with
+    no neighbour in S.
+    """
+    total = 0
+    for k in range(len(g.left) + 1):
+        for combo in itertools.combinations(g.left, k):
+            free = [y for y in g.right if all((x, y) not in g.edges for x in combo)]
+            total += 2 ** len(free)
+    return total
+
+
 def _side_preserving_iso(g: BipartiteGraph, h: BipartiteGraph) -> bool:
     if len(g.left) != len(h.left) or len(g.right) != len(h.right):
         return False

@@ -13,6 +13,14 @@ from cmtgraphs.cli import main
 K22 = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y1 x2-y2\n"
 
 
+def disjoint_k33s(k):
+    """k disjoint copies of K_{3,3}: 15^k faces, but 3^k sets of twin classes."""
+    left = [f"x{c}_{i}" for c in range(k) for i in range(3)]
+    right = [f"y{c}_{i}" for c in range(k) for i in range(3)]
+    edges = [f"x{c}_{i}-y{c}_{j}" for c in range(k) for i in range(3) for j in range(3)]
+    return f"L: {' '.join(left)}\nR: {' '.join(right)}\nE: {' '.join(edges)}\n"
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
@@ -153,6 +161,28 @@ class TestOracle:
         assert report["result"]["cm_codim"] == 1
         assert report["result"]["facet_count"] == 2
 
+    @pytest.mark.parametrize("command", ["oracle", "verify"])
+    def test_guard_counts_faces_on_twin_classes(self, capsys, monkeypatch, tmp_path,
+                                                command):
+        # Four disjoint K_{3,3}: 15^4 = 50,625 faces, counted on the
+        # 3^4 = 81 independent sets of twin classes, the only sets walked.
+        doc = tmp_path / "k33x4.graph"
+        doc.write_text(disjoint_k33s(4))
+        walk, guarded = simplicial._walk, []
+
+        def counting_walk(nbrs, allowed, limit=None):
+            sets = walk(nbrs, allowed, limit)
+            if limit is not None:
+                guarded.append(len(sets))
+            return sets
+
+        monkeypatch.setattr(simplicial, "_walk", counting_walk)
+        code, report = run(capsys, command, str(doc))
+        assert code == 1 and report["status"] == "error"
+        assert "oracle guard" in report["result"]["message"]
+        assert str(simplicial.ORACLE_FACE_LIMIT) in report["result"]["message"]
+        assert guarded == [81]
+
 
 class TestVerify:
     def test_harness_over_d2(self, capsys):
@@ -175,7 +205,9 @@ class TestVerify:
 
     def test_one_walk_per_graph(self, capsys, monkeypatch, tmp_path):
         # One walk over the whole complex, under the guard; the other walks
-        # list the faces of single links and carry no limit.
+        # list the faces of single links and carry no limit.  K_{2,2} has
+        # two twin classes, {x1, x2} and {y1, y2}, and the guarded walk
+        # runs on one bit of each, its lowest: x1 and y1.
         doc = tmp_path / "k22.graph"
         doc.write_text(K22)
         real, calls = simplicial._walk, []
@@ -187,7 +219,18 @@ class TestVerify:
         monkeypatch.setattr(simplicial, "_walk", counting)
         assert main(["verify", str(doc)]) == 0
         assert [limit for _, limit in calls if limit is not None] == [simplicial.ORACLE_FACE_LIMIT]
-        assert calls[0] == (0b1111, simplicial.ORACLE_FACE_LIMIT)
+        assert calls[0] == (0b0101, simplicial.ORACLE_FACE_LIMIT)
+
+    def test_three_disjoint_k33s(self, capsys, tmp_path):
+        # 15^3 = 3,375 faces, under the guard; one block size, 3, over
+        # d = 9 pairs, so t_sharp = 9 - 3 + 1 = 7 on both routes.
+        doc = tmp_path / "k33x3.graph"
+        doc.write_text(disjoint_k33s(3))
+        code, report = run(capsys, "verify", str(doc))
+        assert code == 0
+        r = report["result"]
+        assert r["agree"] is True
+        assert r["structural_t_sharp"] == r["oracle_cm_codim"] == 7
 
     @pytest.mark.parametrize("builtin", [False, True], ids=["path", "builtin"])
     def test_d_and_a_graph_rejected(self, capsys, tmp_path, builtin):

@@ -41,9 +41,11 @@ from conftest import (
     complete,
     fraction_rank,
     graph,
+    independent_set_count,
     induced_matching_number,
     random_bipartite,
     rename,
+    twin_blow_up,
 )
 
 PATH = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
@@ -115,17 +117,29 @@ class TestIndependenceComplex:
 
     def test_limit_is_face_count(self, monkeypatch):
         # The limit is read when the walk runs, so patching the module's
-        # constant moves the guard for every caller.
+        # constant moves the guard for every caller.  On twin-heavy
+        # blow-ups the guard counts the faces on the twin classes, so its
+        # count is checked against conftest's brute-force one.
+        def passes_at_limit(g, n):
+            monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n)
+            ind = independence_complex(g)
+            assert simplicial.oracle_sweep(g).facet_count == len(ind.facets)
+            monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n - 1)
+            for refused in (independence_complex, simplicial.oracle_sweep):
+                with pytest.raises(ValueError, match="oracle guard"):
+                    refused(g)
+            return ind
+
         rng = random.Random(41)
         for _ in range(100):
             g = random_bipartite(rng, max_side=4)
             facets = frozenset(brute_maximal_independent_sets(g))
             n = len(faces(from_facets(g.vertices, facets)))
-            monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n)
-            assert independence_complex(g).facets == facets
-            monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n - 1)
-            with pytest.raises(ValueError, match="oracle guard"):
-                independence_complex(g)
+            assert n == independent_set_count(g)
+            assert passes_at_limit(g, n).facets == facets
+        for _ in range(60):
+            g = twin_blow_up(rng)
+            passes_at_limit(g, independent_set_count(g))
         empty = BipartiteGraph.of([], [], [])
         monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", 1)
         assert independence_complex(empty).facets == frozenset({frozenset()})
@@ -583,6 +597,20 @@ class TestOracleSweep:
         for fam in enumerate_sharp_cmt(t):
             for g in fam.graphs:
                 self.check(g, None if len(g.vertices) <= 10 else 64)
+
+    def test_twin_blow_ups(self):
+        # Random bases up to 5x5, each vertex made 1-3 twins, isolated
+        # twins included.  The generic route lists every face and its
+        # star, so only blow-ups with at most 4,000 faces are checked.
+        rng, checked, isolated = random.Random(20), 0, 0
+        while checked < 60:
+            g = twin_blow_up(rng)
+            if independent_set_count(g) > 4000:
+                continue
+            self.check(g, None if len(g.vertices) <= 10 else 64)
+            checked += 1
+            isolated += bool(g.isolated_vertices())
+        assert isolated
 
     def test_figures_and_every_unmixed_graph_up_to_four_pairs(self):
         for name in BUILTIN_NAMES:

@@ -54,7 +54,8 @@ def test_structural_route_is_independent_and_nothing_caches_across_calls():
 def test_oracle_reads_only_the_public_graph():
     # The oracle's bitmask layout is decided in `simplicial` alone, from
     # the graph's public `vertices` and `edges`: it reads no private member
-    # of `BipartiteGraph`.
+    # of `BipartiteGraph`.  Its twin classes come from its own masks too,
+    # never from the structural route's grouping, `neighbourhood_blocks`.
     bigraph = ast.parse((SRC / "bigraph.py").read_text())
     (cls,) = [node for node in bigraph.body
               if isinstance(node, ast.ClassDef) and node.name == "BipartiteGraph"]
@@ -67,3 +68,7 @@ def test_oracle_reads_only_the_public_graph():
     read = {node.attr for node in ast.walk(simplicial)
             if isinstance(node, ast.Attribute) and node.attr in private}
     assert not read, read
+    named = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(simplicial) if isinstance(node, (ast.Attribute, ast.Name))}
+    named |= {name.split(".")[-1] for name in imported_names(simplicial)}
+    assert "neighbourhood_blocks" not in named
