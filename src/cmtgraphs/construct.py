@@ -115,7 +115,12 @@ def contract(g: BipartiteGraph) -> Expansion:
     and then they would have equal neighbourhoods and share a block.  So
     the base is cross-free.  `Expansion` still checks the base's pairs at
     its boundary, as it does for any caller: one Villarreal check on the
-    base, after the one `find_pure_order` makes on g.
+    base, after the one `find_pure_order` makes on g.  The check stays
+    although this base needs none: `Expansion` is the one place that
+    proves a positional pairing pure, for `parse_expansion`'s outside
+    input and for library callers alike, so every `Expansion` carries
+    that proof.  Skipping it here would need a second, trusted
+    constructor path for one check on a base no larger than g.
     """
     po = find_pure_order(g)
     if po is None:

@@ -19,15 +19,17 @@ whole classes, since a face holding part of a class has a cone for its
 link; it also bounds the work, counting every face on the classes: past
 `ORACLE_FACE_LIMIT` faces the oracle raises.  The link of a face F is
 Ind(G - N[F]), the independence complex of an induced subgraph, so a
-link is keyed by one int, and its Betti numbers are read off that
-subgraph before any matrix (`_link_betti`): an isolated vertex makes it
-a cone, folds delete dominated vertices (twins among them), and the rest
-splits into components whose complexes join.  Each component, once per
-sweep however many links share it, has its faces listed by `_walk`, as
-the bitmask faces that `reduced_homology` also takes.
-`independence_complex` reads the facets off the same guarded walk, for
-the generic routines below: the limit is this module's alone, and no
-caller names it.  `link` and `join` build their complexes
+link is keyed by one int: the vertices still free to join F, one per
+twin class, which the walk yields beside each face; a face with nothing
+free is a facet.  Its Betti numbers are read off that subgraph before
+any matrix (`_link_betti`): an isolated vertex makes it a cone, folds
+delete dominated vertices (twins among them), and the rest splits into
+components whose complexes join.  Each component, once per sweep however
+many links share it, has its faces listed by `_walk`, as the bitmask
+faces that `reduced_homology` also takes; the whole complex reuses the
+guarded walk's.  `independence_complex` reads the facets off the same
+guarded walk, for the generic routines below: the limit is this module's
+alone, and no caller names it.  `link` and `join` build their complexes
 directly, since their facets are already antichains (proofs in their
 docstrings); only `from_facets` prunes.
 
@@ -113,29 +115,30 @@ def _masks(g: BipartiteGraph) -> tuple[int, ...]:
 
 def _walk(nbrs: tuple[int, ...], allowed: int,
           limit: int | None = None) -> list[tuple[int, int]]:
-    """Every independent set inside `allowed`, as (taken, covered) bitmasks.
+    """Every independent set inside `allowed`, as (taken, free) bitmasks.
 
-    Bit i is vertex i and nbrs[i] its neighbourhood; `covered` is the union
-    of the closed neighbourhoods of the vertices `taken`.
+    Bit i is vertex i and nbrs[i] its neighbourhood; `free` is `allowed`
+    minus the closed neighbourhoods of the vertices `taken`, the vertices
+    that could still join the set.
     Raises the oracle guard's ValueError after walking limit + 1 sets.
     The walk branches on the lowest allowed vertex, left out or taken with
     its closed neighbourhood removed; it follows the first branch in place
     and stacks the second.  Every independent set S is exactly one leaf, so
     the work is linear in the number of sets.  S is maximal in `allowed`
-    exactly when `covered` contains `allowed`: if some v in `allowed`
-    outside S has no neighbour in S, then S | {v} is independent;
-    otherwise nothing can be added to S.
+    exactly when `free` is empty: a v in `free` is outside S with no
+    neighbour in S, so S | {v} is independent; and a v in `allowed` outside
+    `free` and S is a neighbour of S, so nothing else can be added.
     """
     out: list[tuple[int, int]] = []
-    stack = [(allowed, 0, 0)]
+    stack = [(allowed, 0, allowed)]
     while stack:
-        allowed, taken, covered = stack.pop()
+        allowed, taken, free = stack.pop()
         while allowed:
             lowest = allowed & -allowed
             around = nbrs[lowest.bit_length() - 1] | lowest
-            stack.append((allowed & ~around, taken | lowest, covered | around))
+            stack.append((allowed & ~around, taken | lowest, free & ~around))
             allowed &= ~lowest
-        out.append((taken, covered))
+        out.append((taken, free))
         if limit is not None and len(out) > limit:
             raise _refused(limit)
     return out
@@ -151,35 +154,38 @@ def _guarded_walk(nbrs: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
     """The independent sets made of whole twin classes, and one vertex per class.
 
     Twins are vertices with equal neighbour masks.  `_walk` runs on the
-    lowest vertex of each class, under `ORACLE_FACE_LIMIT`, and each set it
-    finds is widened to the union of its representatives' classes, which
-    are added to `covered` too, twins sharing their neighbours.  Past the
-    limit the oracle guard's ValueError is raised, counting the faces of the
-    whole complex: a class set S stands for the prod over c in S of
-    (2^{w_c} - 1) faces, w_c the size of class c (the proof is in
-    `oracle_sweep`).  With no twins this is `_walk` of every vertex.
+    lowest vertex of each class, the representatives `reps`, under
+    `ORACLE_FACE_LIMIT`, and the `taken` of each set it finds is widened to
+    the union of its representatives' classes.  Its `free` is left as the
+    walk gives it, `reps` minus the closed neighbourhoods of those
+    representatives, which is the link key of the widened set (proof in
+    `oracle_sweep`): twins share their neighbours, so widening meets no
+    new neighbour.  Past the limit the oracle guard's ValueError is raised,
+    counting the faces of the whole complex: a class set S stands for the
+    prod over c in S of (2^{w_c} - 1) faces, w_c the size of class c (the
+    proof is in `oracle_sweep`).  With no twins this is `_walk` of every
+    vertex, with no widening pass.
     """
-    everything = (1 << len(nbrs)) - 1
     classes: dict[int, int] = {}
     for i, mask in enumerate(nbrs):
         classes[mask] = classes.get(mask, 0) | 1 << i
     if len(classes) == len(nbrs):
+        everything = (1 << len(nbrs)) - 1
         return _walk(nbrs, everything, ORACLE_FACE_LIMIT), everything
     widen = {c & -c: (c, (1 << c.bit_count()) - 1) for c in classes.values()}
     reps, count, sets = sum(widen), 0, []
-    for taken, covered in _walk(nbrs, reps, ORACLE_FACE_LIMIT):
+    for taken, free in _walk(nbrs, reps, ORACLE_FACE_LIMIT):
         weight, rest = 1, taken
         while rest:
             low = rest & -rest
             rest ^= low
             whole, faces = widen[low]
             taken |= whole
-            covered |= whole
             weight *= faces
         count += weight
         if count > ORACLE_FACE_LIMIT:
             raise _refused(ORACLE_FACE_LIMIT)
-        sets.append((taken, covered))
+        sets.append((taken, free))
     return sets, reps
 
 
@@ -190,15 +196,14 @@ def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
     `ORACLE_FACE_LIMIT` independent sets, the empty one included, counted
     on the twin classes that `_guarded_walk` walks, before any facet is
     built.  Every facet is a union of whole twin classes (proof in
-    `oracle_sweep`), so the facets are the sets that walk finds maximal,
-    each met once.
+    `oracle_sweep`), so the facets are the sets that walk leaves with
+    nothing `free`, each met once.
     """
     verts = g.vertices
-    everything = (1 << len(verts)) - 1
     sets, _ = _guarded_walk(_masks(g))
     return SimplicialComplex(tuple(verts), frozenset(
         frozenset(v for i, v in enumerate(verts) if taken >> i & 1)
-        for taken, covered in sets if covered == everything))
+        for taken, free in sets if not free))
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -506,8 +511,9 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
     finds an isolated vertex, at the start or left by a fold: a cone.
     A component's faces are walked and ranked only when `known`, which maps
     vertex masks to their Betti numbers, does not hold it yet, and
-    `walked`, the walk of all of `rest` when the caller has it, stands in
-    for that walk when nothing folds and `rest` is one component.
+    `walked`, the caller's guarded walk when `rest` is its `reps`, stands
+    in for that walk when nothing folds and `rest` is one component: each
+    widened set `& part` is the set of representatives `_walk` found.
     """
     kept, folding = rest, True
     while folding:
@@ -543,7 +549,7 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
         kept ^= part
         if part not in known:
             sets = walked if part == rest and walked is not None else _walk(nbrs, part)
-            profile = reduced_homology(tuple([face for face, _ in sets])).betti
+            profile = reduced_homology(tuple([face & part for face, _ in sets])).betti
             top = max((s for s, b in enumerate(profile) if b), default=-1)
             known[part] = profile[:top + 1]
         if not known[part]:
@@ -561,7 +567,9 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     so the oracle guard is raised before any homology.  The link of a
     face F of Ind(G) is Ind(G[R]) for R = V - N[F]: a set H disjoint from
     F has H | F independent exactly when H is independent and misses
-    N(F).  So each link is read off the int R.  The faces are scanned
+    N(F).  So each link is read off the int R, which the walk hands over
+    as each face's `free` (folded as below), and F is a facet exactly when
+    R, so `free`, is empty.  The faces are scanned
     largest first (bucketed by size, in walk order within a size) and the
     first failing one decides, as in `cm_codim`, whose docstring has the
     proof.
@@ -617,8 +625,12 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       every class down to its lowest vertex, the representative kept by
       `_guarded_walk`, gives Ind(G[R]) the Betti numbers of
       Ind(G[R & reps]).  So each link is keyed by R & reps, which
-      determines R, and `_link_betti` starts on the folded graph.  With no
-      twins, reps is every vertex and the key is R.
+      determines R, and `_link_betti` starts on the folded graph.  That
+      key is the walk's `free`: F & reps is the set T of representatives
+      walked, and N(F) = N(T), twins sharing their neighbours, so
+      R & reps = reps - N[T].  R is empty exactly when R & reps is, every
+      class in R having its representative there.  With no twins, reps
+      is every vertex and the key is R.
     - **The weighted sum is the face count.**  An independent set meets
       a set of classes whose representatives are independent, edges
       between classes being all or none; conversely, any non-empty
@@ -639,11 +651,13 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     itself, the link of the empty face, keyed by reps, is taken from the
     sweep or computed once, and padded with zeros to the d + 1 entries,
     degrees -1 to d - 1, that `reduced_homology` gives the whole complex.
+    Under that one key, with twins or without, the guarded walk's sets
+    cut back to reps are the walk of G[reps], so if nothing folds and
+    G[reps] is connected its faces go to the matrices with no second walk.
     """
     nbrs = _masks(g)
-    everything = (1 << len(nbrs)) - 1
     sets, reps = _guarded_walk(nbrs)
-    sizes = [taken.bit_count() for taken, covered in sets if covered == everything]
+    sizes = [taken.bit_count() for taken, free in sets if not free]
     d = max(sizes)
     pure = len(set(sizes)) == 1
     profiles: dict[int, tuple[int, ...]] = {}
@@ -652,19 +666,17 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
         by_size: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
         for face in sets:
             by_size[face[0].bit_count()].append(face)
-        for taken, covered in itertools.chain.from_iterable(reversed(by_size)):
-            rest = reps & ~covered
+        for taken, rest in itertools.chain.from_iterable(reversed(by_size)):
             if rest not in profiles:
                 profiles[rest] = _link_betti(nbrs, rest, profiles,
-                                             sets if rest == everything else None)
+                                             sets if rest == reps else None)
             if any(profiles[rest][:d - taken.bit_count()]):
                 codim = taken.bit_count() + 1
                 break
     whole = None
     if homology:
         if reps not in profiles:
-            profiles[reps] = _link_betti(nbrs, reps, profiles,
-                                         sets if reps == everything else None)
+            profiles[reps] = _link_betti(nbrs, reps, profiles, sets)
         betti = profiles[reps]
         whole = HomologyProfile(betti + (0,) * (d + 1 - len(betti)))
     return OracleSweep(len(sizes), d - 1, pure, codim, whole)

@@ -111,6 +111,32 @@ class TestIndependenceComplex:
                 seen += 1
         assert seen == 689
 
+    def test_walk_against_brute_force(self):
+        # On seeded random graphs and `allowed` masks, the walk lists each
+        # independent subset of `allowed` once, with the vertices of
+        # `allowed` outside its closed neighbourhood as `free`; both are
+        # found here from `g.edges` alone.
+        rng = random.Random(57)
+        for _ in range(150):
+            g = random_bipartite(rng, max_side=5)
+            bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+            edges = [bit[x] | bit[y] for x, y in g.edges]
+            allowed = rng.getrandbits(len(bit))
+            expected, sub = {}, allowed
+            while True:
+                if all(e & sub != e for e in edges):
+                    closed = sub
+                    for e in edges:
+                        if e & sub:
+                            closed |= e
+                    expected[sub] = allowed & ~closed
+                if not sub:
+                    break
+                sub = (sub - 1) & allowed
+            sets = simplicial._walk(simplicial._masks(g), allowed)
+            assert len(sets) == len(expected)
+            assert dict(sets) == expected, (g, allowed)
+
     def test_empty_graph_gives_void_complex(self):
         ind = independence_complex(BipartiteGraph.of([], [], []))
         assert ind.facets == frozenset({frozenset()})
@@ -664,16 +690,32 @@ class TestOracleSweep:
             return real(c)
 
         def counting_walk(nbrs, allowed, limit=None):
-            walks.append(allowed)
-            return walk(nbrs, allowed, limit)
+            sets = walk(nbrs, allowed, limit)
+            walks.append(len(sets))
+            return sets
 
         monkeypatch.setattr(simplicial, "reduced_homology", counting)
         monkeypatch.setattr(simplicial, "_walk", counting_walk)
+        # The crown's independent sets: the empty one, the non-empty
+        # subsets of either side, and the n pairs x_i y_i.
         for n in range(3, 7):
             del seen[:], walks[:]
             betti = simplicial.oracle_sweep(crown(n), homology=True).homology.betti
-            assert len(seen) == len(walks) == 1
+            assert len(seen) == 1 and walks == [2 ** (n + 1) - 1 + n]
             assert betti == (0, 0, n - 1) + (0,) * (n - 2)
+        # With every vertex doubled the twins fold away, leaving the crown
+        # on the representatives: its 133 sets are walked once, under the
+        # guard, and the whole complex reuses them.
+        g = crown(6)
+        doubled = BipartiteGraph.of(
+            [f"{v}_{a}" for v in g.left for a in (0, 1)],
+            [f"{v}_{a}" for v in g.right for a in (0, 1)],
+            [(f"{x}_{a}", f"{y}_{b}") for x, y in g.edges for a in (0, 1) for b in (0, 1)])
+        del seen[:], walks[:]
+        sweep = simplicial.oracle_sweep(doubled, homology=True)
+        assert len(seen) == 1 and walks == [133]
+        assert not sweep.pure
+        assert {s - 1: b for s, b in enumerate(sweep.homology.betti) if b} == {1: 5}
         for m in range(3, 7):
             del seen[:], walks[:]
             betti = simplicial.oracle_sweep(even_cycle(m), homology=True).homology.betti

@@ -1,6 +1,7 @@
 """Rules on the source itself, read with `ast` rather than by running it."""
 
 import ast
+import json
 import pathlib
 
 import cmtgraphs
@@ -72,3 +73,15 @@ def test_oracle_reads_only_the_public_graph():
              for node in ast.walk(simplicial) if isinstance(node, (ast.Attribute, ast.Name))}
     named |= {name.split(".")[-1] for name in imported_names(simplicial)}
     assert "neighbourhood_blocks" not in named
+
+
+def test_every_mutant_still_applies():
+    # `run_mutants.py`, outside tier-1, checks that the tests catch each
+    # mutant in `mutants.json`.  Here each old text must still occur once,
+    # so a refactor carries its mutants along.  This file would fail on
+    # every mutant, so no mutant may name it.
+    tests = pathlib.Path(__file__).parent
+    for mutant in json.loads((tests / "mutants.json").read_text()):
+        assert (SRC.parent / mutant["file"]).read_text().count(mutant["old"]) == 1, mutant
+        assert all((tests.parent / t).is_file() for t in mutant["tests"]), mutant
+        assert "tests/test_source_rules.py" not in mutant["tests"], mutant
