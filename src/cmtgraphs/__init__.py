@@ -4,6 +4,9 @@ Structural classification through pure orders and complete bipartite
 blocks, an exact simplicial-homology oracle to check it against, block
 expansion and contraction, and exhaustive enumeration of the small
 example families.
+
+Value types are `NamedTuple`s or `bigraph._Frozen` classes, not dataclasses:
+importing `dataclasses` and defining eleven took 11-17 ms of a 37-50 ms import.
 """
 
 from .bigraph import (

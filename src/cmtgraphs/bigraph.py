@@ -27,8 +27,8 @@ apply it to relations read along the diagonal matching.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
@@ -60,15 +60,47 @@ def _check_names(names) -> None:
         seen.add(name)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class _Frozen:
+    """Equal, hashed and printed by its `_fields`, set once by `_set`; never reassigned.
+
+    Unlike a `NamedTuple` it has a `__dict__` and takes weak references.
+    """
+
+    _fields: tuple[str, ...]
+
+    def _set(self, *values) -> None:
+        self.__dict__.update(zip(self._fields, values))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class BipartiteGraph(_Frozen):
     """Two ordered vertex sides and a set of left-to-right edges."""
 
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    _fields = ("left", "right", "edges")
 
-    def __post_init__(self) -> None:
+    def __init__(self, left: tuple[str, ...], right: tuple[str, ...],
+                 edges: frozenset[tuple[str, str]]) -> None:
+        self._set(left, right, edges)
         _check_names(self.left + self.right)
         lset, rset = set(self.left), set(self.right)
         for x, y in self.edges:
@@ -85,12 +117,10 @@ class BipartiteGraph:
         """A graph whose names and edge sides the caller has already checked.
 
         `parse_document` checks each name once and each edge once, with line
-        numbers, before building; `__post_init__` would check them again.
+        numbers, before building; `__init__` would check them again.
         """
         g = object.__new__(cls)
-        object.__setattr__(g, "left", left)
-        object.__setattr__(g, "right", right)
-        object.__setattr__(g, "edges", edges)
+        g._set(left, right, edges)
         return g
 
     @property
@@ -138,8 +168,7 @@ class BipartiteGraph:
         return neighbourhood_blocks(self, self.left)
 
 
-@dataclass(frozen=True)
-class PureOrder:
+class PureOrder(NamedTuple):
     """A perfect matching listed in index order; pairs[i] is (x_{i+1}, y_{i+1})."""
 
     pairs: tuple[tuple[str, str], ...]
@@ -153,8 +182,7 @@ class PureOrder:
         return tuple(y for _, y in self.pairs)
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """Partition of the 1-based pair indices under the cross relation.
 
     Blocks are listed by smallest member; `sizes` is aligned with `blocks`.

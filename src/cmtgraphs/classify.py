@@ -12,7 +12,7 @@ questions against the homology oracle and reports any disagreement.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bigraph import (
     BipartiteGraph,
@@ -25,8 +25,7 @@ from .construct import _sharp_codim
 from . import simplicial
 
 
-@dataclass(frozen=True)
-class CmtClassification:
+class CmtClassification(NamedTuple):
     """Verdict for one graph; all fields except `unmixed` are None for mixed input."""
 
     unmixed: bool
@@ -62,8 +61,7 @@ def classify(g: BipartiteGraph) -> CmtClassification:
                              _sharp_codim(sizes), order, blocks)
 
 
-@dataclass(frozen=True)
-class MacaulayOrder:
+class MacaulayOrder(NamedTuple):
     """order[k] is the 1-based pair index that receives new label k+1."""
 
     order: tuple[int, ...]
@@ -139,8 +137,7 @@ def disjoint_union_codim(d: int, r: int, dprime: int, rprime: int) -> int:
     return max(d + rprime if rprime else 0, dprime + r if r else 0)
 
 
-@dataclass(frozen=True)
-class OracleAgreement:
+class OracleAgreement(NamedTuple):
     agree: bool
     structural: CmtClassification
     oracle_pure: bool

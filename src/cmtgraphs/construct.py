@@ -18,12 +18,11 @@ An expansion serializes as the base document plus one `M:` line:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bigraph import (
     BipartiteGraph,
     GraphFormatError,
     PureOrder,
+    _Frozen,
     find_pure_order,
     is_pure_order,
     parse_document,
@@ -37,18 +36,17 @@ from .bigraph import (
 EXPAND_EDGE_LIMIT = 250_000
 
 
-@dataclass(frozen=True)
-class Expansion:
+class Expansion(_Frozen):
     """A base graph plus one multiplicity per matched pair.
 
     The base's pure order is positional: left[i] is matched with right[i].
     Construction fails if that pairing is not actually a pure order.
     """
 
-    base: BipartiteGraph
-    multiplicities: tuple[int, ...]
+    _fields = ("base", "multiplicities")
 
-    def __post_init__(self) -> None:
+    def __init__(self, base: BipartiteGraph, multiplicities: tuple[int, ...]) -> None:
+        self._set(base, multiplicities)
         if len(self.base.left) != len(self.base.right):
             raise ValueError("base sides differ in size, no positional matching")
         if len(self.multiplicities) != len(self.base.left):

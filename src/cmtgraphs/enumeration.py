@@ -33,8 +33,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .bigraph import (BipartiteGraph, _transitive, connected_components, is_connected,
                       to_document)
@@ -45,8 +45,7 @@ MAX_PAIRS_CM = 5
 MAX_PAIRS_UNMIXED = 4
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     code: tuple
 
 
@@ -219,8 +218,7 @@ def enumerate_unmixed(d: int) -> list[BipartiteGraph]:
     return _classes(d, optional, optional)
 
 
-@dataclass(frozen=True)
-class CmtFamily:
+class CmtFamily(NamedTuple):
     """One isomorphism class of sharp CM_t graphs, possibly parametric.
 
     A parametric family has a single blown-up pair whose size is free; its

@@ -57,10 +57,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .bigraph import BipartiteGraph, ConsistencyError
+from .bigraph import BipartiteGraph, ConsistencyError, _Frozen
 
 # The oracle's work grows with the faces of the independence complex, not
 # with its vertices, or with the sets of twin classes when there are twins.
@@ -75,12 +74,11 @@ from .bigraph import BipartiteGraph, ConsistencyError
 ORACLE_FACE_LIMIT = 20_000
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
-    vertices: tuple[str, ...]
-    facets: frozenset[frozenset[str]]
+class SimplicialComplex(_Frozen):
+    _fields = ("vertices", "facets")
 
-    def __post_init__(self) -> None:
+    def __init__(self, vertices: tuple[str, ...], facets: frozenset[frozenset[str]]) -> None:
+        self._set(vertices, facets)
         universe = set(self.vertices)
         if len(universe) != len(self.vertices):
             raise ValueError("duplicate vertex in complex universe")
@@ -256,8 +254,7 @@ def join(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
                              frozenset(fa | fb for fa in a.facets for fb in b.facets))
 
 
-@dataclass(frozen=True)
-class HomologyProfile:
+class HomologyProfile(NamedTuple):
     """Reduced Betti numbers over the rationals, from degree -1 upward."""
 
     betti: tuple[int, ...]
@@ -477,8 +474,6 @@ def cm_codim(c: SimplicialComplex) -> int | None:
     return 0
 
 
-# A NamedTuple, not a frozen dataclass: defining one at import takes a
-# sixth of the time, and every CLI process imports this module.
 class OracleSweep(NamedTuple):
     """What `oracle_sweep` reads off Ind(G); `homology` only when asked for."""
 

@@ -171,7 +171,7 @@ class TestParsing:
             return real(names)
 
         monkeypatch.setattr(bigraph, "_check_names", counting)
-        monkeypatch.setattr(BipartiteGraph, "__post_init__", rebuilt.append)
+        monkeypatch.setattr(BipartiteGraph, "__init__", lambda g, *fields: rebuilt.append(fields))
         g = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
         assert checked == [("x1", "x2", "y1", "y2")]
         assert rebuilt == []

@@ -252,8 +252,7 @@ class TestVerify:
 
         def skewed(g):
             r = real(g)
-            object.__setattr__(r, "t_sharp", (r.t_sharp or 0) + 1)
-            return r
+            return r._replace(t_sharp=(r.t_sharp or 0) + 1)
 
         monkeypatch.setattr(classify_mod, "classify", skewed)
         code, report = run(capsys, "verify", "--builtin", "fig1")

@@ -1,8 +1,15 @@
-"""Rules on the source itself, read with `ast` rather than by running it."""
+"""Rules on the source itself, read with `ast` rather than by running it.
+
+One rule also imports the package in a fresh interpreter, to see what
+the import loads.
+"""
 
 import ast
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import cmtgraphs
 
@@ -73,6 +80,21 @@ def test_oracle_reads_only_the_public_graph():
              for node in ast.walk(simplicial) if isinstance(node, (ast.Attribute, ast.Name))}
     named |= {name.split(".")[-1] for name in imported_names(simplicial)}
     assert "neighbourhood_blocks" not in named
+
+
+def test_start_up_loads_no_dataclasses():
+    # Every CLI process imports the whole package.  Importing `dataclasses`
+    # (which loads `inspect`, `ast`, `dis` and `tokenize`) and defining
+    # eleven frozen dataclasses took 11-17 ms of the import, so the value
+    # types are `NamedTuple`s or plain classes (`bigraph._Frozen`).
+    for path in sorted(SRC.glob("**/*.py")):
+        names = imported_names(ast.parse(path.read_text()))
+        assert not any(name.split(".")[0] == "dataclasses" for name in names), path.name
+    # -S keeps site hooks, which may import anything, out of the check.
+    probe = "import cmtgraphs.cli, sys; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert loaded.stdout.strip() == "[]", loaded.stdout
 
 
 def test_every_mutant_still_applies():
