@@ -20,8 +20,8 @@ classes of lefts with equal neighbourhoods (`neighbourhood_blocks`), which
 each graph groups once (`BipartiteGraph._blocks`).
 No matching is searched for: each class is paired with the rights of
 least degree in its neighbourhood, which under a pure order are its own.
-`_transitive` is the one place the condition is written; the enumerators
-apply it to relations read along the diagonal matching.
+`_transitive` is the one place the condition is written as a check; the
+enumerators make only relations that satisfy it (`enumeration._relations`).
 """
 
 from __future__ import annotations

@@ -11,12 +11,17 @@ pattern of a cross-free graph, and relabelled along a linear extension
 every Cohen-Macaulay bipartite graph arises that way).
 `enumerate_unmixed` lists every unmixed graph on d matched pairs by walking
 the reflexive transitive relations (preorders); it is the universe the
-oracle cross-checks run over.  Both walks label each class once: the
-first member met lists the class's orbit, every relabelling of the
-relation and of its dual, and later members are found in it and
+oracle cross-checks run over.  Both walks make their relations one point
+at a time (`_relations`): the new point goes above a down-closed set of
+the earlier points and, for preorders, below an up-closed set lying above
+all of it, which is exactly what keeps the relation transitive, so each
+relation is made once and none is filtered out.  Both label each class
+once: the first member met lists the class's orbit, every relabelling of
+the relation and of its dual, and later members are found in it and
 skipped.  The least indicator vector in the orbit, the least labelling,
-names the class, and the graph of that labelling is kept, so
-`canonical_form` runs once per class and never inside a walk.
+names the class, whichever member was met first, and the graph of that
+labelling is kept, so `canonical_form` runs once per class and never
+inside a walk.
 `enumerate_sharp_cmt` builds the graphs of sharp codimension exactly t as
 block expansions of Cohen-Macaulay bases and groups them into families: a
 base of dimension t-1 with a single blown-up pair works for every block
@@ -33,11 +38,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+from collections.abc import Iterator
 from pathlib import Path
 from typing import NamedTuple
 
-from .bigraph import (BipartiteGraph, _transitive, connected_components, is_connected,
-                      to_document)
+from .bigraph import BipartiteGraph, connected_components, is_connected, to_document
 from .construct import _blow_up, _sharp_codim
 
 MAX_SIDE = 8
@@ -106,12 +111,13 @@ def _index_graph(d: int, relation: set[tuple[int, int]]) -> BipartiteGraph:
     )
 
 
-def _orbit(d: int, relation: set[tuple[int, int]],
+def _orbit(d: int, pairs: list[tuple[int, int]],
            bit: dict[tuple[int, int], int]) -> set[int]:
-    """Every relabelling of the relation and of its dual, as an int over `bit`.
+    """Every relabelling of a relation and of its dual, as an int over `bit`.
 
-    `bit` gives each off-diagonal pair its own bit; the diagonal, in every
-    relation, gets none.  The relation is reflexive, and its index graph
+    `pairs` are the relation's off-diagonal pairs, and `bit` gives each
+    off-diagonal pair its own bit; the diagonal, in every relation, gets
+    none.  The relation is reflexive, and its index graph
     is unmixed with the diagonal as a pure order; two such relations have
     the same orbit exactly when their index graphs are isomorphic, and
     otherwise disjoint ones.  A relabelling is a side-preserving
@@ -126,51 +132,100 @@ def _orbit(d: int, relation: set[tuple[int, int]],
     An isomorphism that swaps the sides does the same to the dual.  Both
     relations thus have the same relabellings, up to duality: one orbit.
     """
-    pairs = [(i, j) for i, j in relation if i != j]
     orbit = set()
     for s in itertools.permutations(range(d)):
-        image = [(s[i], s[j]) for i, j in pairs]
-        orbit.add(sum(bit[p] for p in image))
-        orbit.add(sum(bit[j, i] for i, j in image))
+        code = dual = 0
+        for i, j in pairs:
+            code |= bit[s[i], s[j]]
+            dual |= bit[s[j], s[i]]
+        orbit.add(code)
+        orbit.add(dual)
     return orbit
 
 
-def _classes(d: int, walk: list[tuple[int, int]],
-             order: list[tuple[int, int]]) -> list[BipartiteGraph]:
-    """One index graph per class of the reflexive transitive relations the walk meets.
+def _closed(s: int, masks: tuple[int, ...]) -> bool:
+    """Whether the set `s` of points holds `masks[a]` for each of its points a."""
+    return all(not masks[a] & ~s for a in range(len(masks)) if s >> a & 1)
 
-    Each subset of `walk`, added to the diagonal, is a relation, read as
-    an int over `order` with `order[0]` as its most significant bit, so
-    ints sort as the indicator vectors over `order` do.  The first member
-    of a class the walk meets, kept when transitive (`bigraph._transitive`
-    on its successor sets), puts the class's whole `_orbit` into `seen`,
-    and the least int there, its least labelling, records the class.
-    Every later member is in `seen` as it stands and is skipped unchecked:
-    relabelling and duality keep a relation transitive.  So each class is
-    labelled once, and its graph is built from that least vector, so
-    `canonical_form` runs once per class, to sort them.
 
-    The graph kept is the one a first-come dedupe keeps on any walk that
-    meets relations in increasing order of their vectors over `order` and
-    keeps every relabelling of a kept relation and of its dual: the first
-    member of a class it meets has the least vector.  Transitivity survives
-    relabelling and duality, so `itertools.product` over all of `order`,
-    which yields the vectors in lexicographic order, is such a walk for
-    `enumerate_unmixed`; `enumerate_cm` names its own.
+def _relations(d: int, upward: bool) -> Iterator[list[tuple[int, int]]]:
+    """The off-diagonal pairs of each reflexive transitive relation on range(d), once each.
+
+    With `upward`, only the relations whose pairs (i, j) all have i < j.
+
+    A relation is grown one point at a time, as bitmasks: `filters[a]`
+    holds the points b with a R b, a included.  Point k is put above a set
+    D of the earlier points and below a set U of them:
+    R' = R + {(k, k)} + D x {k} + {k} x U.  Any relation R' on range(k + 1)
+    is made this way from its restriction R to range(k), D the points
+    below k and U those above it, and from no other R, D and U, since all
+    three are read back off R'.  So the walk makes each relation once, as
+    long as it keeps exactly the transitive ones.  Given a transitive R,
+    R' is transitive exactly when D is down-closed, U is up-closed and
+    every point of D lies below every point of U in R.  Take (a, b) and
+    (b, c) in R', which need (a, c) in R'.  If none of a, b, c is k, R has
+    it.  If b = k alone, a is in D and c in U, so it is D x U in R.  If
+    a = k alone, b is in U and b R c, so c must be in U: U up-closed.  If
+    c = k alone, a R b and b is in D, so a must be in D: D down-closed.
+    If two of them are k, (a, c) is (k, k) or one of the two pairs given.
+    When a condition fails, its case gives a triple with (a, c) missing
+    from R', so the conditions are exactly transitivity through k, and
+    every relation made is transitive with no check after.  For `upward`,
+    k is the largest point so far, so U is empty and only D is chosen:
+    each new pair (a, k) has a < k.
+    """
+    def grow(filters: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
+        k = len(filters)
+        if k == d:
+            yield [(a, b) for a, f in enumerate(filters) for b in range(d)
+                   if a != b and f >> b & 1]
+            return
+        ideals = tuple(sum(1 << a for a, f in enumerate(filters) if f >> b & 1) for b in range(k))
+        downs = [s for s in range(1 << k) if _closed(s, ideals)]
+        ups = [0] if upward else [s for s in range(1 << k) if _closed(s, filters)]
+        for down in downs:
+            common = (1 << k) - 1  # the points above every point of D
+            for a in range(k):
+                if down >> a & 1:
+                    common &= filters[a]
+            raised = tuple(f | 1 << k if down >> a & 1 else f for a, f in enumerate(filters))
+            for up in ups:
+                if not up & ~common:
+                    yield from grow(raised + (up | 1 << k,))
+
+    return grow(())
+
+
+def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[BipartiteGraph]:
+    """One index graph per class of the relations `_relations(d, upward)` yields.
+
+    Each relation is read as an int over `order`, with `order[0]` as its
+    most significant bit, so ints sort as the indicator vectors over
+    `order` do.  The first member of a class met puts the class's whole
+    `_orbit` into `seen`, and the least int there, its least labelling,
+    records the class.  Every later member is in `seen` as it stands and is
+    skipped.  So each class is labelled once, and its graph is built from
+    that least vector, so `canonical_form` runs once per class, to sort them.
+
+    Nothing kept depends on the order the relations come in.  The orbit
+    is the same set from whichever member of the class is met first, so
+    its least int is too, and every class with a member among the
+    relations is met.  Distinct classes have non-isomorphic graphs
+    (`_orbit`), so their canonical forms differ and the sort fixes their
+    order.  The graph kept is therefore the one a first-come dedupe keeps on
+    any walk that meets relations in increasing order of their vectors
+    over `order` and keeps every relabelling of a kept relation and of its
+    dual: the first member of a class it meets has the least vector.
     """
     bit = {p: 1 << k for k, p in enumerate(reversed(order))}
-    walk_bits = [bit[p] for p in walk]
-    diagonal = {(i, i) for i in range(d)}
     seen: set[int] = set()
     codes = []
-    for mask in itertools.product((False, True), repeat=len(walk)):
-        if sum(itertools.compress(walk_bits, mask)) in seen:
-            continue
-        relation = diagonal | set(itertools.compress(walk, mask))
-        if _transitive({i: {j for a, j in relation if a == i} for i in range(d)}):
-            orbit = _orbit(d, relation, bit)
+    for pairs in _relations(d, upward):
+        if sum(bit[p] for p in pairs) not in seen:
+            orbit = _orbit(d, pairs, bit)
             seen |= orbit
             codes.append(min(orbit))
+    diagonal = {(i, i) for i in range(d)}
     graphs = [_index_graph(d, diagonal | {p for p in order if code & bit[p]})
               for code in codes]
     return sorted(graphs, key=lambda g: canonical_form(g).code)
@@ -182,19 +237,19 @@ def enumerate_cm(dimension: int) -> list[BipartiteGraph]:
     The graph on d matched pairs built from a reflexive antisymmetric
     transitive relation (edge x_iy_j for every related i, j) is cross-free,
     and conversely a Macaulay reindexing turns any Cohen-Macaulay bipartite
-    graph into such a relation with every related pair i <= j, so walking
-    the transitive relations on the pairs i < j is exhaustive.  The key's
-    order lists (j, i) then (i, j) for each slot i < j, so on antisymmetric
-    relations its vectors rise with none < (i, j) < (j, i) per slot, taken
-    lexicographically: the walk over all antisymmetric transitive
-    relations in that order meets each class first at its least vector.
+    graph into such a relation with every related pair i <= j, so the
+    transitive relations on the pairs i < j (`_relations` with `upward`)
+    meet every class.  The key's order lists (j, i) then (i, j) for each
+    slot i < j, so on antisymmetric relations its vectors rise with
+    none < (i, j) < (j, i) per slot, taken lexicographically: the walk over
+    all antisymmetric transitive relations in that order meets each class
+    first at its least vector, the one `_classes` keeps.
     """
     d = dimension + 1
     if not 1 <= d <= MAX_PAIRS_CM:
         raise ValueError(f"dimension must be between 0 and {MAX_PAIRS_CM - 1}")
-    slots = list(itertools.combinations(range(d), 2))
-    order = [p for i, j in slots for p in ((j, i), (i, j))]
-    return _classes(d, slots, order)
+    order = [p for i, j in itertools.combinations(range(d), 2) for p in ((j, i), (i, j))]
+    return _classes(d, order, upward=True)
 
 
 def enumerate_unmixed(d: int) -> list[BipartiteGraph]:
@@ -202,20 +257,22 @@ def enumerate_unmixed(d: int) -> list[BipartiteGraph]:
 
     Any such graph contains a perfect matching, so up to relabelling it is
     the index graph of a reflexive relation R: the diagonal x_iy_i and one
-    edge x_iy_j per off-diagonal pair (i, j) in R.  The walk keeps exactly
-    the transitive R, with no graph built or matching searched per relation.
+    edge x_iy_j per off-diagonal pair (i, j) in R.  The walk makes exactly
+    the transitive R (`_relations`), with no graph built or matching
+    searched per relation.
     The diagonal is a perfect matching of R's index graph, and no vertex is
     isolated.  Villarreal's condition on that matching reads: (i, j) and
     (j, k) in R give (i, k) in R, which is transitivity.  By
     `find_pure_order`'s docstring every perfect matching of an unmixed graph
     passes, and one matching that passes proves the graph unmixed.  So the
-    index graph is unmixed exactly when R is transitive: filtering by
-    `is_unmixed` and by transitivity keeps the same relations.
+    index graph is unmixed exactly when R is transitive: the preorders on
+    range(d) give every unmixed graph on d pairs, and no other.  The key's
+    order is every off-diagonal pair (i, j), row by row.
     """
     if not 1 <= d <= MAX_PAIRS_UNMIXED:
         raise ValueError(f"d must be between 1 and {MAX_PAIRS_UNMIXED}")
-    optional = [(i, j) for i in range(d) for j in range(d) if i != j]
-    return _classes(d, optional, optional)
+    order = [(i, j) for i in range(d) for j in range(d) if i != j]
+    return _classes(d, order, upward=False)
 
 
 class CmtFamily(NamedTuple):

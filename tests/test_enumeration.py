@@ -95,6 +95,32 @@ def antisymmetric_transitive(d):
             yield relation
 
 
+def former_subset_walk(d, walk):
+    """The former `_classes` walk: each subset of `walk` with the diagonal, kept when transitive.
+
+    `walk` was every off-diagonal pair for `enumerate_unmixed` and the
+    pairs i < j for `enumerate_cm`; each kept relation is given by its
+    off-diagonal pairs.
+    """
+    diagonal = {(i, i) for i in range(d)}
+    for mask in itertools.product((False, True), repeat=len(walk)):
+        relation = diagonal | set(itertools.compress(walk, mask))
+        if bigraph._transitive({i: {j for a, j in relation if a == i} for i in range(d)}):
+            yield frozenset(relation - diagonal)
+
+
+def check_walk_against_subsets(d, upward):
+    """`_relations` makes each relation of the former subset walk once, and no other.
+
+    Returns the number of relations made.
+    """
+    walk = [(i, j) for i in range(d) for j in range(d) if (i < j if upward else i != j)]
+    made = [frozenset(pairs) for pairs in enumeration._relations(d, upward)]
+    assert len(made) == len(set(made))
+    assert set(made) == set(former_subset_walk(d, walk))
+    return len(made)
+
+
 def first_of_each_class(graphs):
     """The former dedupe: the first graph met in each class, sorted by code."""
     found = {}
@@ -232,6 +258,36 @@ class TestCanonicalForm:
         for g, h in itertools.combinations(pool, 2):
             same_code = canonical_form(g) == canonical_form(h)
             assert same_code == graphs_isomorphic(g, h)
+
+
+class TestRelationWalk:
+    """`_relations` against the former subset walk and a separately written generator."""
+
+    @pytest.mark.parametrize("d, labelled", [(1, 1), (2, 4), (3, 29), (4, 355)])
+    def test_preorders_equal_the_former_subset_walk(self, d, labelled):
+        # Labelled preorders, OEIS A000798.
+        assert check_walk_against_subsets(d, upward=False) == labelled
+
+    @pytest.mark.parametrize("d, labelled", [(1, 1), (2, 2), (3, 7), (4, 40), (5, 357)])
+    def test_upward_posets_equal_the_former_subset_walk(self, d, labelled):
+        # Posets on range(d) with every relation i < j, OEIS A006455.
+        assert check_walk_against_subsets(d, upward=True) == labelled
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_preorders_equal_conftest(self, d):
+        diagonal = {(i, i) for i in range(d)}
+        made = {frozenset(pairs) | diagonal for pairs in enumeration._relations(d, False)}
+        assert made == set(preorders(d))
+
+    def test_unmixed_classes_one_size_up(self, monkeypatch):
+        # The 84 unmixed graphs on five pairs, which the preorder route in
+        # `test_t4_five_pair_families_against_preorder_route` also finds;
+        # `MAX_PAIRS_UNMIXED` stays at 4 until `verify --d 5` is pinned.
+        monkeypatch.setattr(enumeration, "MAX_PAIRS_UNMIXED", 5)
+        graphs = enumerate_unmixed(5)
+        assert len(graphs) == 84
+        assert len({canonical_form(g) for g in graphs}) == 84
+        assert all(is_unmixed(g) for g in graphs)
 
 
 class TestEnumerateCm:
@@ -386,8 +442,8 @@ class TestEnumerateUnmixed:
         assert len(enumerate_unmixed(4)) == len(calls) == 24
 
     def test_no_matching_search_per_relation(self, monkeypatch):
-        # The walk keeps the transitive relations directly; it neither builds
-        # an index graph nor searches a pure order for the 4096 it meets.
+        # The walk makes the transitive relations directly; it neither builds
+        # an index graph nor searches a pure order for the 355 it makes.
         real, calls = bigraph.find_pure_order, []
 
         def counting(g):
