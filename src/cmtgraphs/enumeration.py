@@ -2,7 +2,11 @@
 
 Isomorphism here means any vertex bijection that maps edges onto edges and
 either preserves the two sides or swaps them wholesale.  `canonical_form`
-tries each distinct arrangement of each side's neighbourhood rows once.
+codes each component by the least sorted column-mask tuple over the
+arrangements of one side's neighbourhood rows, found by a branch-and-bound
+search over the distinct arrangements: a lower bound of every code below
+a partial arrangement cuts the branches that cannot beat the best code
+found, so the search returns the code the full walk would.
 
 Three generators are provided.  `enumerate_cm` lists the Cohen-Macaulay
 bipartite graphs of a given dimension by walking the reflexive transitive
@@ -55,44 +59,74 @@ class CanonicalForm(NamedTuple):
 
 
 def _component_code(rows: list[frozenset[str]], columns: list[str]) -> tuple:
-    """The least sorted column-mask tuple, trying each distinct arrangement of `rows` once.
+    """The least sorted column-mask tuple over the arrangements of `rows`, by branch and bound.
 
     With row i at bit i, a column's mask holds the bits of the rows that
     contain it.  Swapping two equal rows (twins) changes no column mask, so
     every permutation of the row vertices has the masks of the arrangement
-    it lays out, and the least over all permutations is the least here.
-    The arrangements are laid out one position at a time, each position
-    taking one of the twin classes not yet used up, so each is met once;
-    arrangements that share a prefix share its masks.
+    it lays out, and the least over all permutations is the least over the
+    distinct arrangements.  Those are laid out one position at a time, each
+    position taking one of the twin classes not yet used up.
+
+    A node with rows at positions 0..i-1 gives each column c the bound
+    mask_c + ((1 << r_c) - 1) << i, where r_c counts the unplaced rows
+    holding c.  Those rows take r_c distinct positions, all at least i, so
+    they add at least 2^i + ... + 2^(i + r_c - 1) to the mask: every
+    column's final mask is at least its bound.  If b_c <= f_c for every
+    column, the k-th least b is at most the k-th least f for every k, so
+    the sorted bounds are at most the sorted final masks elementwise, and
+    hence lexicographically: the node's sorted bound is a lower bound of
+    the code of every leaf below it.  At a leaf r_c = 0 and the bound is
+    the code itself.  A node's children are tried in ascending order of
+    their sorted bounds, and the first child whose bound is not below the
+    best code found so far ends the node: it and every later child can
+    only give codes at least that best, and only the least code is asked
+    for, so cutting on a tie loses nothing.  A leaf is entered only when
+    its bound, its code, is below the best so far, so it becomes the best.
+
+    The bounds are kept as they are, not as masks and counts: the bound's
+    bits below i are the mask, and the r_c bits from i up are the unplaced
+    rows.  Placing a row at position i leaves the bound of a column it
+    holds as it is (bit i moves from the unplaced run to the mask, and the
+    run now starts at i + 1), and moves the run of any other column up one
+    bit, which adds the run to the bound: b + (b & (-1 << i)).
     """
     distinct = list(dict.fromkeys(rows))
     unplaced = [rows.count(row) for row in distinct]
-    where = {y: c for c, y in enumerate(columns)}
-    hits = [[where[y] for y in row] for row in distinct]
+    outside = [[y not in row for y in columns] for row in distinct]
     best = None
 
-    def place(i: int, masks: list[int]) -> None:
+    def place(i: int, bounds: list[int], key: list[int]) -> None:
         nonlocal best
         if i == len(rows):
-            code = tuple(sorted(masks))
-            if best is None or code < best:
-                best = code
+            best = key
             return
+        high = -1 << i
+        children = []
         for k, n in enumerate(unplaced):
             if n:
-                unplaced[k] -= 1
-                grown = masks[:]
-                for c in hits[k]:
-                    grown[c] |= 1 << i
-                place(i + 1, grown)
-                unplaced[k] += 1
+                grown = [b + (b & high) if out else b for b, out in zip(bounds, outside[k])]
+                children.append((sorted(grown), k, grown))
+        children.sort()
+        for child_key, k, grown in children:
+            if best is not None and child_key >= best:
+                return
+            unplaced[k] -= 1
+            place(i + 1, grown, child_key)
+            unplaced[k] += 1
 
-    place(0, [0] * len(columns))
-    return (len(rows), len(columns), best)
+    start = [(1 << sum(y in row for row in rows)) - 1 for y in columns]
+    place(0, start, sorted(start))
+    return (len(rows), len(columns), tuple(best))
 
 
 def canonical_form(g: BipartiteGraph) -> CanonicalForm:
-    """Total-order key, equal for two graphs exactly when they are isomorphic."""
+    """Total-order key, equal for two graphs exactly when they are isomorphic.
+
+    Each component is coded with its lefts as rows and again with its
+    rights as rows (`_component_code`), and the key is the lesser of the
+    two sorted tuples of component codes.
+    """
     if len(g.left) > MAX_SIDE or len(g.right) > MAX_SIDE:
         raise ValueError(f"side size guard exceeded ({MAX_SIDE} vertices per side)")
     adj = g._adjacency
@@ -111,18 +145,17 @@ def _index_graph(d: int, relation: set[tuple[int, int]]) -> BipartiteGraph:
     )
 
 
-def _orbit(d: int, pairs: list[tuple[int, int]],
-           bit: dict[tuple[int, int], int]) -> set[int]:
-    """Every relabelling of a relation and of its dual, as an int over `bit`.
+def _orbit(d: int, pairs: list[tuple[int, int]], flat: list[int]) -> set[int]:
+    """Every relabelling of a relation and of its dual, as an int over `flat`.
 
-    `pairs` are the relation's off-diagonal pairs, and `bit` gives each
-    off-diagonal pair its own bit; the diagonal, in every relation, gets
-    none.  The relation is reflexive, and its index graph
-    is unmixed with the diagonal as a pure order; two such relations have
-    the same orbit exactly when their index graphs are isomorphic, and
-    otherwise disjoint ones.  A relabelling is a side-preserving
-    isomorphism and the dual is the side swap, so a shared member means
-    isomorphic graphs.  Conversely, take an isomorphism that keeps the
+    `pairs` are the relation's off-diagonal pairs, and `flat[i * d + j]`
+    is the bit of the pair (i, j), each off-diagonal pair its own; the
+    diagonal, in every relation, gets 0.  The relation is reflexive, and
+    its index graph is unmixed with the diagonal as a pure order; two such
+    relations have the same orbit exactly when their index graphs are
+    isomorphic, and otherwise disjoint ones.  A relabelling is a
+    side-preserving isomorphism and the dual is the side swap, so a shared
+    member means isomorphic graphs.  Conversely, take an isomorphism that keeps the
     sides, sending x_i to x_s(i) and y_i to y_u(i).  The image of the
     diagonal is a perfect matching, and a perfect matching sends each
     block's lefts onto that block's rights (`find_pure_order`), so s(i) and
@@ -136,8 +169,8 @@ def _orbit(d: int, pairs: list[tuple[int, int]],
     for s in itertools.permutations(range(d)):
         code = dual = 0
         for i, j in pairs:
-            code |= bit[s[i], s[j]]
-            dual |= bit[s[j], s[i]]
+            code |= flat[s[i] * d + s[j]]
+            dual |= flat[s[j] * d + s[i]]
         orbit.add(code)
         orbit.add(dual)
     return orbit
@@ -201,7 +234,9 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
 
     Each relation is read as an int over `order`, with `order[0]` as its
     most significant bit, so ints sort as the indicator vectors over
-    `order` do.  The first member of a class met puts the class's whole
+    `order` do: `bit` maps each pair to its bit, and `flat` holds the same
+    bits at i * d + j for `_orbit`, which looks up one image pair per list
+    index.  The first member of a class met puts the class's whole
     `_orbit` into `seen`, and the least int there, its least labelling,
     records the class.  Every later member is in `seen` as it stands and is
     skipped.  So each class is labelled once, and its graph is built from
@@ -218,11 +253,12 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
     dual: the first member of a class it meets has the least vector.
     """
     bit = {p: 1 << k for k, p in enumerate(reversed(order))}
+    flat = [bit.get((i, j), 0) for i in range(d) for j in range(d)]
     seen: set[int] = set()
     codes = []
     for pairs in _relations(d, upward):
         if sum(bit[p] for p in pairs) not in seen:
-            orbit = _orbit(d, pairs, bit)
+            orbit = _orbit(d, pairs, flat)
             seen |= orbit
             codes.append(min(orbit))
     diagonal = {(i, i) for i in range(d)}

@@ -63,7 +63,9 @@ from conftest import (
     relabelling_orbits,
     relation_graph,
     sharp_cmt_orbit_counts,
+    twin_blow_up,
 )
+from test_simplicial import crown, even_cycle
 
 PATH = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
 TWO_EDGES = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x2-y2\n")
@@ -182,6 +184,84 @@ def brute_force_code(g):
     return min(oriented_code(g), oriented_code(swapped))
 
 
+def arrangement_walk_code(g):
+    """The former `canonical_form`: every distinct row arrangement walked to its leaf.
+
+    `component_code` is the former `_component_code`, which laid the
+    arrangements of the rows out one position at a time, one twin class
+    per position, and took the least sorted column-mask tuple over every
+    leaf, with no bound and no cut.
+    """
+    def component_code(rows, columns):
+        distinct = list(dict.fromkeys(rows))
+        unplaced = [rows.count(row) for row in distinct]
+        where = {y: c for c, y in enumerate(columns)}
+        hits = [[where[y] for y in row] for row in distinct]
+        best = None
+
+        def place(i, masks):
+            nonlocal best
+            if i == len(rows):
+                code = tuple(sorted(masks))
+                if best is None or code < best:
+                    best = code
+                return
+            for k, n in enumerate(unplaced):
+                if n:
+                    unplaced[k] -= 1
+                    grown = masks[:]
+                    for c in hits[k]:
+                        grown[c] |= 1 << i
+                    place(i + 1, grown)
+                    unplaced[k] += 1
+
+        place(0, [0] * len(columns))
+        return (len(rows), len(columns), best)
+
+    adj = g._adjacency
+    sides = [([v for v in g.left if v in comp], [v for v in g.right if v in comp])
+             for comp in connected_components(g)]
+    straight = sorted(component_code([adj[x] for x in xs], ys) for xs, ys in sides)
+    swapped = sorted(component_code([adj[y] for y in ys], xs) for xs, ys in sides)
+    return min(tuple(straight), tuple(swapped))
+
+
+def chain(d):
+    """The Cohen-Macaulay chain on d pairs: x_i y_j for i <= j."""
+    left, right = [f"x{i}" for i in range(d)], [f"y{i}" for i in range(d)]
+    return BipartiteGraph.of(left, right, [(left[i], right[j])
+                                           for i in range(d) for j in range(i, d)])
+
+
+def seeded_graphs(rng, count, low, high):
+    """Seeded graphs with low to high vertices on each side, each relabelled at random.
+
+    `count` each of random graphs, `twin_heavy_graphs` and twin blow-ups
+    (`conftest.twin_blow_up`), then the crowns, even cycles and chains on
+    low and high pairs, whose rows are all distinct.
+    """
+    def fits(g):
+        return all(low <= len(side) <= high for side in (g.left, g.right))
+
+    graphs = []
+    for _ in range(count):
+        left = [f"x{i}" for i in range(rng.randint(low, high))]
+        right = [f"y{j}" for j in range(rng.randint(low, high))]
+        density = rng.uniform(0.2, 0.8)
+        graphs.append(BipartiteGraph.of(left, right, [(x, y) for x in left for y in right
+                                                      if rng.random() < density]))
+    for kind in (lambda: next(twin_heavy_graphs(rng, 1, high)),
+                 lambda: twin_blow_up(rng, max_side=high, max_class=2)):
+        made = 0
+        while made < count:
+            g = kind()
+            if fits(g):
+                graphs.append(g)
+                made += 1
+    graphs += [make(n) for n in (low, high) for make in (crown, even_cycle, chain)]
+    return [relabeled_copy(g, rng) for g in graphs]
+
+
 def every_small_graph(max_side):
     for a, b in itertools.product(range(max_side + 1), repeat=2):
         left, right = [f"x{i}" for i in range(a)], [f"y{j}" for j in range(b)]
@@ -251,6 +331,24 @@ class TestCanonicalForm:
             graphs += [g for t in (2, 3, 4) for f in enumerate_sharp_cmt(t) for g in f.graphs]
         for g in graphs:
             assert canonical_form(g).code == brute_force_code(g), to_document(g)
+
+    @pytest.mark.parametrize("pool", ["cmt5", "sides-5-6", "sides-7-8"])
+    def test_branch_and_bound_equals_the_arrangement_walk(self, pool):
+        # The cut search against the former walk of every distinct
+        # arrangement to its leaf: every --cmt 5 instance, and seeded graphs
+        # past the brute-force pools, where the bound cuts most (random and
+        # chain rows) or nothing (crowns).  On a few percent of the random
+        # graphs the first leaf reached is not the least code, so the pool
+        # with sides 5-6 is large.
+        if pool == "cmt5":
+            graphs = [g for f in enumerate_sharp_cmt(5) for g in f.graphs]
+            assert len(graphs) == 327
+        elif pool == "sides-5-6":
+            graphs = seeded_graphs(random.Random(56), 100, 5, 6)
+        else:
+            graphs = seeded_graphs(random.Random(24), 4, 7, 8)
+        for g in graphs:
+            assert canonical_form(g).code == arrangement_walk_code(g), to_document(g)
 
     def test_agrees_with_pairwise_oracle(self):
         rng = random.Random(41)
