@@ -19,13 +19,17 @@ oracle cross-checks run over.  Both walks make their relations one point
 at a time (`_relations`): the new point goes above a down-closed set of
 the earlier points and, for preorders, below an up-closed set lying above
 all of it, which is exactly what keeps the relation transitive, so each
-relation is made once and none is filtered out.  Both label each class
-once: the first member met lists the class's orbit, every relabelling of
-the relation and of its dual, and later members are found in it and
-skipped.  The least indicator vector in the orbit, the least labelling,
-names the class, whichever member was met first, and the graph of that
-labelling is kept, so `canonical_form` runs once per class and never
-inside a walk.
+relation is made once and none is filtered out.  The walk keys each
+relation as it grows it: an int over a fixed order of the pairs, to
+which each new point adds the bits of its new pairs, read from tables
+built once per walk.  Both label each class once: the first member met
+lists the class's orbit, every relabelling of the relation and of its
+dual, and later members are found in it by their keys and skipped.  The
+orbit is one OR of 64-bit lanes, one lane per relabelling, packed once
+per call into one int per pair.  The least key in the orbit, the least
+labelling, names the class, whichever member was met first, and the
+graph of that labelling is kept, so `canonical_form` runs once per class
+and never inside a walk.
 `enumerate_sharp_cmt` builds the graphs of sharp codimension exactly t as
 block expansions of Cohen-Macaulay bases and groups them into families: a
 base of dimension t-1 with a single blown-up pair works for every block
@@ -42,7 +46,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from collections.abc import Iterator
+import sys
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -145,46 +150,38 @@ def _index_graph(d: int, relation: set[tuple[int, int]]) -> BipartiteGraph:
     )
 
 
-def _orbit(d: int, pairs: list[tuple[int, int]], flat: list[int]) -> set[int]:
-    """Every relabelling of a relation and of its dual, as an int over `flat`.
+def _unions(masks: Sequence[int]) -> list[int]:
+    """`unions[s]`, the union of `masks[a]` over the points a of the set s, for every s.
 
-    `pairs` are the relation's off-diagonal pairs, and `flat[i * d + j]`
-    is the bit of the pair (i, j), each off-diagonal pair its own; the
-    diagonal, in every relation, gets 0.  The relation is reflexive, and
-    its index graph is unmixed with the diagonal as a pure order; two such
-    relations have the same orbit exactly when their index graphs are
-    isomorphic, and otherwise disjoint ones.  A relabelling is a
-    side-preserving isomorphism and the dual is the side swap, so a shared
-    member means isomorphic graphs.  Conversely, take an isomorphism that keeps the
-    sides, sending x_i to x_s(i) and y_i to y_u(i).  The image of the
-    diagonal is a perfect matching, and a perfect matching sends each
-    block's lefts onto that block's rights (`find_pure_order`), so s(i) and
-    u(i) lie in one block.  Pairs in one block have equal neighbourhoods on
-    both sides (`neighbourhood_blocks`), so x_s(i)y_u(j) is an edge exactly
-    when x_s(i)y_s(j) is: the second relation is the first relabelled by s.
-    An isomorphism that swaps the sides does the same to the dual.  Both
-    relations thus have the same relabellings, up to duality: one orbit.
+    Taking the lowest point `low` out of a non-empty s leaves a smaller
+    int, whose entry is already the union over the rest of s, so one OR
+    adds the lowest point's mask: by induction on s every entry is its
+    union, the empty set's being 0.
     """
-    orbit = set()
-    for s in itertools.permutations(range(d)):
-        code = dual = 0
-        for i, j in pairs:
-            code |= flat[s[i] * d + s[j]]
-            dual |= flat[s[j] * d + s[i]]
-        orbit.add(code)
-        orbit.add(dual)
-    return orbit
+    unions = [0] * (1 << len(masks))
+    for s in range(1, len(unions)):
+        low = s & -s
+        unions[s] = unions[s ^ low] | masks[low.bit_length() - 1]
+    return unions
 
 
-def _closed(s: int, masks: tuple[int, ...]) -> bool:
-    """Whether the set `s` of points holds `masks[a]` for each of its points a."""
-    return all(not masks[a] & ~s for a in range(len(masks)) if s >> a & 1)
+def _closed_sets(masks: tuple[int, ...]) -> list[int]:
+    """The sets s of points that hold `masks[a]` for each of their points a, in increasing order.
+
+    Each `masks[a]` holds a itself, so the union of the masks over s
+    (`_unions`) contains s, and s holds every one of them exactly when
+    that union is no larger than s: when it equals s.
+    """
+    return [s for s, union in enumerate(_unions(masks)) if union == s]
 
 
-def _relations(d: int, upward: bool) -> Iterator[list[tuple[int, int]]]:
-    """The off-diagonal pairs of each reflexive transitive relation on range(d), once each.
+def _relations(d: int, bit: dict[tuple[int, int], int], upward: bool) -> Iterator[int]:
+    """Each reflexive transitive relation on range(d), d >= 1, once, as its key.
 
-    With `upward`, only the relations whose pairs (i, j) all have i < j.
+    `bit` gives each off-diagonal pair its own bit, and a relation's key
+    is the OR of the bits of its pairs; the diagonal, in every relation,
+    has none.  With `upward`, only the relations whose pairs (i, j) all
+    have i < j.
 
     A relation is grown one point at a time, as bitmasks: `filters[a]`
     holds the points b with a R b, a included.  Point k is put above a set
@@ -203,48 +200,120 @@ def _relations(d: int, upward: bool) -> Iterator[list[tuple[int, int]]]:
     If two of them are k, (a, c) is (k, k) or one of the two pairs given.
     When a condition fails, its case gives a triple with (a, c) missing
     from R', so the conditions are exactly transitivity through k, and
-    every relation made is transitive with no check after.  For `upward`,
-    k is the largest point so far, so U is empty and only D is chosen:
-    each new pair (a, k) has a < k.
+    every relation made is transitive with no check after.  D is
+    down-closed when it holds `ideals[b]`, the points below b, for each
+    of its points b, and U is up-closed when it holds `filters[b]` for
+    each of its points b (`_closed_sets`).  For `upward`, k is the
+    largest point so far, so U is empty and only D is chosen: each new
+    pair (a, k) has a < k.
+
+    The key grows with the relation.  R' adds to R the pair (k, k), which
+    has no bit, and the pairs of D x {k} and {k} x U, none of them in R,
+    so the key of R' is that of R with the bits of D x {k} and of
+    {k} x U set.  `below[k][D]` and `above[k][U]` hold those bits for
+    every subset of range(k) (`_unions` of the bits of (a, k) and of
+    (k, a) over a < k).  At the last point, k = d - 1, the keys are
+    handed out as made, with no filters built for them.
     """
-    def grow(filters: tuple[int, ...]) -> Iterator[list[tuple[int, int]]]:
+    below = [_unions([bit[a, k] for a in range(k)]) for k in range(d)]
+    above = [_unions([bit[k, a] for a in range(k)]) for k in range(d)]
+
+    def grow(filters: tuple[int, ...], key: int) -> Iterator[int]:
         k = len(filters)
-        if k == d:
-            yield [(a, b) for a, f in enumerate(filters) for b in range(d)
-                   if a != b and f >> b & 1]
-            return
         ideals = tuple(sum(1 << a for a, f in enumerate(filters) if f >> b & 1) for b in range(k))
-        downs = [s for s in range(1 << k) if _closed(s, ideals)]
-        ups = [0] if upward else [s for s in range(1 << k) if _closed(s, filters)]
-        for down in downs:
+        ups = [0] if upward else _closed_sets(filters)
+        for down in _closed_sets(ideals):
             common = (1 << k) - 1  # the points above every point of D
             for a in range(k):
                 if down >> a & 1:
                     common &= filters[a]
-            raised = tuple(f | 1 << k if down >> a & 1 else f for a, f in enumerate(filters))
-            for up in ups:
-                if not up & ~common:
-                    yield from grow(raised + (up | 1 << k,))
+            fits = [up for up in ups if not up & ~common]
+            grown = key | below[k][down]
+            if k == d - 1:
+                yield from [grown | above[k][up] for up in fits]
+            else:
+                raised = tuple(f | 1 << k if down >> a & 1 else f for a, f in enumerate(filters))
+                for up in fits:
+                    yield from grow(raised + (up | 1 << k,), grown | above[k][up])
 
-    return grow(())
+    return grow((), 0)
+
+
+def _lanes(d: int, bit: dict[tuple[int, int], int]) -> tuple[list[int], int]:
+    """`_orbit`'s table: for each pair, its bit under every relabelling and its dual's.
+
+    `bit` gives the off-diagonal pairs of range(d) the bits 1 << n for
+    n < len(bit) <= 64.  The n-th int of `lanes` belongs to the pair
+    (i, j) with the bit 1 << n and is made of 2 * d! lanes of 64 bits,
+    packed as an `array('Q')` in the machine's byte order, `width` bytes
+    in all: for the m-th permutation s of range(d), lane m holds the bit
+    of the image (s(i), s(j)) and lane d! + m that of (s(j), s(i)).
+    `array` is imported here, so only the commands that enumerate load it.
+    """
+    from array import array
+
+    assert len(bit) <= 64  # each key fits one lane
+    perms = list(itertools.permutations(range(d)))
+    images = [[s[i] for s in perms] for i in range(d)]
+    lanes = [int.from_bytes(array("Q", map(bit.__getitem__,
+                                           zip(images[i] + images[j], images[j] + images[i]))),
+                            sys.byteorder)
+             for i, j in sorted(bit, key=bit.__getitem__)]
+    return lanes, 2 * len(perms) * array("Q").itemsize
+
+
+def _orbit(key: int, lanes: list[int], width: int) -> set[int]:
+    """Every relabelling of a relation and of its dual, keyed as `_relations` keys them.
+
+    `key` is the relation's key, and `lanes` and `width` are `_lanes` of
+    the same bits.  A permutation s sends distinct off-diagonal pairs to
+    distinct off-diagonal pairs, each with a bit of its own, so the OR of
+    the lanes of the relation's pairs holds in lane m the OR of the bits
+    of their images, the key of the relation relabelled by s, and in lane
+    d! + m the key of its dual relabelled by s.  Each key is below
+    2^len(bit) <= 2^64, so it fits its lane, and OR acts bit by bit, so
+    no lane spills into another: the lanes, unpacked, are exactly the
+    relabellings' keys, read back as the same unsigned 64-bit items.
+
+    The relation is reflexive, and its index graph is unmixed with the
+    diagonal as a pure order; two such relations have the same orbit
+    exactly when their index graphs are isomorphic, and otherwise
+    disjoint ones.  A relabelling is a side-preserving isomorphism and the
+    dual is the side swap, so a shared member means isomorphic graphs.
+    Conversely, take an isomorphism that keeps the sides, sending x_i to
+    x_s(i) and y_i to y_u(i).  The image of the diagonal is a perfect
+    matching, and a perfect matching sends each block's lefts onto that
+    block's rights (`find_pure_order`), so s(i) and u(i) lie in one block.
+    Pairs in one block have equal neighbourhoods on both sides
+    (`neighbourhood_blocks`), so x_s(i)y_u(j) is an edge exactly when
+    x_s(i)y_s(j) is: the second relation is the first relabelled by s.
+    An isomorphism that swaps the sides does the same to the dual.  Both
+    relations thus have the same relabellings, up to duality: one orbit.
+    """
+    acc = 0
+    while key:
+        low = key & -key
+        acc |= lanes[low.bit_length() - 1]
+        key ^= low
+    return set(memoryview(acc.to_bytes(width, sys.byteorder)).cast("Q"))
 
 
 def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[BipartiteGraph]:
-    """One index graph per class of the relations `_relations(d, upward)` yields.
+    """One index graph per class of the relations `_relations(d, bit, upward)` keys.
 
-    Each relation is read as an int over `order`, with `order[0]` as its
-    most significant bit, so ints sort as the indicator vectors over
-    `order` do: `bit` maps each pair to its bit, and `flat` holds the same
-    bits at i * d + j for `_orbit`, which looks up one image pair per list
-    index.  The first member of a class met puts the class's whole
-    `_orbit` into `seen`, and the least int there, its least labelling,
-    records the class.  Every later member is in `seen` as it stands and is
-    skipped.  So each class is labelled once, and its graph is built from
-    that least vector, so `canonical_form` runs once per class, to sort them.
+    Each pair gets the bit that makes a relation's key its int over
+    `order`, with `order[0]` as its most significant bit, so keys sort as
+    the indicator vectors over `order` do.  `_lanes` packs the bits for
+    `_orbit` once per call.  The first member of a class met puts the
+    class's whole `_orbit` into `seen`, and the least key there, its least
+    labelling, records the class.  Every later member is in `seen` as it
+    stands and is skipped, so only the first member's pairs are read.  So
+    each class is labelled once, and its graph is built from that least
+    vector, so `canonical_form` runs once per class, to sort them.
 
     Nothing kept depends on the order the relations come in.  The orbit
     is the same set from whichever member of the class is met first, so
-    its least int is too, and every class with a member among the
+    its least key is too, and every class with a member among the
     relations is met.  Distinct classes have non-isomorphic graphs
     (`_orbit`), so their canonical forms differ and the sort fixes their
     order.  The graph kept is therefore the one a first-come dedupe keeps on
@@ -252,13 +321,13 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
     over `order` and keeps every relabelling of a kept relation and of its
     dual: the first member of a class it meets has the least vector.
     """
-    bit = {p: 1 << k for k, p in enumerate(reversed(order))}
-    flat = [bit.get((i, j), 0) for i in range(d) for j in range(d)]
+    bit = {p: 1 << n for n, p in enumerate(reversed(order))}
+    lanes, width = _lanes(d, bit)
     seen: set[int] = set()
     codes = []
-    for pairs in _relations(d, upward):
-        if sum(bit[p] for p in pairs) not in seen:
-            orbit = _orbit(d, pairs, flat)
+    for key in _relations(d, bit, upward):
+        if key not in seen:
+            orbit = _orbit(key, lanes, width)
             seen |= orbit
             codes.append(min(orbit))
     diagonal = {(i, i) for i in range(d)}

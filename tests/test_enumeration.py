@@ -97,18 +97,30 @@ def antisymmetric_transitive(d):
             yield relation
 
 
-def former_subset_walk(d, walk):
-    """The former `_classes` walk: each subset of `walk` with the diagonal, kept when transitive.
+def former_subset_walk(d, pairs):
+    """The former `_classes` walk: each subset of `pairs` with the diagonal, kept when transitive.
 
-    `walk` was every off-diagonal pair for `enumerate_unmixed` and the
+    `pairs` was every off-diagonal pair for `enumerate_unmixed` and the
     pairs i < j for `enumerate_cm`; each kept relation is given by its
     off-diagonal pairs.
     """
     diagonal = {(i, i) for i in range(d)}
-    for mask in itertools.product((False, True), repeat=len(walk)):
-        relation = diagonal | set(itertools.compress(walk, mask))
+    for mask in itertools.product((False, True), repeat=len(pairs)):
+        relation = diagonal | set(itertools.compress(pairs, mask))
         if bigraph._transitive({i: {j for a, j in relation if a == i} for i in range(d)}):
             yield frozenset(relation - diagonal)
+
+
+def pair_bits(d):
+    """A key bit for each off-diagonal pair of range(d), row by row."""
+    return {p: 1 << n for n, p in enumerate((i, j) for i in range(d) for j in range(d) if i != j)}
+
+
+def walk(d, upward):
+    """`_relations`' keys, each decoded into its relation's off-diagonal pairs."""
+    bit = pair_bits(d)
+    return [frozenset(p for p, b in bit.items() if key & b)
+            for key in enumeration._relations(d, bit, upward)]
 
 
 def check_walk_against_subsets(d, upward):
@@ -116,11 +128,48 @@ def check_walk_against_subsets(d, upward):
 
     Returns the number of relations made.
     """
-    walk = [(i, j) for i in range(d) for j in range(d) if (i < j if upward else i != j)]
-    made = [frozenset(pairs) for pairs in enumeration._relations(d, upward)]
+    pairs = [(i, j) for i in range(d) for j in range(d) if (i < j if upward else i != j)]
+    made = walk(d, upward)
     assert len(made) == len(set(made))
-    assert set(made) == set(former_subset_walk(d, walk))
+    assert set(made) == set(former_subset_walk(d, pairs))
     return len(made)
+
+
+def former_orbit(d, pairs, flat):
+    """The former `_orbit`: every permutation's image and dual bits, ORed pair by pair.
+
+    `flat[i * d + j]` is the bit of the pair (i, j), 0 on the diagonal.
+    """
+    orbit = set()
+    for s in itertools.permutations(range(d)):
+        code = dual = 0
+        for i, j in pairs:
+            code |= flat[s[i] * d + s[j]]
+            dual |= flat[s[j] * d + s[i]]
+        orbit.add(code)
+        orbit.add(dual)
+    return orbit
+
+
+def former_closed(s, masks):
+    """The former `_closed`: whether the set `s` holds `masks[a]` for each of its points a."""
+    return all(not masks[a] & ~s for a in range(len(masks)) if s >> a & 1)
+
+
+def check_orbits_against_former(d, upward):
+    """`_orbit` on `_lanes` equals the former per-permutation orbit on every relation walked.
+
+    Returns the number of relations checked.
+    """
+    bit = pair_bits(d)
+    flat = [bit.get((i, j), 0) for i in range(d) for j in range(d)]
+    lanes, width = enumeration._lanes(d, bit)
+    count = 0
+    for key in enumeration._relations(d, bit, upward):
+        pairs = [p for p, b in bit.items() if key & b]
+        assert enumeration._orbit(key, lanes, width) == former_orbit(d, pairs, flat), pairs
+        count += 1
+    return count
 
 
 def first_of_each_class(graphs):
@@ -374,8 +423,31 @@ class TestRelationWalk:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
     def test_preorders_equal_conftest(self, d):
         diagonal = {(i, i) for i in range(d)}
-        made = {frozenset(pairs) | diagonal for pairs in enumeration._relations(d, False)}
-        assert made == set(preorders(d))
+        assert {pairs | diagonal for pairs in walk(d, upward=False)} == set(preorders(d))
+
+    @pytest.mark.parametrize("d, upward, labelled",
+                             [(1, False, 1), (2, False, 4), (3, False, 29), (4, False, 355),
+                              (2, True, 2), (3, True, 7), (4, True, 40), (5, True, 357)])
+    def test_lane_orbits_equal_the_former_orbit(self, d, upward, labelled):
+        assert check_orbits_against_former(d, upward) == labelled
+
+    def test_closed_sets_equal_the_former_scan(self, monkeypatch):
+        # Every mask tuple the walk asks about, against the former scan of
+        # every subset: each of the 35 preorders on 0-3 points asks for its
+        # down-sets and up-sets, each of the 51 upward posets on 0-4 points
+        # for its down-sets.
+        real, met = enumeration._closed_sets, []
+
+        def recording(masks):
+            met.append(masks)
+            return real(masks)
+
+        monkeypatch.setattr(enumeration, "_closed_sets", recording)
+        for d, upward in ((4, False), (5, True)):
+            assert len(walk(d, upward)) == (357 if upward else 355)
+        assert len(met) == 2 * 35 + 51
+        for masks in met:
+            assert real(masks) == [s for s in range(1 << len(masks)) if former_closed(s, masks)]
 
     def test_unmixed_classes_one_size_up(self, monkeypatch):
         # The 84 unmixed graphs on five pairs, which the preorder route in
@@ -386,6 +458,18 @@ class TestRelationWalk:
         assert len(graphs) == 84
         assert len({canonical_form(g) for g in graphs}) == 84
         assert all(is_unmixed(g) for g in graphs)
+
+    def test_cm_classes_one_size_up(self, monkeypatch):
+        # The (318 + 50) / 2 = 184 Cohen-Macaulay graphs of dimension 5 (posets
+        # on six points up to duality, OEIS A000112); `MAX_PAIRS_CM` stays at 5
+        # until `enumerate --cm 5` is pinned.
+        monkeypatch.setattr(enumeration, "MAX_PAIRS_CM", 6)
+        graphs = enumerate_cm(5)
+        assert len(graphs) == 184
+        assert len({canonical_form(g) for g in graphs}) == 184
+        for g in graphs:
+            r = classify(g)
+            assert r.cohen_macaulay and r.dimension == 5
 
 
 class TestEnumerateCm:
