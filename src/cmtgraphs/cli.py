@@ -26,7 +26,8 @@ from .bigraph import ConsistencyError, is_connected, parse_graph, to_document
 from . import simplicial
 from .classify import classification_json, verify_against_oracle
 from .construct import contract, expand, expansion_document, parse_expansion, predicted_codim
-from .enumeration import enumerate_cm, enumerate_sharp_cmt, enumerate_unmixed, write_enumeration
+from .enumeration import (canonical_form, enumerate_cm, enumerate_sharp_cmt, enumerate_unmixed,
+                          write_enumeration)
 from .figures import BUILTIN_NAMES, builtin_document
 
 EXIT_OK = 0
@@ -131,7 +132,10 @@ def _cmd_verify(args) -> tuple[str, dict]:
         raise ValueError("give either --d or a single graph input, not both")
     if args.d is not None:
         reports = [(g, verify_against_oracle(g)) for g in enumerate_unmixed(args.d)]
-        bad = [(g, r) for g, r in reports if not r.agree]
+        # The classes come by least labelling; the counterexamples are
+        # listed by canonical form, so only a disagreement canonizes.
+        bad = sorted(((g, r) for g, r in reports if not r.agree),
+                     key=lambda item: canonical_form(item[0]).code)
         result = {
             "d": args.d,
             "instances": len(reports),

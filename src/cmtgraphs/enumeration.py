@@ -27,9 +27,9 @@ lists the class's orbit, every relabelling of the relation and of its
 dual, and later members are found in it by their keys and skipped.  The
 orbit is one OR of 64-bit lanes, one lane per relabelling, packed once
 per call into one int per pair.  The least key in the orbit, the least
-labelling, names the class, whichever member was met first, and the
-graph of that labelling is kept, so `canonical_form` runs once per class
-and never inside a walk.
+labelling, names the class, whichever member was met first; the graph of
+that labelling is kept, and the classes come out in increasing order of
+it, so neither walk calls `canonical_form`.
 `enumerate_sharp_cmt` builds the graphs of sharp codimension exactly t as
 block expansions of Cohen-Macaulay bases and groups them into families: a
 base of dimension t-1 with a single blown-up pair works for every block
@@ -299,7 +299,7 @@ def _orbit(key: int, lanes: list[int], width: int) -> set[int]:
 
 
 def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[BipartiteGraph]:
-    """One index graph per class of the relations `_relations(d, bit, upward)` keys.
+    """One index graph per class of `_relations(d, bit, upward)`, by increasing least labelling.
 
     Each pair gets the bit that makes a relation's key its int over
     `order`, with `order[0]` as its most significant bit, so keys sort as
@@ -309,17 +309,30 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
     labelling, records the class.  Every later member is in `seen` as it
     stands and is skipped, so only the first member's pairs are read.  So
     each class is labelled once, and its graph is built from that least
-    vector, so `canonical_form` runs once per class, to sort them.
+    vector.
 
     Nothing kept depends on the order the relations come in.  The orbit
     is the same set from whichever member of the class is met first, so
     its least key is too, and every class with a member among the
-    relations is met.  Distinct classes have non-isomorphic graphs
-    (`_orbit`), so their canonical forms differ and the sort fixes their
-    order.  The graph kept is therefore the one a first-come dedupe keeps on
-    any walk that meets relations in increasing order of their vectors
-    over `order` and keeps every relabelling of a kept relation and of its
-    dual: the first member of a class it meets has the least vector.
+    relations is met.  Distinct classes have non-isomorphic graphs, so
+    disjoint orbits (`_orbit`), and their least keys differ: sorted, the
+    keys fix the order of the classes, with no `canonical_form` call.
+    The graph kept is therefore the one a first-come dedupe keeps on any
+    walk that meets relations in increasing order of their vectors over
+    `order` and keeps every relabelling of a kept relation and of its
+    dual: the first member of a class it meets has the least vector, and
+    it meets the classes in the order returned.
+
+    No report shows this order.  `enumerate --cm` reports counts and the
+    sorted names of its documents, and each document holds the graph of
+    the least labelling whatever the list's order.  `enumerate --cmt`
+    (`enumerate_sharp_cmt`) sorts its families by their own canonical
+    forms, and a family's base and vector do not depend on the order of
+    the bases: isomorphic blow-ups contract (`construct.contract`) to
+    isomorphic bases, and each base class is listed once, so every family is met on one base only,
+    and its vector is the first of that base's candidates to give it.
+    `verify --d` shows the order only in its counterexamples, which
+    `cli` sorts by canonical form itself, only when there are any.
     """
     bit = {p: 1 << n for n, p in enumerate(reversed(order))}
     lanes, width = _lanes(d, bit)
@@ -331,9 +344,8 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
             seen |= orbit
             codes.append(min(orbit))
     diagonal = {(i, i) for i in range(d)}
-    graphs = [_index_graph(d, diagonal | {p for p in order if code & bit[p]})
-              for code in codes]
-    return sorted(graphs, key=lambda g: canonical_form(g).code)
+    return [_index_graph(d, diagonal | {p for p in order if code & bit[p]})
+            for code in sorted(codes)]
 
 
 def enumerate_cm(dimension: int) -> list[BipartiteGraph]:
@@ -348,7 +360,8 @@ def enumerate_cm(dimension: int) -> list[BipartiteGraph]:
     slot i < j, so on antisymmetric relations its vectors rise with
     none < (i, j) < (j, i) per slot, taken lexicographically: the walk over
     all antisymmetric transitive relations in that order meets each class
-    first at its least vector, the one `_classes` keeps.
+    first at its least vector, the one `_classes` keeps.  The classes come
+    in the order that walk meets them, by increasing least vector.
     """
     d = dimension + 1
     if not 1 <= d <= MAX_PAIRS_CM:
@@ -372,7 +385,8 @@ def enumerate_unmixed(d: int) -> list[BipartiteGraph]:
     passes, and one matching that passes proves the graph unmixed.  So the
     index graph is unmixed exactly when R is transitive: the preorders on
     range(d) give every unmixed graph on d pairs, and no other.  The key's
-    order is every off-diagonal pair (i, j), row by row.
+    order is every off-diagonal pair (i, j), row by row, and the classes
+    come by increasing least labelling over it (`_classes`).
     """
     if not 1 <= d <= MAX_PAIRS_UNMIXED:
         raise ValueError(f"d must be between 1 and {MAX_PAIRS_UNMIXED}")

@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from cmtgraphs import ConsistencyError, canonical_form, classify, parse_graph
+from cmtgraphs import (ConsistencyError, canonical_form, classify, enumerate_unmixed,
+                       parse_graph, to_document)
 from cmtgraphs import cli, construct, simplicial
 from cmtgraphs.cli import main
 
@@ -241,6 +242,36 @@ class TestVerify:
         assert code == 1 and report["status"] == "error"
         assert report["result"]["message"] == \
             "give either --d or a single graph input, not both"
+
+    def test_counterexamples_in_canonical_order(self, capsys, monkeypatch):
+        # enumerate_unmixed lists its classes by least labelling, and only a
+        # disagreement sorts them into the report's order, by canonical
+        # form.  Here the four d = 4 classes with 7 edges disagree; the
+        # enumerator lists them in another order.
+        real_verify, real_canonical, calls = cli.verify_against_oracle, cli.canonical_form, []
+
+        def counting(g):
+            calls.append(g)
+            return real_canonical(g)
+
+        monkeypatch.setattr(cli, "canonical_form", counting)
+        code, report = run(capsys, "verify", "--d", "4")
+        assert code == 0 and report["result"]["counterexamples"] == []
+        assert calls == []
+
+        def skewed(g):
+            r = real_verify(g)
+            return r._replace(agree=False, mismatches=("chosen",)) if len(g.edges) == 7 else r
+
+        monkeypatch.setattr(cli, "verify_against_oracle", skewed)
+        code, report = run(capsys, "verify", "--d", "4")
+        assert code == 2
+        chosen = [g for g in enumerate_unmixed(4) if len(g.edges) == 7]
+        expected = [to_document(g) for g in sorted(chosen, key=lambda g: canonical_form(g).code)]
+        assert len(expected) == 4 and expected != [to_document(g) for g in chosen]
+        assert report["result"]["disagreements"] == 4
+        assert [c["document"] for c in report["result"]["counterexamples"]] == expected
+        assert all(c["mismatches"] == ["chosen"] for c in report["result"]["counterexamples"])
 
     def test_disagreement_exit_code(self, capsys, monkeypatch):
         # The package re-exports the classify function under the same name
