@@ -24,17 +24,22 @@ relation as it grows it: an int over a fixed order of the pairs, to
 which each new point adds the bits of its new pairs, read from tables
 built once per walk.  Both label each class once: the first member met
 lists the class's orbit, every relabelling of the relation and of its
-dual, and later members are found in it by their keys and skipped.  The
-orbit is one OR of 64-bit lanes, one lane per relabelling, packed once
-per call into one int per pair.  The least key in the orbit, the least
+dual, and later members are found in it by their keys and skipped; only
+the orbit's keys that the walk can yield are kept for that.  The orbit
+is one OR of 64-bit lanes, one lane per relabelling, packed once per
+call into one int per pair.  The least key in the orbit, the least
 labelling, names the class, whichever member was met first; the graph of
 that labelling is kept, and the classes come out in increasing order of
-it, so neither walk calls `canonical_form`.
+it, so neither walk calls `canonical_form`.  Both refuse more than
+`MAX_PAIRS` matched pairs before any walk: dimension 5 and d = 6 are the
+largest they answer.
 `enumerate_sharp_cmt` builds the graphs of sharp codimension exactly t as
 block expansions of Cohen-Macaulay bases and groups them into families: a
 base of dimension t-1 with a single blown-up pair works for every block
 size, so that family is infinite and is reported once, with the size-2
-and size-3 instances as representatives.
+and size-3 instances as representatives.  Its instances reach
+max(t + 2, 2t - 2) vertices a side, so t stops at 5, where they would
+pass `MAX_SIDE`, which `canonical_form` refuses.
 
 The generators are structural only: codimensions come from the block
 formula `predicted_codim` applies, and no instance is classified again or
@@ -55,8 +60,7 @@ from .bigraph import BipartiteGraph, connected_components, is_connected, to_docu
 from .construct import _blow_up, _sharp_codim
 
 MAX_SIDE = 8
-MAX_PAIRS_CM = 5
-MAX_PAIRS_UNMIXED = 4
+MAX_PAIRS = 6
 
 
 class CanonicalForm(NamedTuple):
@@ -143,10 +147,15 @@ def canonical_form(g: BipartiteGraph) -> CanonicalForm:
 
 
 def _index_graph(d: int, relation: set[tuple[int, int]]) -> BipartiteGraph:
-    return BipartiteGraph.of(
-        (f"x{i + 1}" for i in range(d)),
-        (f"y{i + 1}" for i in range(d)),
-        ((f"x{i + 1}", f"y{j + 1}") for i, j in relation),
+    """The graph with edge x_{i+1}y_{j+1} for each (i, j) in `relation` on range(d).
+
+    Built with no check: the names x1..xd and y1..yd are distinct and
+    well formed, and every edge runs from an x to a y.
+    """
+    return BipartiteGraph._trusted(
+        tuple(f"x{i + 1}" for i in range(d)),
+        tuple(f"y{i + 1}" for i in range(d)),
+        frozenset((f"x{i + 1}", f"y{j + 1}") for i, j in relation),
     )
 
 
@@ -311,6 +320,17 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
     each class is labelled once, and its graph is built from that least
     vector.
 
+    Only keys the walk can yield go into `seen`.  With `upward`, `down`
+    holds the bits of the pairs (i, j) with i > j; otherwise it is 0 and
+    every key is kept.  `_relations` with `upward` makes only relations
+    whose pairs all have i < j, so no key it yields has a bit of `down`:
+    a key of the orbit that has one is never looked up, and leaving it out
+    of `seen` changes no lookup, so the same members are skipped.  The
+    least key is still taken over the whole orbit, so the class is named
+    as before.  `seen` then holds, per class, the labellings of the poset
+    and of its dual with every pair i < j, 4,824 keys for the 184 classes
+    on 6 points in all, in place of 2 * 6! = 1,440 keys per class.
+
     Nothing kept depends on the order the relations come in.  The orbit
     is the same set from whichever member of the class is met first, so
     its least key is too, and every class with a member among the
@@ -335,13 +355,14 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
     `cli` sorts by canonical form itself, only when there are any.
     """
     bit = {p: 1 << n for n, p in enumerate(reversed(order))}
+    down = sum(bit[i, j] for i, j in order if i > j) if upward else 0
     lanes, width = _lanes(d, bit)
     seen: set[int] = set()
     codes = []
     for key in _relations(d, bit, upward):
         if key not in seen:
             orbit = _orbit(key, lanes, width)
-            seen |= orbit
+            seen.update(k for k in orbit if not k & down)
             codes.append(min(orbit))
     diagonal = {(i, i) for i in range(d)}
     return [_index_graph(d, diagonal | {p for p in order if code & bit[p]})
@@ -362,10 +383,11 @@ def enumerate_cm(dimension: int) -> list[BipartiteGraph]:
     all antisymmetric transitive relations in that order meets each class
     first at its least vector, the one `_classes` keeps.  The classes come
     in the order that walk meets them, by increasing least vector.
+    Dimensions past `MAX_PAIRS` - 1 are refused before any walk.
     """
     d = dimension + 1
-    if not 1 <= d <= MAX_PAIRS_CM:
-        raise ValueError(f"dimension must be between 0 and {MAX_PAIRS_CM - 1}")
+    if not 1 <= d <= MAX_PAIRS:
+        raise ValueError(f"dimension must be between 0 and {MAX_PAIRS - 1}")
     order = [p for i, j in itertools.combinations(range(d), 2) for p in ((j, i), (i, j))]
     return _classes(d, order, upward=True)
 
@@ -386,10 +408,11 @@ def enumerate_unmixed(d: int) -> list[BipartiteGraph]:
     index graph is unmixed exactly when R is transitive: the preorders on
     range(d) give every unmixed graph on d pairs, and no other.  The key's
     order is every off-diagonal pair (i, j), row by row, and the classes
-    come by increasing least labelling over it (`_classes`).
+    come by increasing least labelling over it (`_classes`).  d past
+    `MAX_PAIRS` is refused before any walk.
     """
-    if not 1 <= d <= MAX_PAIRS_UNMIXED:
-        raise ValueError(f"d must be between 1 and {MAX_PAIRS_UNMIXED}")
+    if not 1 <= d <= MAX_PAIRS:
+        raise ValueError(f"d must be between 1 and {MAX_PAIRS}")
     order = [(i, j) for i in range(d) for j in range(d) if i != j]
     return _classes(d, order, upward=False)
 
@@ -410,10 +433,9 @@ class CmtFamily(NamedTuple):
 
 
 def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]:
-    """All families of graphs with sharp codimension exactly t, for 2 <= t <= MAX_PAIRS_CM.
+    """All families of graphs with sharp codimension exactly t, for 2 <= t <= 5.
 
-    Bases run over Cohen-Macaulay graphs of dimension 1 through t-1, so t
-    is refused where `enumerate_cm(t - 1)` would be, before any work.  A
+    Bases run over Cohen-Macaulay graphs of dimension 1 through t-1.  A
     base of dimension h <= t-2 needs at least two blown-up pairs, each of
     size at most t-h, and the multiplicity vector must predict t on the
     nose; those families are finite.  A base of dimension exactly t-1 takes
@@ -422,6 +444,24 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
     family survives if any representative does).  The candidate vectors
     depend only on h, so they are listed once per base size, and a family
     is built only when its first instance's canonical form is new.
+
+    t is refused before any work where an instance would pass `MAX_SIDE`
+    vertices a side, which `canonical_form` refuses: every instance can
+    meet it, each candidate's first instance here and all of them when
+    `enumerate --out` names its files (`_code_digest`).  t is refused too
+    where `enumerate_cm(t - 1)` would refuse the bases, past `MAX_PAIRS`.
+    An instance has sum(m) vertices a side, m its vector, and the largest
+    has max(t + 2, 2t - 2).  A parametric family's size-3 member has
+    (t - 1) + 3 = t + 2, its size-2 member one fewer.  A finite family's
+    vector has a least entry n above 1 and predicts sum(m) - n + 1 = t,
+    so sum(m) = t - 1 + n; its entries are at most t - h <= t - 1, so
+    sum(m) <= 2t - 2.  For t >= 3 the base on 2 points (h = 1) with both
+    entries t - 1 reaches it, predicting (2t - 2) - (t - 1) + 1 = t, and
+    every such base is listed.  So every instance fits exactly when
+    2t - 2 <= MAX_SIDE, that is t <= floor(MAX_SIDE / 2) + 1, and
+    t + 2 <= MAX_SIDE, which the first implies once MAX_SIDE >= 6.  With
+    `MAX_SIDE` = 8 the largest sides for t = 2..5 are 4, 5, 6 and 8, and
+    t = 6 would need 10: t runs from 2 to 5, whatever `max_total` drops.
 
     The blow-ups need no check, and are not classified.  The base's
     positional pairing x_i~y_i is a pure order, so `_blow_up` applies.
@@ -451,8 +491,9 @@ def enumerate_sharp_cmt(t: int, max_total: int | None = None) -> list[CmtFamily]
     two vertices share a component exactly when the vertices do: the
     blow-up's components are the blow-ups of the base's.
     """
-    if not 2 <= t <= MAX_PAIRS_CM:
-        raise ValueError(f"t must be between 2 and {MAX_PAIRS_CM}")
+    top = min(MAX_PAIRS, MAX_SIDE // 2 + 1)
+    if not 2 <= t <= top:
+        raise ValueError(f"t must be between 2 and {top}")
     found: dict[CanonicalForm, CmtFamily] = {}
     for h in range(1, t):
         d_base = h + 1

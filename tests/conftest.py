@@ -222,6 +222,32 @@ def _comparability_connected(rel, n: int) -> bool:
     return len(reached) == n
 
 
+def poset_classes(p: int):
+    """Each poset on range(p) up to isomorphism and duality, with Aut±(P).
+
+    Yields one poset P per class, as a set of pairs, and its group: the
+    permutations of the points that carry P onto itself (automorphisms)
+    or onto its reverse (anti-automorphisms).
+    """
+    posets = [r for r in preorders(p)
+              if not any((b, a) in r for a, b in r if a != b)]
+    perms = list(itertools.permutations(range(p)))
+    covered: set[frozenset] = set()
+    for orbit in relabelling_orbits(posets, p):
+        base = next(iter(orbit))
+        if base in covered:
+            continue
+        dual = frozenset((b, a) for a, b in base)
+        covered |= orbit | {frozenset((b, a) for a, b in r) for r in orbit}
+        yield base, [s for s in perms
+                     if frozenset((s[a], s[b]) for a, b in base) in (base, dual)]
+
+
+def vector_orbits(vectors, group) -> int:
+    """How many orbits the vectors, indexed by the points, make under the permutations."""
+    return len({min(tuple(m[s[i]] for i in range(len(m))) for s in group) for m in vectors})
+
+
 def sharp_cmt_orbit_counts(t: int) -> tuple[int, int]:
     """Families of graphs of sharp codimension t, and how many are connected.
 
@@ -246,23 +272,28 @@ def sharp_cmt_orbit_counts(t: int) -> tuple[int, int]:
     for p in range(2, t + 1):
         vectors = [m for m in itertools.product(range(1, t + 1), repeat=p)
                    if block_codim(m) == t and (sum(n > 1 for n in m) > 1 or max(m) == 2)]
-        posets = [r for r in preorders(p)
-                  if not any((b, a) in r for a, b in r if a != b)]
-        perms = list(itertools.permutations(range(p)))
-        covered: set[frozenset] = set()
-        for orbit in relabelling_orbits(posets, p):
-            base = next(iter(orbit))
-            if base in covered:
-                continue
-            dual = frozenset((b, a) for a, b in base)
-            covered |= orbit | {frozenset((b, a) for a, b in r) for r in orbit}
-            group = [s for s in perms
-                     if frozenset((s[a], s[b]) for a, b in base) in (base, dual)]
-            orbits = len({min(tuple(m[s[i]] for i in range(p)) for s in group)
-                          for m in vectors})
+        for base, group in poset_classes(p):
+            orbits = vector_orbits(vectors, group)
             families += orbits
             connected += orbits if _comparability_connected(base, p) else 0
     return families, connected
+
+
+def unmixed_class_counts(d: int) -> int:
+    """Unmixed graphs on d matched pairs up to isomorphism, no isolated vertices.
+
+    Such a graph is the index graph of a preorder on d points
+    (Villarreal's condition on the diagonal is transitivity).  A preorder
+    is a poset P on its classes of mutually related points, weighted by
+    the class sizes, a composition m of d.  Relabelling the points and
+    swapping the sides (reversing the preorder) act on P and m together,
+    so the classes are the orbits of the compositions under Aut±(P),
+    summed over the posets P up to isomorphism and duality, on 1 to d
+    points.
+    """
+    return sum(vector_orbits([m for m in itertools.product(range(1, d + 1), repeat=p)
+                              if sum(m) == d], group)
+               for p in range(1, d + 1) for _, group in poset_classes(p))
 
 
 def relation_graph(rel, n: int) -> BipartiteGraph:

@@ -193,6 +193,13 @@ class TestVerify:
         assert r["instances"] == 3 and r["disagreements"] == 0
         assert r["counterexamples"] == []
 
+    def test_harness_over_d5(self, capsys):
+        # One size past the former guard: 84 classes, every one agreeing.
+        code, report = run(capsys, "verify", "--d", "5")
+        assert code == 0
+        r = report["result"]
+        assert r["instances"] == 84 and r["disagreements"] == 0
+
     def test_single_graph(self, capsys):
         code, report = run(capsys, "verify", "--builtin", "fig1")
         assert code == 0

@@ -9,7 +9,9 @@ Counts asserted here were derived independently before freezing:
   homology filter over every matched graph, and a from-scratch poset
   count with (P + SD) / 2 classes.
 * Unmixed graphs on d pairs: 1, 3, 7, 24 for d = 1..4, confirmed below by
-  a from-scratch generate-and-filter route.
+  a from-scratch generate-and-filter route, and 1, 3, 7, 24, 84 (408 at
+  d = 6, in CI) by counting compositions of d under each base poset's
+  automorphisms and anti-automorphisms.
 * The 35 five-pair families of sharp codimension 4 are confirmed by a
   third route: every preorder on 5 points, filtered by the oracle.
 * Sharp codimension-t families follow from the expansion calculus: a base
@@ -22,6 +24,7 @@ import hashlib
 import itertools
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -64,6 +67,7 @@ from conftest import (
     relation_graph,
     sharp_cmt_orbit_counts,
     twin_blow_up,
+    unmixed_class_counts,
 )
 from test_simplicial import crown, even_cycle
 
@@ -469,21 +473,18 @@ class TestRelationWalk:
         for masks in met:
             assert real(masks) == [s for s in range(1 << len(masks)) if former_closed(s, masks)]
 
-    def test_unmixed_classes_one_size_up(self, monkeypatch):
+    def test_unmixed_classes_one_size_up(self):
         # The 84 unmixed graphs on five pairs, which the preorder route in
-        # `test_t4_five_pair_families_against_preorder_route` also finds;
-        # `MAX_PAIRS_UNMIXED` stays at 4 until `verify --d 5` is pinned.
-        monkeypatch.setattr(enumeration, "MAX_PAIRS_UNMIXED", 5)
+        # `test_t4_five_pair_families_against_preorder_route` also finds.
         graphs = enumerate_unmixed(5)
         assert len(graphs) == 84
         assert len({canonical_form(g) for g in graphs}) == 84
         assert all(is_unmixed(g) for g in graphs)
 
-    def test_cm_classes_one_size_up(self, monkeypatch):
+    def test_cm_classes_one_size_up(self):
         # The (318 + 50) / 2 = 184 Cohen-Macaulay graphs of dimension 5 (posets
-        # on six points up to duality, OEIS A000112); `MAX_PAIRS_CM` stays at 5
-        # until `enumerate --cm 5` is pinned.
-        monkeypatch.setattr(enumeration, "MAX_PAIRS_CM", 6)
+        # on six points up to duality, OEIS A000112), which CI checks against
+        # `conftest.poset_counts(6)`.
         graphs = enumerate_cm(5)
         assert len(graphs) == 184
         assert len({canonical_form(g) for g in graphs}) == 184
@@ -597,11 +598,27 @@ class TestEnumerateCm:
             for base in enumerate_cm(dimension):
                 assert is_pure_order(base, PureOrder(tuple(zip(base.left, base.right))))
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_cm(5)
-        with pytest.raises(ValueError):
-            enumerate_cm(-1)
+    def test_guard(self, monkeypatch):
+        # Past `MAX_PAIRS` = 6 matched pairs, refused before any walk.
+        def no_walk(*args):
+            raise AssertionError("_relations reached")
+
+        monkeypatch.setattr(enumeration, "_relations", no_walk)
+        for dimension in (6, -1):
+            with pytest.raises(ValueError, match=r"^dimension must be between 0 and 5$"):
+                enumerate_cm(dimension)
+
+    def test_walk_keeps_only_walkable_keys(self):
+        # `seen` keeps the 4,824 labelled upward posets on 6 points, not the
+        # 184 x 2 x 6! = 264,960 keys of the whole orbits (about 1.4 MB
+        # against 9 MB of peak allocation at dimension 5).
+        tracemalloc.start()
+        try:
+            assert len(enumerate_cm(5)) == 184
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000, peak
 
 
 class TestEnumerateUnmixed:
@@ -679,9 +696,22 @@ class TestEnumerateUnmixed:
                 codes = {canonical_form(b) for b in enumerate_cm(dimension)}
                 assert canonical_form(base) in codes
 
-    def test_guard(self):
-        with pytest.raises(ValueError):
-            enumerate_unmixed(5)
+    def test_guard(self, monkeypatch):
+        def no_walk(*args):
+            raise AssertionError("_relations reached")
+
+        monkeypatch.setattr(enumeration, "_relations", no_walk)
+        for d in (7, 0):
+            with pytest.raises(ValueError, match=r"^d must be between 1 and 6$"):
+                enumerate_unmixed(d)
+
+    @pytest.mark.parametrize("d, expected", [(1, 1), (2, 3), (3, 7), (4, 24), (5, 84)])
+    def test_composition_route_equals_enumerator(self, d, expected):
+        # Unmixed classes as orbits of compositions of d under each base
+        # poset's automorphisms and anti-automorphisms, counted in
+        # `conftest` by a route that shares no code with the enumerator.
+        # CI checks d = 6 (408, about 4 s).
+        assert unmixed_class_counts(d) == len(enumerate_unmixed(d)) == expected
 
 
 class TestSharpFamilies:
@@ -904,14 +934,23 @@ class TestSharpFamilies:
                 assert len(fam.graphs) == 1  # size-3 representative dropped
         assert enumerate_sharp_cmt(3, max_total=3) == []
 
+    @pytest.mark.parametrize("t", [2, 3, 4, 5])
+    def test_largest_side(self, t):
+        # The docstring's bound: the widest instance has max(t + 2, 2t - 2)
+        # vertices a side, within `MAX_SIDE` up to t = 5.
+        sides = [max(len(g.left), len(g.right)) for f in enumerate_sharp_cmt(t) for g in f.graphs]
+        assert max(sides) == max(t + 2, 2 * t - 2) <= enumeration.MAX_SIDE
+
     def test_t_below_two_rejected(self):
         with pytest.raises(ValueError, match=r"^t must be between 2 and 5$"):
             enumerate_sharp_cmt(1)
 
     @pytest.mark.parametrize("max_total", [7, None])
     def test_t_past_the_cm_bases_rejected_at_once(self, monkeypatch, max_total):
-        # t needs the bases enumerate_cm(t - 1) refuses past MAX_PAIRS_CM,
-        # so the range check comes before any base is built.
+        # The limit is `MAX_SIDE`, not the bases: enumerate_cm(5) answers,
+        # but t = 6 has instances with 10 vertices a side, which
+        # canonical_form refuses, so the range check comes before any base
+        # is built.
         def no_bases(h):
             raise AssertionError(f"enumerate_cm({h}) reached")
 
