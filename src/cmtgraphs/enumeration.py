@@ -52,7 +52,7 @@ import hashlib
 import itertools
 import json
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -184,7 +184,7 @@ def _closed_sets(masks: tuple[int, ...]) -> list[int]:
     return [s for s, union in enumerate(_unions(masks)) if union == s]
 
 
-def _relations(d: int, bit: dict[tuple[int, int], int], upward: bool) -> Iterator[int]:
+def _relations(d: int, bit: dict[tuple[int, int], int], upward: bool) -> list[int]:
     """Each reflexive transitive relation on range(d), d >= 1, once, as its key.
 
     `bit` gives each off-diagonal pair its own bit, and a relation's key
@@ -222,12 +222,15 @@ def _relations(d: int, bit: dict[tuple[int, int], int], upward: bool) -> Iterato
     {k} x U set.  `below[k][D]` and `above[k][U]` hold those bits for
     every subset of range(k) (`_unions` of the bits of (a, k) and of
     (k, a) over a < k).  At the last point, k = d - 1, the keys are
-    handed out as made, with no filters built for them.
+    appended as made to one list, which the walk returns, with no filters
+    built for them: no key is handed up through the recursion.
     """
     below = [_unions([bit[a, k] for a in range(k)]) for k in range(d)]
     above = [_unions([bit[k, a] for a in range(k)]) for k in range(d)]
 
-    def grow(filters: tuple[int, ...], key: int) -> Iterator[int]:
+    keys: list[int] = []
+
+    def grow(filters: tuple[int, ...], key: int) -> None:
         k = len(filters)
         ideals = tuple(sum(1 << a for a, f in enumerate(filters) if f >> b & 1) for b in range(k))
         ups = [0] if upward else _closed_sets(filters)
@@ -239,13 +242,14 @@ def _relations(d: int, bit: dict[tuple[int, int], int], upward: bool) -> Iterato
             fits = [up for up in ups if not up & ~common]
             grown = key | below[k][down]
             if k == d - 1:
-                yield from [grown | above[k][up] for up in fits]
+                keys.extend([grown | above[k][up] for up in fits])
             else:
                 raised = tuple(f | 1 << k if down >> a & 1 else f for a, f in enumerate(filters))
                 for up in fits:
-                    yield from grow(raised + (up | 1 << k,), grown | above[k][up])
+                    grow(raised + (up | 1 << k,), grown | above[k][up])
 
-    return grow((), 0)
+    grow((), 0)
+    return keys
 
 
 def _lanes(d: int, bit: dict[tuple[int, int], int]) -> tuple[list[int], int]:

@@ -27,11 +27,12 @@ delete dominated vertices (twins among them), and the rest splits into
 components whose complexes join.  Each component, once per sweep however
 many links share it, has its faces listed by `_walk`, as the bitmask
 faces that `reduced_homology` also takes; the whole complex reuses the
-guarded walk's.  `independence_complex` reads the facets off the same
-guarded walk, for the generic routines below: the limit is this module's
-alone, and no caller names it.  `link` and `join` build their complexes
-directly, since their facets are already antichains (proofs in their
-docstrings); only `from_facets` prunes.
+guarded walk's.  A one-edge component is two points, which
+`reduced_homology` names with no boundary matrix.  `independence_complex`
+reads the facets off the same guarded walk, for the generic routines
+below: the limit is this module's alone, and no caller names it.  `link`
+and `join` build their complexes directly, since their facets are already
+antichains (proofs in their docstrings); only `from_facets` prunes.
 
 Cohen-Macaulayness is decided by the Reisner criterion: every face link
 must have vanishing reduced homology below its own dimension.  `is_cm_t`
@@ -375,6 +376,10 @@ def reduced_homology(c: SimplicialComplex | tuple[int, ...]) -> HomologyProfile:
     beta(F2) does, and in degree q the two agree, both being
     (-1)^q times that characteristic.  Otherwise mod-2 classes may come
     from torsion, and every rank is recomputed exactly by `_exact_rank`.
+
+    A complex of n >= 1 points and no edge needs no rank: d_0 sends each
+    point to the empty face, so it has rank 1, and the Betti numbers are
+    (0, n - 1).  In `oracle_sweep` this is every one-edge component, S^0.
     """
     if isinstance(c, SimplicialComplex):
         bit = {v: 1 << i for i, v in enumerate(c.vertices)}
@@ -394,6 +399,8 @@ def reduced_homology(c: SimplicialComplex | tuple[int, ...]) -> HomologyProfile:
         while len(levels) <= size:
             levels.append([])
         levels[size].append(face)
+    if len(levels) == 2:  # points alone
+        return HomologyProfile((0, len(levels[1]) - 1))
     betti = _betti(levels, _gf2_boundary_rank)
     if sum(1 for b in betti if b) > 1:
         betti = _betti(levels, _boundary_rank)
@@ -595,8 +602,12 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       (`_join_betti`).  The empty graph, whose complex is {empty set}
       with one class in degree -1, is the unit (1,).  A component with
       no reduced homology leaves the whole join with none.
-    Each component is walked by `_walk` and goes to `reduced_homology`.
-    Links share components (a one-edge component, S^0, recurs in many),
+    Each component is walked by `_walk` and goes to `reduced_homology`,
+    which needs no boundary matrix for a component of two vertices:
+    after the fold loop every kept vertex has a neighbour among the kept
+    ones, or the loop would have returned () for a cone, so the component
+    is one edge u - w, whose independent sets are the empty set, {u} and
+    {w}: two points, S^0.  Links share components (S^0 recurs in many),
     and a component is an induced subgraph like a link, so one table of
     Betti numbers keyed by vertex mask holds both, and each distinct
     link or component is computed once per sweep.

@@ -3,13 +3,16 @@
 import argparse
 import hashlib
 import json
+import random
 
 import pytest
 
-from cmtgraphs import (ConsistencyError, canonical_form, classify, enumerate_unmixed,
-                       parse_graph, to_document)
+from cmtgraphs import (ConsistencyError, canonical_form, classify, cm_codim, dim,
+                       enumerate_unmixed, independence_complex, is_pure, parse_graph,
+                       reduced_homology, to_document)
 from cmtgraphs import cli, construct, simplicial
 from cmtgraphs.cli import main
+from conftest import block_codim, relation_graph
 
 K22 = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y1 x2-y2\n"
 
@@ -26,6 +29,28 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
+
+
+def seeded_poset(rng, k, density):
+    """An order on range(k): each i < j related with probability `density`, then closed."""
+    below = [1 << i for i in range(k)]
+    for j in range(k):
+        for i in range(j):
+            if rng.random() < density:
+                below[j] |= below[i]
+    return {(i, j) for j in range(k) for i in range(k) if below[j] >> i & 1}
+
+
+def matrix_builds(monkeypatch):
+    """The face levels whose boundary ranks `simplicial._betti` takes from now on."""
+    real, seen = simplicial._betti, []
+
+    def counting(levels, rank):
+        seen.append(levels)
+        return real(levels, rank)
+
+    monkeypatch.setattr(simplicial, "_betti", counting)
+    return seen
 
 
 class TestClassify:
@@ -126,6 +151,26 @@ class TestOracle:
         assert len(seen) == len(set(seen))
         assert seen.count(guarded[0]) <= 1
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_poset_graphs_reach_no_matrix(self, capsys, monkeypatch, tmp_path, seed):
+        # Graphs of orders on 7 points, 14 vertices, like the benchmark's
+        # `oracle` inputs.  Cones, folds and the split into components
+        # leave only single edges, whose complexes are two points, which
+        # `reduced_homology` names without a boundary matrix; the report
+        # is the generic route's.
+        rng = random.Random(seed)
+        g = relation_graph(seeded_poset(rng, 7, rng.uniform(0.5, 0.7)), 7)
+        ind = independence_complex(g)
+        expected = {"facet_count": len(ind.facets), "dimension": dim(ind),
+                    "pure": is_pure(ind), "betti": reduced_homology(ind).as_dict(),
+                    "cm_codim": cm_codim(ind)}
+        doc = tmp_path / "g.graph"
+        doc.write_text(to_document(g))
+        seen = matrix_builds(monkeypatch)
+        code, report = run(capsys, "oracle", str(doc))
+        assert code == 0 and report["result"] == expected
+        assert seen == []
+
     def test_max_t_flag(self, capsys):
         code, report = run(capsys, "oracle", "--builtin", "fig2", "--max-t", "2")
         assert code == 0
@@ -192,6 +237,30 @@ class TestVerify:
         r = report["result"]
         assert r["instances"] == 3 and r["disagreements"] == 0
         assert r["counterexamples"] == []
+
+    @pytest.mark.parametrize("seed, multiplicities", [
+        (0, (1, 5)), (1, (1, 4, 1)), (2, (3, 3)), (3, (1, 2, 2, 1)),
+    ])
+    def test_block_expansions_reach_no_matrix(self, capsys, monkeypatch, tmp_path,
+                                              seed, multiplicities):
+        # Block expansions with t_sharp 2-5 on 10-12 vertices, like the
+        # benchmark's `verify` inputs.  Every component the graph rules
+        # leave is one edge, whose complex is two points, so no boundary
+        # matrix is built; the oracle's codimension is the generic route's.
+        rng = random.Random(seed)
+        k = len(multiplicities)
+        base = relation_graph(seeded_poset(rng, k, rng.uniform(0.3, 0.7)), k)
+        g = construct.expand(construct.Expansion(base, multiplicities))
+        t = block_codim(multiplicities)
+        assert t >= 2 and cm_codim(independence_complex(g)) == t
+        doc = tmp_path / "g.graph"
+        doc.write_text(to_document(g))
+        seen = matrix_builds(monkeypatch)
+        code, report = run(capsys, "verify", str(doc))
+        assert code == 0 and seen == []
+        assert report["result"] == {"agree": True, "structural_t_sharp": t,
+                                    "oracle_cm_codim": t, "oracle_pure": True,
+                                    "mismatches": []}
 
     def test_harness_over_d5(self, capsys):
         # One size past the former guard: 84 classes, every one agreeing.

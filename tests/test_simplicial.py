@@ -287,6 +287,17 @@ class TestHomology:
         assert reduced_homology(VOID).betti == (1,)
         assert reduced_homology(EMPTY).betti == ()
 
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_points_need_no_matrix(self, monkeypatch, n):
+        # n points: d_0 sends each to the empty face and has rank 1, so
+        # H~_0 = Q^(n-1) and nothing else.  Both inputs are named without
+        # a boundary rank; the Fraction-arithmetic route is independent.
+        points = from_facets("abcde"[:n], [(v,) for v in "abcde"[:n]])
+        assert brute_betti(points.facets) == (0, n - 1)
+        monkeypatch.setattr(simplicial, "_betti", None)
+        assert reduced_homology(points).betti == (0, n - 1)
+        assert reduced_homology((0,) + tuple(1 << i for i in range(n))).betti == (0, n - 1)
+
     def test_betti_dict_keys(self):
         profile = reduced_homology(VOID)
         assert profile.as_dict() == {"-1": 1}
@@ -572,6 +583,22 @@ def even_cycle(m):
                              + [(left[(i + 1) % m], right[i]) for i in range(m)])
 
 
+def check_link_betti(g, masks):
+    """`_link_betti` on each vertex mask W against `reduced_homology` of G[W]'s walked faces.
+
+    Cones, folds, components and joins must give the matrices' Betti
+    numbers, padded with zeros.  Returns how many masks were checked.
+    """
+    nbrs = simplicial._masks(g)
+    checked = 0
+    for w in masks:
+        expected = reduced_homology(tuple(f for f, _ in simplicial._walk(nbrs, w))).betti
+        betti = simplicial._link_betti(nbrs, w, {})
+        assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
+        checked += 1
+    return checked
+
+
 class TestOracleSweep:
     """The graph-native sweep against the generic route on Ind(G)."""
 
@@ -584,17 +611,13 @@ class TestOracleSweep:
         assert sweep.facet_count == len(ind.facets)
         assert sweep.dimension == dim(ind)
         assert sweep.pure == is_pure(ind)
-        # Every link is Ind(G[W]) for a vertex mask W.  On every W, or a
-        # seeded sample of them, cones, folds, components and joins give
-        # `reduced_homology` of the walked faces, padded.
-        nbrs = simplicial._masks(g)
-        masks = range(1 << len(nbrs))
+        # Every link is Ind(G[W]) for a vertex mask W: every W, or a seeded
+        # sample of them.
+        n = len(g.vertices)
+        masks = range(1 << n)
         if subsets is not None:
-            masks = random.Random(len(nbrs)).sample(masks, min(subsets, len(masks)))
-        for w in masks:
-            expected = reduced_homology(tuple(f for f, _ in simplicial._walk(nbrs, w))).betti
-            betti = simplicial._link_betti(nbrs, w, {})
-            assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
+            masks = random.Random(n).sample(masks, min(subsets, len(masks)))
+        check_link_betti(g, masks)
 
     def test_every_graph_with_sides_up_to_three(self):
         checked = 0
