@@ -21,14 +21,19 @@ link; it also bounds the work, counting every face on the classes: past
 Ind(G - N[F]), the independence complex of an induced subgraph, so a
 link is keyed by one int: the vertices still free to join F, one per
 twin class, which the walk yields beside each face; a face with nothing
-free is a facet.  Its Betti numbers are read off that subgraph before
-any matrix (`_link_betti`): an isolated vertex makes it a cone, folds
-delete dominated vertices (twins among them), and the rest splits into
-components whose complexes join.  Each component, once per sweep however
-many links share it, has its faces listed by `_walk`, as the bitmask
-faces that `reduced_homology` also takes; the whole complex reuses the
-guarded walk's.  A one-edge component is two points, which
-`reduced_homology` names with no boundary matrix.  `independence_complex`
+free is a facet.  The walk also tags a face whose link is a cone: a free
+vertex v with N(v) <= N(u) for a taken u is isolated in the link's graph
+(Engstrom's fold condition, met once u is in the face), and the sweep
+tests only the untagged faces that are not facets.  Their links' Betti
+numbers are read off that subgraph before any matrix (`_link_betti`):
+an isolated vertex makes it a cone, folds delete dominated vertices
+(twins among them), and the rest splits into components whose complexes
+join.  Each component, once per sweep however many links share it, has
+its faces listed by `_walk`, as the bitmask faces that
+`reduced_homology` also takes; the whole complex reuses the guarded
+walk's.  A one-edge component is listed with no walk, and it is two
+points, which `reduced_homology` names with no boundary matrix.
+`independence_complex`
 reads the facets off the same guarded walk, for the generic routines
 below: the limit is this module's alone, and no caller names it.  `link`
 and `join` build their complexes directly, since their facets are already
@@ -113,12 +118,13 @@ def _masks(g: BipartiteGraph) -> tuple[int, ...]:
 
 
 def _walk(nbrs: tuple[int, ...], allowed: int,
-          limit: int | None = None) -> list[tuple[int, int]]:
-    """Every independent set inside `allowed`, as (taken, free) bitmasks.
+          limit: int | None = None) -> list[tuple[int, int, int]]:
+    """Every independent set inside `allowed`, as (taken, free, cone) bitmasks.
 
     Bit i is vertex i and nbrs[i] its neighbourhood; `free` is `allowed`
     minus the closed neighbourhoods of the vertices `taken`, the vertices
-    that could still join the set.
+    that could still join the set, and `cone`, the tag, holds the free
+    vertices dominated by a taken one: v with N(v) <= N(u), u taken.
     Raises the oracle guard's ValueError after walking limit + 1 sets.
     The walk branches on the lowest allowed vertex, left out or taken with
     its closed neighbourhood removed; it follows the first branch in place
@@ -127,17 +133,47 @@ def _walk(nbrs: tuple[int, ...], allowed: int,
     exactly when `free` is empty: a v in `free` is outside S with no
     neighbour in S, so S | {v} is independent; and a v in `allowed` outside
     `free` and S is a neighbour of S, so nothing else can be added.
+
+    The tag comes from one table, dom[i] the other vertices v of `allowed`
+    with N(v) <= N(i), built in O(|allowed|^2) steps; each stacked set
+    carries the union of dom over its taken vertices, cut to `free` when
+    the set is listed.
+    - **The tag is sound.**  For v in `free`, u taken and N(v) <= N(u),
+      N(v) & free <= N(u) & free, which is empty, `free` missing the
+      closed neighbourhood of u.  So v is isolated in G[free], and the link
+      Ind(G[free]) is a cone on v, with no reduced homology.  On the twin
+      representatives `_guarded_walk` walks, `free` is the link's key
+      R & reps, which keeps a representative isolated (`oracle_sweep`).
+    - **The tag is complete when G has a pure order**, a perfect matching
+      x_i y_i with Villarreal's condition (x_a y_b and x_b y_c edges force
+      x_a y_c), and `allowed` is every vertex or one per twin class.  Let
+      x_v be isolated in G[free].  Its partner y_v, or the representative
+      of y_v's class, which has y_v's neighbours, is not taken (x_v would
+      not be free) and not free (x_v would have a neighbour there), so a
+      taken x_a sees it, hence sees y_v.  For every edge x_v y_k,
+      Villarreal's condition on x_a y_v and x_v y_k gives x_a y_k, so
+      N(x_v) <= N(x_a).  A right y_v is the same with the sides swapped:
+      x_v sees a taken y_b, and x_k y_v with x_v y_b gives x_k y_b.
+      Completeness only saves time: an untagged cone still reaches
+      `_link_betti`, which finds its isolated vertex.
     """
-    out: list[tuple[int, int]] = []
-    stack = [(allowed, 0, allowed)]
+    closed = [mask | 1 << i for i, mask in enumerate(nbrs)]
+    dom = [0] * len(nbrs)
+    members = [i for i in range(len(nbrs)) if allowed >> i & 1]
+    for i in members:
+        above = ~nbrs[i]
+        dom[i] = sum(1 << v for v in members if v != i and not nbrs[v] & above)
+    out: list[tuple[int, int, int]] = []
+    stack = [(allowed, 0, allowed, 0)]
     while stack:
-        allowed, taken, free = stack.pop()
+        allowed, taken, free, under = stack.pop()
         while allowed:
             lowest = allowed & -allowed
-            around = nbrs[lowest.bit_length() - 1] | lowest
-            stack.append((allowed & ~around, taken | lowest, free & ~around))
-            allowed &= ~lowest
-        out.append((taken, free))
+            i = lowest.bit_length() - 1
+            around = closed[i]
+            stack.append((allowed & ~around, taken | lowest, free & ~around, under | dom[i]))
+            allowed ^= lowest
+        out.append((taken, free, under & free))
         if limit is not None and len(out) > limit:
             raise _refused(limit)
     return out
@@ -149,31 +185,43 @@ def _refused(limit: int) -> ValueError:
                       f"{limit} faces (independent sets)")
 
 
-def _guarded_walk(nbrs: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
+def _guarded_walk(nbrs: tuple[int, ...]) -> tuple[list[tuple[int, int, int]], int]:
     """The independent sets made of whole twin classes, and one vertex per class.
+
+    nbrs is a bipartite graph's (`_masks`).  Before any walk, the vertex
+    count alone may refuse it: every subset of either side is independent,
+    so sides of p and n - p vertices give at least 2^p + 2^(n - p) - 1
+    faces (the empty set counted once), least at p = n // 2.  Past
+    `ORACLE_FACE_LIMIT` the walk would refuse too, so the same inputs are
+    refused with the same message, and `_walk`'s O(n^2) table is built only
+    for n <= 26 at a limit of 20,000.
 
     Twins are vertices with equal neighbour masks.  `_walk` runs on the
     lowest vertex of each class, the representatives `reps`, under
     `ORACLE_FACE_LIMIT`, and the `taken` of each set it finds is widened to
-    the union of its representatives' classes.  Its `free` is left as the
-    walk gives it, `reps` minus the closed neighbourhoods of those
-    representatives, which is the link key of the widened set (proof in
-    `oracle_sweep`): twins share their neighbours, so widening meets no
-    new neighbour.  Past the limit the oracle guard's ValueError is raised,
-    counting the faces of the whole complex: a class set S stands for the
-    prod over c in S of (2^{w_c} - 1) faces, w_c the size of class c (the
-    proof is in `oracle_sweep`).  With no twins this is `_walk` of every
-    vertex, with no widening pass.
+    the union of its representatives' classes.  Its `free` and cone tag are
+    left as the walk gives them, on `reps`: `free` is `reps` minus the
+    closed neighbourhoods of those representatives, which is the link key
+    of the widened set (proof in `oracle_sweep`): twins share their
+    neighbours, so widening meets no new neighbour.  Past the limit the
+    oracle guard's ValueError is raised, counting the faces of the whole
+    complex: a class set S stands for the prod over c in S of
+    (2^{w_c} - 1) faces, w_c the size of class c (the proof is in
+    `oracle_sweep`).  With no twins this is `_walk` of every vertex, with
+    no widening pass.
     """
+    n = len(nbrs)
+    if (1 << n // 2) + (1 << n - n // 2) - 1 > ORACLE_FACE_LIMIT:
+        raise _refused(ORACLE_FACE_LIMIT)
     classes: dict[int, int] = {}
     for i, mask in enumerate(nbrs):
         classes[mask] = classes.get(mask, 0) | 1 << i
-    if len(classes) == len(nbrs):
-        everything = (1 << len(nbrs)) - 1
+    if len(classes) == n:
+        everything = (1 << n) - 1
         return _walk(nbrs, everything, ORACLE_FACE_LIMIT), everything
     widen = {c & -c: (c, (1 << c.bit_count()) - 1) for c in classes.values()}
     reps, count, sets = sum(widen), 0, []
-    for taken, free in _walk(nbrs, reps, ORACLE_FACE_LIMIT):
+    for taken, free, cone in _walk(nbrs, reps, ORACLE_FACE_LIMIT):
         weight, rest = 1, taken
         while rest:
             low = rest & -rest
@@ -184,7 +232,7 @@ def _guarded_walk(nbrs: tuple[int, ...]) -> tuple[list[tuple[int, int]], int]:
         count += weight
         if count > ORACLE_FACE_LIMIT:
             raise _refused(ORACLE_FACE_LIMIT)
-        sets.append((taken, free))
+        sets.append((taken, free, cone))
     return sets, reps
 
 
@@ -202,7 +250,7 @@ def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
     sets, _ = _guarded_walk(_masks(g))
     return SimplicialComplex(tuple(verts), frozenset(
         frozenset(v for i, v in enumerate(verts) if taken >> i & 1)
-        for taken, free in sets if not free))
+        for taken, free, _ in sets if not free))
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -503,7 +551,7 @@ def _join_betti(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _link_betti(nbrs: tuple[int, ...], rest: int,
                 known: dict[int, tuple[int, ...]],
-                walked: list[tuple[int, int]] | None = None) -> tuple[int, ...]:
+                walked: list[tuple[int, int, int]] | None = None) -> tuple[int, ...]:
     """Reduced Betti numbers over Q of Ind(G[rest]), entry s in degree s - 1.
 
     Trailing zeros are dropped, so a complex with no reduced homology gives
@@ -515,7 +563,10 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
     vertex masks to their Betti numbers, does not hold it yet, and
     `walked`, the caller's guarded walk when `rest` is its `reps`, stands
     in for that walk when nothing folds and `rest` is one component: each
-    widened set `& part` is the set of representatives `_walk` found.
+    widened set `& part` is the set of representatives `_walk` found.  A
+    component of two vertices, one edge (proof in `oracle_sweep`), is not
+    walked: its faces are listed as `_walk` lists them, (0, w, u) with u
+    the lower vertex, so `reduced_homology` gets the same tuple.
     """
     kept, folding = rest, True
     while folding:
@@ -550,8 +601,13 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
             part |= grow
         kept ^= part
         if part not in known:
-            sets = walked if part == rest and walked is not None else _walk(nbrs, part)
-            profile = reduced_homology(tuple([face & part for face, _ in sets])).betti
+            if part.bit_count() == 2:  # one edge: the faces its walk lists
+                low = part & -part
+                faces = (0, part ^ low, low)
+            else:
+                sets = walked if part == rest and walked is not None else _walk(nbrs, part)
+                faces = tuple([face & part for face, _, _ in sets])
+            profile = reduced_homology(faces).betti
             top = max((s for s, b in enumerate(profile) if b), default=-1)
             known[part] = profile[:top + 1]
         if not known[part]:
@@ -574,7 +630,14 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     R, so `free`, is empty.  The faces are scanned
     largest first (bucketed by size, in walk order within a size) and the
     first failing one decides, as in `cm_codim`, whose docstring has the
-    proof.
+    proof.  Two kinds of face never fail, so they are not bucketed:
+    - **Facets.**  A facet's link is {empty set}, whose profile is (1,),
+      and the test below reads no entry of it, d - |F| being 0.
+    - **Tagged faces.**  The walk's cone tag holds the free vertices v
+      with N(v) <= N(u) for a taken u; each is isolated in the link's
+      graph, so the link is a cone, with no reduced homology (proofs in
+      `_walk`, which also shows that under a pure order every cone link is
+      tagged).  An untagged cone is found by `_link_betti`.
 
     Each distinct link's Betti numbers come from `_link_betti`, which
     reads them off G[R] by three exact rules and walks faces only for what
@@ -602,12 +665,12 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       (`_join_betti`).  The empty graph, whose complex is {empty set}
       with one class in degree -1, is the unit (1,).  A component with
       no reduced homology leaves the whole join with none.
-    Each component is walked by `_walk` and goes to `reduced_homology`,
-    which needs no boundary matrix for a component of two vertices:
-    after the fold loop every kept vertex has a neighbour among the kept
-    ones, or the loop would have returned () for a cone, so the component
-    is one edge u - w, whose independent sets are the empty set, {u} and
-    {w}: two points, S^0.  Links share components (S^0 recurs in many),
+    Each component goes to `reduced_homology`, walked by `_walk` unless
+    it has two vertices.  Such a component needs no walk and no boundary
+    matrix: after the fold loop every kept vertex has a neighbour among
+    the kept ones, or the loop would have returned () for a cone, so the
+    component is one edge u - w, whose independent sets are the empty
+    set, {u} and {w}: two points, S^0.  Links share components (S^0 recurs in many),
     and a component is an induced subgraph like a link, so one table of
     Betti numbers keyed by vertex mask holds both, and each distinct
     link or component is computed once per sweep.
@@ -663,16 +726,20 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     """
     nbrs = _masks(g)
     sets, reps = _guarded_walk(nbrs)
-    sizes = [taken.bit_count() for taken, free in sets if not free]
+    sizes: list[int] = []
+    by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(len(nbrs) + 1)]
+    for face in sets:
+        taken, free, cone = face
+        if not free:
+            sizes.append(taken.bit_count())
+        elif not cone:
+            by_size[taken.bit_count()].append(face)
     d = max(sizes)
     pure = len(set(sizes)) == 1
     profiles: dict[int, tuple[int, ...]] = {}
     codim = 0 if pure else None
     if pure:
-        by_size: list[list[tuple[int, int]]] = [[] for _ in range(d + 1)]
-        for face in sets:
-            by_size[face[0].bit_count()].append(face)
-        for taken, rest in itertools.chain.from_iterable(reversed(by_size)):
+        for taken, rest, _ in itertools.chain.from_iterable(reversed(by_size)):
             if rest not in profiles:
                 profiles[rest] = _link_betti(nbrs, rest, profiles,
                                              sets if rest == reps else None)

@@ -12,7 +12,8 @@ from cmtgraphs import (ConsistencyError, canonical_form, classify, cm_codim, dim
                        reduced_homology, to_document)
 from cmtgraphs import cli, construct, simplicial
 from cmtgraphs.cli import main
-from conftest import block_codim, relation_graph
+from conftest import block_codim, independent_set_count, relation_graph
+from test_simplicial import check_cone_tags, isolated_in
 
 K22 = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y1 x2-y2\n"
 
@@ -134,7 +135,7 @@ class TestOracle:
         def counting_walk(nbrs, allowed, limit=None):
             sets = walk(nbrs, allowed, limit)
             if limit is not None:
-                guarded.append(frozenset(taken for taken, _ in sets))
+                guarded.append(frozenset(taken for taken, _, _ in sets))
             return sets
 
         def counting_reduction(nbrs, rest, known, walked=None):
@@ -156,10 +157,15 @@ class TestOracle:
         # Graphs of orders on 7 points, 14 vertices, like the benchmark's
         # `oracle` inputs.  Cones, folds and the split into components
         # leave only single edges, whose complexes are two points, which
-        # `reduced_homology` names without a boundary matrix; the report
-        # is the generic route's.
+        # `reduced_homology` names without a boundary matrix, and whose
+        # faces are listed with no walk.  The walk's cone tags are every
+        # isolated vertex of each link (a poset graph has a pure order), so
+        # the one walk, under the guard, is the only one, and `_link_betti`
+        # sees no link with an isolated vertex.  The report is the generic
+        # route's.
         rng = random.Random(seed)
         g = relation_graph(seeded_poset(rng, 7, rng.uniform(0.5, 0.7)), 7)
+        assert check_cone_tags(g) == independent_set_count(g)
         ind = independence_complex(g)
         expected = {"facet_count": len(ind.facets), "dimension": dim(ind),
                     "pure": is_pure(ind), "betti": reduced_homology(ind).as_dict(),
@@ -167,9 +173,24 @@ class TestOracle:
         doc = tmp_path / "g.graph"
         doc.write_text(to_document(g))
         seen = matrix_builds(monkeypatch)
+        walk, walks = simplicial._walk, []
+        reduce, keys = simplicial._link_betti, []
+
+        def counting_walk(nbrs, allowed, limit=None):
+            walks.append(limit)
+            return walk(nbrs, allowed, limit)
+
+        def counting_reduction(nbrs, rest, known, walked=None):
+            keys.append(rest)
+            return reduce(nbrs, rest, known, walked)
+
+        monkeypatch.setattr(simplicial, "_walk", counting_walk)
+        monkeypatch.setattr(simplicial, "_link_betti", counting_reduction)
         code, report = run(capsys, "oracle", str(doc))
         assert code == 0 and report["result"] == expected
         assert seen == []
+        assert walks == [simplicial.ORACLE_FACE_LIMIT]
+        assert keys and not any(isolated_in(g, key) for key in keys)
 
     def test_max_t_flag(self, capsys):
         code, report = run(capsys, "oracle", "--builtin", "fig2", "--max-t", "2")
@@ -194,6 +215,25 @@ class TestOracle:
         assert report["status"] == "error"
         assert "guard" in report["result"]["message"]
         assert str(simplicial.ORACLE_FACE_LIMIT) in report["result"]["message"]
+
+    def test_refused_on_the_vertex_count_before_any_walk(self, capsys, monkeypatch, tmp_path):
+        # A perfect matching on 2,000 pairs: every subset of a side is
+        # independent, so its 4,000 vertices force at least 2^2001 - 1
+        # faces, and the guard refuses before any walk.
+        def no_walk(*args):
+            raise AssertionError("walked past the vertex bound")
+
+        monkeypatch.setattr(simplicial, "_walk", no_walk)
+        pairs = range(2000)
+        doc = tmp_path / "matching2000.graph"
+        doc.write_text(f"L: {' '.join(f'x{i}' for i in pairs)}\n"
+                       f"R: {' '.join(f'y{i}' for i in pairs)}\n"
+                       f"E: {' '.join(f'x{i}-y{i}' for i in pairs)}\n")
+        code, report = run(capsys, "oracle", str(doc))
+        assert code == 1 and report["status"] == "error"
+        assert report["result"]["message"] == (
+            f"oracle guard: the independence complex has more than "
+            f"{simplicial.ORACLE_FACE_LIMIT} faces (independent sets)")
 
     def test_guard_counts_faces_not_vertices(self, capsys, tmp_path):
         # K_{11,11}: 22 vertices, but only 2 * 2^11 - 1 = 4095 faces.

@@ -114,13 +114,15 @@ class TestIndependenceComplex:
     def test_walk_against_brute_force(self):
         # On seeded random graphs and `allowed` masks, the walk lists each
         # independent subset of `allowed` once, with the vertices of
-        # `allowed` outside its closed neighbourhood as `free`; both are
-        # found here from `g.edges` alone.
+        # `allowed` outside its closed neighbourhood as `free`, and as its
+        # cone tag the free vertices whose neighbours are all neighbours of
+        # one taken vertex; all three are found here from `g.edges` alone.
         rng = random.Random(57)
         for _ in range(150):
             g = random_bipartite(rng, max_side=5)
             bit = {v: 1 << i for i, v in enumerate(g.vertices)}
             edges = [bit[x] | bit[y] for x, y in g.edges]
+            around = {b: {e ^ b for e in edges if e & b} for b in bit.values()}
             allowed = rng.getrandbits(len(bit))
             expected, sub = {}, allowed
             while True:
@@ -129,13 +131,16 @@ class TestIndependenceComplex:
                     for e in edges:
                         if e & sub:
                             closed |= e
-                    expected[sub] = allowed & ~closed
+                    free = allowed & ~closed
+                    tag = sum(v for v in bit.values() if v & free and any(
+                        u & sub and around[v] <= around[u] for u in bit.values()))
+                    expected[sub] = (free, tag)
                 if not sub:
                     break
                 sub = (sub - 1) & allowed
             sets = simplicial._walk(simplicial._masks(g), allowed)
             assert len(sets) == len(expected)
-            assert dict(sets) == expected, (g, allowed)
+            assert {taken: (free, cone) for taken, free, cone in sets} == expected, (g, allowed)
 
     def test_empty_graph_gives_void_complex(self):
         ind = independence_complex(BipartiteGraph.of([], [], []))
@@ -172,6 +177,33 @@ class TestIndependenceComplex:
         monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", 0)
         with pytest.raises(ValueError, match="oracle guard"):
             independence_complex(empty)
+
+    @pytest.mark.parametrize("p, q", [(0, 1), (1, 1), (2, 3), (3, 3), (3, 4), (6, 7)])
+    def test_vertex_bound_is_met_by_complete_graphs(self, monkeypatch, p, q):
+        # Every subset of a side is independent, so p + q vertices force at
+        # least 2^p + 2^q - 1 faces when |p - q| <= 1, and K_{p,q} has just
+        # those.  At that limit it is walked; one below, the vertex count
+        # alone refuses it, before any walk.
+        left, right = [f"x{i}" for i in range(p)], [f"y{j}" for j in range(q)]
+        g = BipartiteGraph.of(left, right, [(x, y) for x in left for y in right])
+        n = 2 ** p + 2 ** q - 1
+        assert independent_set_count(g) == n
+        walk, walks = simplicial._walk, []
+
+        def counting_walk(nbrs, allowed, limit=None):
+            walks.append(limit)
+            return walk(nbrs, allowed, limit)
+
+        monkeypatch.setattr(simplicial, "_walk", counting_walk)
+        monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n)
+        assert simplicial.oracle_sweep(g).facet_count == (2 if p else 1)
+        assert walks == [n]
+        del walks[:]
+        monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n - 1)
+        for refused in (independence_complex, simplicial.oracle_sweep):
+            with pytest.raises(ValueError, match=f"more than {n - 1} faces"):
+                refused(g)
+        assert walks == []
 
 
 class TestBasics:
@@ -592,11 +624,38 @@ def check_link_betti(g, masks):
     nbrs = simplicial._masks(g)
     checked = 0
     for w in masks:
-        expected = reduced_homology(tuple(f for f, _ in simplicial._walk(nbrs, w))).betti
+        expected = reduced_homology(tuple(f for f, _, _ in simplicial._walk(nbrs, w))).betti
         betti = simplicial._link_betti(nbrs, w, {})
         assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
         checked += 1
     return checked
+
+
+def isolated_in(g, mask):
+    """The vertices of `mask` with no neighbour in it (bit i is g.vertices[i]), from `g.edges`."""
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    covered = 0
+    for x, y in g.edges:
+        edge = bit[x] | bit[y]
+        if edge & mask == edge:
+            covered |= edge
+    return mask & ~covered
+
+
+def check_cone_tags(g, sample=None, rng=None):
+    """The guarded walk's cone tags against the vertices isolated in G[free].
+
+    On a graph with a pure order the tag is complete (`_walk`), so each
+    face's tag must be exactly that set.  With `sample`, a seeded sample of
+    that many faces from `rng` is checked.  Returns how many faces were
+    checked.
+    """
+    sets, _ = simplicial._guarded_walk(simplicial._masks(g))
+    if sample is not None and len(sets) > sample:
+        sets = rng.sample(sets, sample)
+    for taken, free, cone in sets:
+        assert cone == isolated_in(g, free), (g, taken, free)
+    return len(sets)
 
 
 class TestOracleSweep:
@@ -667,6 +726,12 @@ class TestOracleSweep:
         for d in range(1, 5):
             for g in enumerate_unmixed(d):
                 self.check(g)
+
+    def test_cone_tags_are_the_isolated_vertices(self):
+        # Every unmixed graph has a pure order, so the walk's tag is
+        # complete: each face's tag is every vertex isolated in G[free].
+        assert [sum(check_cone_tags(g) for g in enumerate_unmixed(d))
+                for d in range(1, 5)] == [3, 20, 113, 925]
 
     def test_guard_before_any_homology(self, monkeypatch):
         def refuse(c):
