@@ -154,8 +154,9 @@ def verify_against_oracle(g: BipartiteGraph) -> OracleAgreement:
     `simplicial.ORACLE_FACE_LIMIT` faces raises the oracle guard's
     ValueError before anything else.  Isolated vertices then raise
     IsolatedVertexError because the structural half cannot speak for them;
-    the classifier finds them first, so only the guarded walk runs, and no
-    link's homology is computed for an answer that is not given.
+    the classifier finds them first, so only the oracle's walk runs, under
+    the guard, and no link's homology is computed for an answer that is
+    not given.
     """
     try:
         verdict = classify(g)

@@ -11,14 +11,14 @@ integer columns, which torsion needs.
 
 The oracle reads the independence complex off the graph (`oracle_sweep`).
 Its faces are the independent sets, listed by one bitmask walk (`_walk`)
-over the neighbourhood masks that `_masks` builds from the graph's public
+over the neighbour masks that `_masks` builds from the graph's public
 `vertices` and `edges`, bit i being `g.vertices[i]`; this module alone
-lays the bits out, and groups the twins, vertices with equal masks.
-`_guarded_walk` walks one vertex per twin class and widens each set to
-whole classes, since a face holding part of a class has a cone for its
-link; it also bounds the work, counting every face on the classes: past
-`ORACLE_FACE_LIMIT` faces the oracle raises.  The link of a face F is
-Ind(G - N[F]), the independence complex of an induced subgraph, so a
+lays the bits out.  The walk groups the twins, vertices with equal
+masks, and walks one vertex per class, listing each set as whole
+classes, since a face holding part of a class has a cone for its link;
+it also bounds the work, counting every face on the classes as it goes:
+past `ORACLE_FACE_LIMIT` faces the oracle raises.  The link of a face F
+is Ind(G - N[F]), the independence complex of an induced subgraph, so a
 link is keyed by one int: the vertices still free to join F, one per
 twin class, which the walk yields beside each face; a face with nothing
 free is a facet.  The walk also tags a face whose link is a cone: a free
@@ -29,15 +29,15 @@ numbers are read off that subgraph before any matrix (`_link_betti`):
 an isolated vertex makes it a cone, folds delete dominated vertices
 (twins among them), and the rest splits into components whose complexes
 join.  Each component, once per sweep however many links share it, has
-its faces listed by `_walk`, as the bitmask faces that
-`reduced_homology` also takes; the whole complex reuses the guarded
-walk's.  A one-edge component is listed with no walk, and it is two
+its faces listed by the same `_walk`, as the bitmask faces that
+`reduced_homology` also takes; the whole complex reuses the sweep's
+walk.  A one-edge component is listed with no walk, and it is two
 points, which `reduced_homology` names with no boundary matrix.
-`independence_complex`
-reads the facets off the same guarded walk, for the generic routines
-below: the limit is this module's alone, and no caller names it.  `link`
-and `join` build their complexes directly, since their facets are already
-antichains (proofs in their docstrings); only `from_facets` prunes.
+`independence_complex` reads the facets off the same walk, for the
+generic routines below: the limit is this module's alone, and no caller
+names it.  `link` and `join` build their complexes directly, since their
+facets are already antichains (proofs in their docstrings); only
+`from_facets` prunes.
 
 Cohen-Macaulayness is decided by the Reisner criterion: every face link
 must have vanishing reduced homology below its own dimension.  `is_cm_t`
@@ -117,123 +117,105 @@ def _masks(g: BipartiteGraph) -> tuple[int, ...]:
     return tuple(nbrs)
 
 
-def _walk(nbrs: tuple[int, ...], allowed: int,
-          limit: int | None = None) -> list[tuple[int, int, int]]:
-    """Every independent set inside `allowed`, as (taken, free, cone) bitmasks.
+def _walk(nbrs: tuple[int, ...], allowed: int) -> list[tuple[int, int, int]]:
+    """The independent sets of whole twin classes inside `allowed`, under the guard.
 
-    Bit i is vertex i and nbrs[i] its neighbourhood; `free` is `allowed`
-    minus the closed neighbourhoods of the vertices `taken`, the vertices
-    that could still join the set, and `cone`, the tag, holds the free
-    vertices dominated by a taken one: v with N(v) <= N(u), u taken.
-    Raises the oracle guard's ValueError after walking limit + 1 sets.
-    The walk branches on the lowest allowed vertex, left out or taken with
-    its closed neighbourhood removed; it follows the first branch in place
-    and stacks the second.  Every independent set S is exactly one leaf, so
-    the work is linear in the number of sets.  S is maximal in `allowed`
-    exactly when `free` is empty: a v in `free` is outside S with no
-    neighbour in S, so S | {v} is independent; and a v in `allowed` outside
-    `free` and S is a neighbour of S, so nothing else can be added.
+    Bit i is vertex i and nbrs[i] its neighbourhood.  Each set comes as
+    (taken, free, cone) bitmasks, and the first is always the empty set,
+    (0, reps, 0), reps holding the lowest vertex of each twin class.
+    - **Vertex bound.**  Before any mask is read, `allowed` alone may be
+      refused: nbrs is a bipartite graph (`_masks`), every subset of
+      either side is independent, so sides of p and n - p vertices give
+      at least 2^p + 2^(n - p) - 1 faces (the empty set counted once),
+      least at p = n // 2.  Past `ORACLE_FACE_LIMIT` the count below
+      would refuse too, so the same inputs are refused with the same
+      message, and the O(n^2) table below is built only for n <= 26 at a
+      limit of 20,000.
+    - **Twins.**  Vertices of `allowed` with equal masks form a class,
+      and the walk branches on representatives only: `taken` is the union
+      of the classes of the representatives taken (proof that nothing
+      else can fail in `oracle_sweep`), and `free` is reps minus their
+      closed neighbourhoods, the link's key R & reps, since twins share
+      their neighbours.  With no twins, reps is `allowed` and every
+      independent set inside it is listed.
+    - **Weights.**  A class set S stands for the prod over c in S of
+      (2^{w_c} - 1) faces, w_c the size of class c (proof in
+      `oracle_sweep`), the empty set for one.  Each stacked set carries
+      that product, and past `ORACLE_FACE_LIMIT` faces summed so far the
+      oracle guard's ValueError is raised, during the walk, so it lists
+      at most limit + 1 class sets.
 
-    The tag comes from one table, dom[i] the other vertices v of `allowed`
-    with N(v) <= N(i), built in O(|allowed|^2) steps; each stacked set
+    The walk branches on the lowest representative left, left out or
+    taken with its closed neighbourhood removed; it follows the first
+    branch in place and stacks the second, so the empty set comes first.
+    Every independent set S of representatives is exactly one leaf, so
+    the work is linear in the number of sets.  S is maximal exactly when
+    `free` is empty: a v in `free` is outside S with no neighbour in S,
+    so S | {v} is independent; and a representative outside `free` and S
+    is a neighbour of S, so nothing else can be added, and neither can a
+    twin of it, nor a twin of S's members, already taken.
+
+    The tag `cone` comes from one table, dom[i] the other representatives
+    v with N(v) <= N(i), built in O(|reps|^2) steps; each stacked set
     carries the union of dom over its taken vertices, cut to `free` when
-    the set is listed.
+    the set is listed, so it holds the free v dominated by a taken u.
     - **The tag is sound.**  For v in `free`, u taken and N(v) <= N(u),
       N(v) & free <= N(u) & free, which is empty, `free` missing the
       closed neighbourhood of u.  So v is isolated in G[free], and the link
-      Ind(G[free]) is a cone on v, with no reduced homology.  On the twin
-      representatives `_guarded_walk` walks, `free` is the link's key
-      R & reps, which keeps a representative isolated (`oracle_sweep`).
+      Ind(G[free]) is a cone on v, with no reduced homology; `free` being
+      the link's key R & reps keeps a representative isolated
+      (`oracle_sweep`).
     - **The tag is complete when G has a pure order**, a perfect matching
       x_i y_i with Villarreal's condition (x_a y_b and x_b y_c edges force
-      x_a y_c), and `allowed` is every vertex or one per twin class.  Let
-      x_v be isolated in G[free].  Its partner y_v, or the representative
-      of y_v's class, which has y_v's neighbours, is not taken (x_v would
-      not be free) and not free (x_v would have a neighbour there), so a
-      taken x_a sees it, hence sees y_v.  For every edge x_v y_k,
-      Villarreal's condition on x_a y_v and x_v y_k gives x_a y_k, so
-      N(x_v) <= N(x_a).  A right y_v is the same with the sides swapped:
-      x_v sees a taken y_b, and x_k y_v with x_v y_b gives x_k y_b.
-      Completeness only saves time: an untagged cone still reaches
-      `_link_betti`, which finds its isolated vertex.
+      x_a y_c), and `allowed` is every vertex.  Let x_v be isolated in
+      G[free].  Its partner y_v, or the representative of y_v's class,
+      which has y_v's neighbours, is not taken (x_v would not be free) and
+      not free (x_v would have a neighbour there), so a taken x_a sees it,
+      hence sees y_v.  For every edge x_v y_k, Villarreal's condition on
+      x_a y_v and x_v y_k gives x_a y_k, so N(x_v) <= N(x_a).  A right y_v
+      is the same with the sides swapped: x_v sees a taken y_b, and x_k y_v
+      with x_v y_b gives x_k y_b.  Completeness only saves time: an
+      untagged cone still reaches `_link_betti`, which finds its isolated
+      vertex.
     """
+    n = allowed.bit_count()
+    if (1 << n // 2) + (1 << n - n // 2) - 1 > ORACLE_FACE_LIMIT:
+        raise _refused()
+    lowest_of: dict[int, int] = {}
+    whole = [0] * len(nbrs)
+    for i, mask in enumerate(nbrs):
+        if allowed >> i & 1:
+            whole[lowest_of.setdefault(mask, i)] |= 1 << i
+    weight = [(1 << c.bit_count()) - 1 for c in whole]
+    members = [i for i, c in enumerate(whole) if c]
+    reps = sum(1 << i for i in members)
     closed = [mask | 1 << i for i, mask in enumerate(nbrs)]
     dom = [0] * len(nbrs)
-    members = [i for i in range(len(nbrs)) if allowed >> i & 1]
     for i in members:
         above = ~nbrs[i]
         dom[i] = sum(1 << v for v in members if v != i and not nbrs[v] & above)
     out: list[tuple[int, int, int]] = []
-    stack = [(allowed, 0, allowed, 0)]
+    count, stack = 0, [(reps, 0, reps, 0, 1)]
     while stack:
-        allowed, taken, free, under = stack.pop()
+        allowed, taken, free, under, faces = stack.pop()
+        count += faces
+        if count > ORACLE_FACE_LIMIT:
+            raise _refused()
         while allowed:
             lowest = allowed & -allowed
             i = lowest.bit_length() - 1
             around = closed[i]
-            stack.append((allowed & ~around, taken | lowest, free & ~around, under | dom[i]))
+            stack.append((allowed & ~around, taken | whole[i],
+                          free & ~around, under | dom[i], faces * weight[i]))
             allowed ^= lowest
         out.append((taken, free, under & free))
-        if limit is not None and len(out) > limit:
-            raise _refused(limit)
     return out
 
 
-def _refused(limit: int) -> ValueError:
-    """The oracle guard's error, for a complex past `limit` faces."""
+def _refused() -> ValueError:
+    """The oracle guard's error, for a complex past `ORACLE_FACE_LIMIT` faces."""
     return ValueError(f"oracle guard: the independence complex has more than "
-                      f"{limit} faces (independent sets)")
-
-
-def _guarded_walk(nbrs: tuple[int, ...]) -> tuple[list[tuple[int, int, int]], int]:
-    """The independent sets made of whole twin classes, and one vertex per class.
-
-    nbrs is a bipartite graph's (`_masks`).  Before any walk, the vertex
-    count alone may refuse it: every subset of either side is independent,
-    so sides of p and n - p vertices give at least 2^p + 2^(n - p) - 1
-    faces (the empty set counted once), least at p = n // 2.  Past
-    `ORACLE_FACE_LIMIT` the walk would refuse too, so the same inputs are
-    refused with the same message, and `_walk`'s O(n^2) table is built only
-    for n <= 26 at a limit of 20,000.
-
-    Twins are vertices with equal neighbour masks.  `_walk` runs on the
-    lowest vertex of each class, the representatives `reps`, under
-    `ORACLE_FACE_LIMIT`, and the `taken` of each set it finds is widened to
-    the union of its representatives' classes.  Its `free` and cone tag are
-    left as the walk gives them, on `reps`: `free` is `reps` minus the
-    closed neighbourhoods of those representatives, which is the link key
-    of the widened set (proof in `oracle_sweep`): twins share their
-    neighbours, so widening meets no new neighbour.  Past the limit the
-    oracle guard's ValueError is raised, counting the faces of the whole
-    complex: a class set S stands for the prod over c in S of
-    (2^{w_c} - 1) faces, w_c the size of class c (the proof is in
-    `oracle_sweep`).  With no twins this is `_walk` of every vertex, with
-    no widening pass.
-    """
-    n = len(nbrs)
-    if (1 << n // 2) + (1 << n - n // 2) - 1 > ORACLE_FACE_LIMIT:
-        raise _refused(ORACLE_FACE_LIMIT)
-    classes: dict[int, int] = {}
-    for i, mask in enumerate(nbrs):
-        classes[mask] = classes.get(mask, 0) | 1 << i
-    if len(classes) == n:
-        everything = (1 << n) - 1
-        return _walk(nbrs, everything, ORACLE_FACE_LIMIT), everything
-    widen = {c & -c: (c, (1 << c.bit_count()) - 1) for c in classes.values()}
-    reps, count, sets = sum(widen), 0, []
-    for taken, free, cone in _walk(nbrs, reps, ORACLE_FACE_LIMIT):
-        weight, rest = 1, taken
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            whole, faces = widen[low]
-            taken |= whole
-            weight *= faces
-        count += weight
-        if count > ORACLE_FACE_LIMIT:
-            raise _refused(ORACLE_FACE_LIMIT)
-        sets.append((taken, free, cone))
-    return sets, reps
+                      f"{ORACLE_FACE_LIMIT} faces (independent sets)")
 
 
 def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
@@ -241,16 +223,14 @@ def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
 
     Raises the oracle guard's ValueError when g has more than
     `ORACLE_FACE_LIMIT` independent sets, the empty one included, counted
-    on the twin classes that `_guarded_walk` walks, before any facet is
-    built.  Every facet is a union of whole twin classes (proof in
-    `oracle_sweep`), so the facets are the sets that walk leaves with
-    nothing `free`, each met once.
+    by `_walk` on the twin classes before any facet is built.  Every facet
+    is a union of whole twin classes (proof in `oracle_sweep`), so the
+    facets are the sets that walk lists with nothing `free`, each once.
     """
     verts = g.vertices
-    sets, _ = _guarded_walk(_masks(g))
     return SimplicialComplex(tuple(verts), frozenset(
         frozenset(v for i, v in enumerate(verts) if taken >> i & 1)
-        for taken, free, _ in sets if not free))
+        for taken, free, _ in _walk(_masks(g), (1 << len(verts)) - 1) if not free))
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -561,12 +541,23 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
     finds an isolated vertex, at the start or left by a fold: a cone.
     A component's faces are walked and ranked only when `known`, which maps
     vertex masks to their Betti numbers, does not hold it yet, and
-    `walked`, the caller's guarded walk when `rest` is its `reps`, stands
-    in for that walk when nothing folds and `rest` is one component: each
-    widened set `& part` is the set of representatives `_walk` found.  A
-    component of two vertices, one edge (proof in `oracle_sweep`), is not
-    walked: its faces are listed as `_walk` lists them, (0, w, u) with u
-    the lower vertex, so `reduced_homology` gets the same tuple.
+    `walked`, the caller's walk of every vertex when `rest` is its reps,
+    stands in for that walk when nothing folds and `rest` is one
+    component: each set of whole classes `& part` is the set of
+    representatives walked.  A component of two vertices, one edge (proof
+    in `oracle_sweep`), is not walked: its faces are listed as `_walk`
+    lists them, (0, w, u) with u the lower vertex, so `reduced_homology`
+    gets the same tuple.
+
+    `_walk` lists a component's every independent set, not just its sets
+    of whole twin classes, because no two kept vertices are twins once
+    the fold loop ends.  Its last pass deletes nothing and finds no
+    isolated vertex.  Were u != w kept with N(u) = N(w), that pass met u
+    with a kept neighbour: `first`, the lowest of them, is a neighbour of
+    w too, so w is among `others`, and N(u) & kept lies in N(w), so w would
+    have been deleted.  So every class is one vertex, of weight 1, and
+    reps is the component.  Its faces are faces of G, so their count stays
+    within the limit G's own walk passed.
     """
     kept, folding = rest, True
     while folding:
@@ -621,8 +612,10 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
 
     Faces are the independent sets of g as bitmasks.  Those made of whole
     twin classes, the only ones that can fail (below), are walked once by
-    `_guarded_walk`, which counts every face under `ORACLE_FACE_LIMIT`,
-    so the oracle guard is raised before any homology.  The link of a
+    `_walk` of every vertex, which counts every face under
+    `ORACLE_FACE_LIMIT` as it goes, so the oracle guard is raised before
+    any homology.  Its first set is the empty one, whose `free` is reps,
+    one representative per class.  The link of a
     face F of Ind(G) is Ind(G[R]) for R = V - N[F]: a set H disjoint from
     F has H | F independent exactly when H is independent and misses
     N(F).  So each link is read off the int R, which the walk hands over
@@ -691,8 +684,8 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       representative each.**  With F a union of classes, a vertex lies
       in F, or in N(F), together with its twins, so R does too.  For
       twins u != w in R, N(u) & R <= N(w), so the fold deletes w; folding
-      every class down to its lowest vertex, the representative kept by
-      `_guarded_walk`, gives Ind(G[R]) the Betti numbers of
+      every class down to its lowest vertex, the representative `_walk`
+      branches on, gives Ind(G[R]) the Betti numbers of
       Ind(G[R & reps]).  So each link is keyed by R & reps, which
       determines R, and `_link_betti` starts on the folded graph.  That
       key is the walk's `free`: F & reps is the set T of representatives
@@ -707,9 +700,9 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       independent set that meets exactly those classes.  So S stands
       for the prod over c in S of (2^{w_c} - 1) faces, w_c = |c|, the
       empty S for the empty face, and summing over every S counts every
-      face of Ind(G) once.  `_guarded_walk` refuses past `ORACLE_FACE_LIMIT` on
-      that sum, so the guard refuses exactly the inputs it refused when
-      every face was walked, with the same message, while walking at most
+      face of Ind(G) once.  `_walk` refuses past `ORACLE_FACE_LIMIT` on
+      that sum, so the guard refuses exactly the inputs it would refuse if
+      every face were walked, with the same message, while walking at most
       limit + 1 class sets.
 
     Folds lower the dimension, so the test does not read it off the
@@ -720,12 +713,13 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     itself, the link of the empty face, keyed by reps, is taken from the
     sweep or computed once, and padded with zeros to the d + 1 entries,
     degrees -1 to d - 1, that `reduced_homology` gives the whole complex.
-    Under that one key, with twins or without, the guarded walk's sets
-    cut back to reps are the walk of G[reps], so if nothing folds and
+    Under that one key, with twins or without, the walk's sets cut back
+    to reps are the walk of G[reps], so if nothing folds and
     G[reps] is connected its faces go to the matrices with no second walk.
     """
     nbrs = _masks(g)
-    sets, reps = _guarded_walk(nbrs)
+    sets = _walk(nbrs, (1 << len(nbrs)) - 1)
+    reps = sets[0][1]
     sizes: list[int] = []
     by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(len(nbrs) + 1)]
     for face in sets:

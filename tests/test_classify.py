@@ -345,22 +345,22 @@ class TestOracleHarness:
         g = BipartiteGraph.of(["a", "b", "c"], ["d", "e"],
                               [("a", "d"), ("b", "d"), ("b", "e")])
         homology, seen = simplicial.reduced_homology, []
-        walk, guarded = simplicial._walk, []
+        walk, walks = simplicial._walk, []
 
         def counting_homology(c):
             seen.append(c)
             return homology(c)
 
-        def counting_walk(nbrs, allowed, limit=None):
-            guarded.append(limit)
-            return walk(nbrs, allowed, limit)
+        def counting_walk(nbrs, allowed):
+            walks.append(allowed)
+            return walk(nbrs, allowed)
 
         monkeypatch.setattr(simplicial, "reduced_homology", counting_homology)
         monkeypatch.setattr(simplicial, "_walk", counting_walk)
         with pytest.raises(IsolatedVertexError):
             verify_against_oracle(g)
         assert seen == []
-        assert guarded == [simplicial.ORACLE_FACE_LIMIT]
+        assert walks == [0b11111]
 
     def test_report_fields(self):
         report = verify_against_oracle(complete(2))

@@ -116,26 +116,26 @@ class TestOracle:
                                          pairs, codim):
         # The sweep reaches the empty face, whose link is the whole
         # complex; the report's betti must reuse that computation, and the
-        # command walks the whole complex under the guard once.  Folds and
-        # cones may settle every link with no `reduced_homology` call, and
-        # a component shared by several links is ranked once.
+        # command walks the whole complex, under the guard, once and
+        # first.  Folds and cones may settle every link with no
+        # `reduced_homology` call, and a component shared by several links
+        # is ranked once.
         n = max(j for _, j in pairs) + 1
         doc = tmp_path / "g.graph"
         doc.write_text(f"L: {' '.join(f'x{i}' for i in range(n))}\n"
                        f"R: {' '.join(f'y{i}' for i in range(n))}\n"
                        f"E: {' '.join(f'x{i}-y{j}' for i, j in pairs)}\n")
         homology, seen = simplicial.reduced_homology, []
-        walk, guarded = simplicial._walk, []
+        walk, walks = simplicial._walk, []
         reduce, reduced = simplicial._link_betti, []
 
         def counting_homology(faces):
             seen.append(frozenset(faces))
             return homology(faces)
 
-        def counting_walk(nbrs, allowed, limit=None):
-            sets = walk(nbrs, allowed, limit)
-            if limit is not None:
-                guarded.append(frozenset(taken for taken, _, _ in sets))
+        def counting_walk(nbrs, allowed):
+            sets = walk(nbrs, allowed)
+            walks.append((allowed, frozenset(taken for taken, _, _ in sets)))
             return sets
 
         def counting_reduction(nbrs, rest, known, walked=None):
@@ -147,10 +147,12 @@ class TestOracle:
         monkeypatch.setattr(simplicial, "_link_betti", counting_reduction)
         code, report = run(capsys, "oracle", str(doc))
         assert code == 0 and report["result"]["cm_codim"] == codim
-        assert len(guarded) == 1
+        everything = (1 << 2 * n) - 1
+        assert [allowed for allowed, _ in walks].count(everything) == 1
+        assert walks[0][0] == everything
         assert reduced and len(reduced) == len(set(reduced))
         assert len(seen) == len(set(seen))
-        assert seen.count(guarded[0]) <= 1
+        assert seen.count(walks[0][1]) <= 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_poset_graphs_reach_no_matrix(self, capsys, monkeypatch, tmp_path, seed):
@@ -160,9 +162,9 @@ class TestOracle:
         # `reduced_homology` names without a boundary matrix, and whose
         # faces are listed with no walk.  The walk's cone tags are every
         # isolated vertex of each link (a poset graph has a pure order), so
-        # the one walk, under the guard, is the only one, and `_link_betti`
-        # sees no link with an isolated vertex.  The report is the generic
-        # route's.
+        # the walk of the whole graph, under the guard, is the only one,
+        # and `_link_betti` sees no link with an isolated vertex.  The
+        # report is the generic route's.
         rng = random.Random(seed)
         g = relation_graph(seeded_poset(rng, 7, rng.uniform(0.5, 0.7)), 7)
         assert check_cone_tags(g) == independent_set_count(g)
@@ -176,9 +178,9 @@ class TestOracle:
         walk, walks = simplicial._walk, []
         reduce, keys = simplicial._link_betti, []
 
-        def counting_walk(nbrs, allowed, limit=None):
-            walks.append(limit)
-            return walk(nbrs, allowed, limit)
+        def counting_walk(nbrs, allowed):
+            walks.append(allowed)
+            return walk(nbrs, allowed)
 
         def counting_reduction(nbrs, rest, known, walked=None):
             keys.append(rest)
@@ -189,7 +191,7 @@ class TestOracle:
         code, report = run(capsys, "oracle", str(doc))
         assert code == 0 and report["result"] == expected
         assert seen == []
-        assert walks == [simplicial.ORACLE_FACE_LIMIT]
+        assert walks == [(1 << len(g.vertices)) - 1]
         assert keys and not any(isolated_in(g, key) for key in keys)
 
     def test_max_t_flag(self, capsys):
@@ -216,14 +218,23 @@ class TestOracle:
         assert "guard" in report["result"]["message"]
         assert str(simplicial.ORACLE_FACE_LIMIT) in report["result"]["message"]
 
-    def test_refused_on_the_vertex_count_before_any_walk(self, capsys, monkeypatch, tmp_path):
+    def test_refused_on_the_vertex_count_before_any_walk(self, capsys, tmp_path):
         # A perfect matching on 2,000 pairs: every subset of a side is
         # independent, so its 4,000 vertices force at least 2^2001 - 1
-        # faces, and the guard refuses before any walk.
-        def no_walk(*args):
-            raise AssertionError("walked past the vertex bound")
+        # faces, and the walk refuses on that count before it reads any
+        # neighbourhood: handed masks that raise on any read, it still
+        # gives the guard's error.
+        class Unread:
+            def __len__(self):
+                raise AssertionError("read the masks past the vertex bound")
 
-        monkeypatch.setattr(simplicial, "_walk", no_walk)
+            __getitem__ = __iter__ = __len__
+
+        message = (f"oracle guard: the independence complex has more than "
+                   f"{simplicial.ORACLE_FACE_LIMIT} faces (independent sets)")
+        with pytest.raises(ValueError) as refused:
+            simplicial._walk(Unread(), (1 << 4000) - 1)
+        assert str(refused.value) == message
         pairs = range(2000)
         doc = tmp_path / "matching2000.graph"
         doc.write_text(f"L: {' '.join(f'x{i}' for i in pairs)}\n"
@@ -231,9 +242,7 @@ class TestOracle:
                        f"E: {' '.join(f'x{i}-y{i}' for i in pairs)}\n")
         code, report = run(capsys, "oracle", str(doc))
         assert code == 1 and report["status"] == "error"
-        assert report["result"]["message"] == (
-            f"oracle guard: the independence complex has more than "
-            f"{simplicial.ORACLE_FACE_LIMIT} faces (independent sets)")
+        assert report["result"]["message"] == message
 
     def test_guard_counts_faces_not_vertices(self, capsys, tmp_path):
         # K_{11,11}: 22 vertices, but only 2 * 2^11 - 1 = 4095 faces.
@@ -251,23 +260,32 @@ class TestOracle:
     def test_guard_counts_faces_on_twin_classes(self, capsys, monkeypatch, tmp_path,
                                                 command):
         # Four disjoint K_{3,3}: 15^4 = 50,625 faces, counted on the
-        # 3^4 = 81 independent sets of twin classes, the only sets walked.
+        # 3^4 = 81 independent sets of twin classes, the only sets walked:
+        # at a limit of 50,625 they are all listed and the command answers,
+        # and at 20,000 the walk stops with the guard's error.
         doc = tmp_path / "k33x4.graph"
         doc.write_text(disjoint_k33s(4))
-        walk, guarded = simplicial._walk, []
+        walk, walks, listed = simplicial._walk, [], []
 
-        def counting_walk(nbrs, allowed, limit=None):
-            sets = walk(nbrs, allowed, limit)
-            if limit is not None:
-                guarded.append(len(sets))
+        def counting_walk(nbrs, allowed):
+            walks.append(allowed)
+            sets = walk(nbrs, allowed)
+            listed.append(len(sets))
             return sets
 
         monkeypatch.setattr(simplicial, "_walk", counting_walk)
+        monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", 15 ** 4)
+        code, report = run(capsys, command, str(doc))
+        assert code == 0 and report["status"] == "ok"
+        assert walks == [(1 << 24) - 1] and listed == [81]
+        del walks[:], listed[:]
+        monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", 20_000)
         code, report = run(capsys, command, str(doc))
         assert code == 1 and report["status"] == "error"
-        assert "oracle guard" in report["result"]["message"]
-        assert str(simplicial.ORACLE_FACE_LIMIT) in report["result"]["message"]
-        assert guarded == [81]
+        assert report["result"]["message"] == (
+            "oracle guard: the independence complex has more than "
+            "20000 faces (independent sets)")
+        assert walks == [(1 << 24) - 1] and listed == []
 
 
 class TestVerify:
@@ -321,22 +339,22 @@ class TestVerify:
         assert code == 1 and report["status"] == "error"
 
     def test_one_walk_per_graph(self, capsys, monkeypatch, tmp_path):
-        # One walk over the whole complex, under the guard; the other walks
-        # list the faces of single links and carry no limit.  K_{2,2} has
-        # two twin classes, {x1, x2} and {y1, y2}, and the guarded walk
-        # runs on one bit of each, its lowest: x1 and y1.
+        # One walk over the whole complex, under the guard, and none for
+        # its links.  K_{2,2} has two twin classes, {x1, x2} and {y1, y2},
+        # and the walk branches on one bit of each, its lowest: x1 and y1,
+        # which its first set, the empty one, holds free.
         doc = tmp_path / "k22.graph"
         doc.write_text(K22)
         real, calls = simplicial._walk, []
 
-        def counting(nbrs, allowed, limit=None):
-            calls.append((allowed, limit))
-            return real(nbrs, allowed, limit)
+        def counting(nbrs, allowed):
+            sets = real(nbrs, allowed)
+            calls.append((allowed, sets[0]))
+            return sets
 
         monkeypatch.setattr(simplicial, "_walk", counting)
         assert main(["verify", str(doc)]) == 0
-        assert [limit for _, limit in calls if limit is not None] == [simplicial.ORACLE_FACE_LIMIT]
-        assert calls[0] == (0b0101, simplicial.ORACLE_FACE_LIMIT)
+        assert calls == [(0b1111, (0, 0b0101, 0))]
 
     def test_three_disjoint_k33s(self, capsys, tmp_path):
         # 15^3 = 3,375 faces, under the guard; one block size, 3, over

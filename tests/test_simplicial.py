@@ -112,33 +112,44 @@ class TestIndependenceComplex:
         assert seen == 689
 
     def test_walk_against_brute_force(self):
-        # On seeded random graphs and `allowed` masks, the walk lists each
-        # independent subset of `allowed` once, with the vertices of
-        # `allowed` outside its closed neighbourhood as `free`, and as its
-        # cone tag the free vertices whose neighbours are all neighbours of
-        # one taken vertex; all three are found here from `g.edges` alone.
+        # On seeded random graphs and twin blow-ups, and random `allowed`
+        # masks, the walk lists once each independent set of the twin
+        # classes inside `allowed` (vertices of `allowed` with equal
+        # neighbourhoods), as the union of its classes.  `free` is the
+        # class representatives, the lowest vertex of each, outside the
+        # set's closed neighbourhood, and the cone tag the free vertices
+        # whose neighbours are all neighbours of one taken vertex.  The
+        # first set is the empty one, free on every representative.  All
+        # of it is found here from `g.edges` alone.
         rng = random.Random(57)
-        for _ in range(150):
-            g = random_bipartite(rng, max_side=5)
+        for k in range(210):
+            g = random_bipartite(rng, max_side=5) if k < 150 else twin_blow_up(rng, 4, 3)
             bit = {v: 1 << i for i, v in enumerate(g.vertices)}
             edges = [bit[x] | bit[y] for x, y in g.edges]
-            around = {b: {e ^ b for e in edges if e & b} for b in bit.values()}
+            around = {b: frozenset(e ^ b for e in edges if e & b) for b in bit.values()}
             allowed = rng.getrandbits(len(bit))
-            expected, sub = {}, allowed
+            classes = {}
+            for b in sorted(bit.values()):
+                if b & allowed:
+                    classes[around[b]] = classes.get(around[b], 0) | b
+            whole = {c & -c: c for c in classes.values()}
+            reps = sum(whole)
+            expected, sub = {}, reps
             while True:
                 if all(e & sub != e for e in edges):
                     closed = sub
                     for e in edges:
                         if e & sub:
                             closed |= e
-                    free = allowed & ~closed
-                    tag = sum(v for v in bit.values() if v & free and any(
-                        u & sub and around[v] <= around[u] for u in bit.values()))
-                    expected[sub] = (free, tag)
+                    free = reps & ~closed
+                    tag = sum(v for v in whole if v & free and any(
+                        u & sub and around[v] <= around[u] for u in whole))
+                    expected[sum(c for r, c in whole.items() if r & sub)] = (free, tag)
                 if not sub:
                     break
-                sub = (sub - 1) & allowed
+                sub = (sub - 1) & reps
             sets = simplicial._walk(simplicial._masks(g), allowed)
+            assert sets[0] == (0, reps, 0)
             assert len(sets) == len(expected)
             assert {taken: (free, cone) for taken, free, cone in sets} == expected, (g, allowed)
 
@@ -190,20 +201,27 @@ class TestIndependenceComplex:
         assert independent_set_count(g) == n
         walk, walks = simplicial._walk, []
 
-        def counting_walk(nbrs, allowed, limit=None):
-            walks.append(limit)
-            return walk(nbrs, allowed, limit)
+        def counting_walk(nbrs, allowed):
+            walks.append(allowed)
+            return walk(nbrs, allowed)
+
+        def unread_walk(nbrs, allowed):
+            walks.append(allowed)
+            return walk(None, allowed)
 
         monkeypatch.setattr(simplicial, "_walk", counting_walk)
         monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n)
         assert simplicial.oracle_sweep(g).facet_count == (2 if p else 1)
-        assert walks == [n]
+        assert walks == [(1 << p + q) - 1]
         del walks[:]
+        # One below, the walk is handed no masks at all: it must refuse on
+        # the vertex count before reading one.
+        monkeypatch.setattr(simplicial, "_walk", unread_walk)
         monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n - 1)
         for refused in (independence_complex, simplicial.oracle_sweep):
             with pytest.raises(ValueError, match=f"more than {n - 1} faces"):
                 refused(g)
-        assert walks == []
+        assert walks == [(1 << p + q) - 1] * 2
 
 
 class TestBasics:
@@ -615,16 +633,36 @@ def even_cycle(m):
                              + [(left[(i + 1) % m], right[i]) for i in range(m)])
 
 
-def check_link_betti(g, masks):
-    """`_link_betti` on each vertex mask W against `reduced_homology` of G[W]'s walked faces.
+def independent_sets(nbrs, allowed):
+    """Every independent set inside `allowed`, as a bitmask, by a plain walk.
 
+    Bit i is vertex i and nbrs[i] its neighbourhood.  The walk branches on
+    the lowest allowed vertex, left out or taken with its closed
+    neighbourhood removed, so each independent set is one leaf.  It knows
+    nothing of twins, tags or the oracle guard.
+    """
+    out, stack = [], [(allowed, 0)]
+    while stack:
+        allowed, taken = stack.pop()
+        while allowed:
+            lowest = allowed & -allowed
+            stack.append((allowed & ~nbrs[lowest.bit_length() - 1] & ~lowest, taken | lowest))
+            allowed ^= lowest
+        out.append(taken)
+    return out
+
+
+def check_link_betti(g, masks):
+    """`_link_betti` on each vertex mask W against `reduced_homology` of G[W]'s faces.
+
+    The faces are listed by `independent_sets`, not by the oracle's walk.
     Cones, folds, components and joins must give the matrices' Betti
     numbers, padded with zeros.  Returns how many masks were checked.
     """
     nbrs = simplicial._masks(g)
     checked = 0
     for w in masks:
-        expected = reduced_homology(tuple(f for f, _, _ in simplicial._walk(nbrs, w))).betti
+        expected = reduced_homology(tuple(independent_sets(nbrs, w))).betti
         betti = simplicial._link_betti(nbrs, w, {})
         assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
         checked += 1
@@ -643,14 +681,14 @@ def isolated_in(g, mask):
 
 
 def check_cone_tags(g, sample=None, rng=None):
-    """The guarded walk's cone tags against the vertices isolated in G[free].
+    """The oracle walk's cone tags against the vertices isolated in G[free].
 
     On a graph with a pure order the tag is complete (`_walk`), so each
     face's tag must be exactly that set.  With `sample`, a seeded sample of
     that many faces from `rng` is checked.  Returns how many faces were
     checked.
     """
-    sets, _ = simplicial._guarded_walk(simplicial._masks(g))
+    sets = simplicial._walk(simplicial._masks(g), (1 << len(g.vertices)) - 1)
     if sample is not None and len(sets) > sample:
         sets = rng.sample(sets, sample)
     for taken, free, cone in sets:
@@ -766,7 +804,7 @@ class TestOracleSweep:
 
     def test_fold_free_graphs_reach_the_matrices(self, monkeypatch):
         # Crowns and even cycles have no fold and are connected, so the
-        # whole complex goes to `reduced_homology`, on the guarded walk's
+        # whole complex goes to `reduced_homology`, on the oracle walk's
         # faces.  Ind(crown n) is a wedge of n - 1 circles; Ind(C_{2m}) is
         # S^{k-1} v S^{k-1} for 2m = 3k and S^{k-1} for 2m = 3k +- 1
         # (Kozlov, J. Combin. Theory Ser. A 1999).
@@ -777,8 +815,8 @@ class TestOracleSweep:
             seen.append(c)
             return real(c)
 
-        def counting_walk(nbrs, allowed, limit=None):
-            sets = walk(nbrs, allowed, limit)
+        def counting_walk(nbrs, allowed):
+            sets = walk(nbrs, allowed)
             walks.append(len(sets))
             return sets
 
