@@ -7,7 +7,11 @@ A graph lives in a small line-oriented text format:
     E: x1-y1 x1-y2 x2-y2
 
 `parse_graph` reads it, `to_document` writes it back.  Vertex names match
-``[A-Za-z0-9_]+`` and `#` starts a comment.
+``[A-Za-z0-9_]+`` and `#` starts a comment.  A well-formed document is
+checked in bulk (`parse_document`): one `findall` per `E:` line, set sizes
+for repeated names and edges, and one pass that checks each edge's sides
+while it builds the neighbour sets, which the graph keeps.  The per-token and per-edge loops run only on a document they will
+refuse, to word its error.
 
 The structural heart of the module is `find_pure_order`: a bipartite graph
 without isolated vertices is unmixed (its independence complex is pure)
@@ -20,8 +24,10 @@ classes of lefts with equal neighbourhoods (`neighbourhood_blocks`), which
 each graph groups once (`BipartiteGraph._blocks`).
 No matching is searched for: each class is paired with the rights of
 least degree in its neighbourhood, which under a pure order are its own.
-`_transitive` is the one place the condition is written as a check; the
-enumerators make only relations that satisfy it (`enumeration._relations`).
+`_transitive` is the one place the condition is written as a check, and
+`_matching_transitive` applies it to a matching on the quotient by those
+classes, one successor set per class; the enumerators make only relations
+that satisfy it (`enumeration._relations`).
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from functools import cached_property
 from typing import NamedTuple
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+# One whole whitespace-separated token name-name; `\S` and `str.split` agree
+# on what whitespace is.
+EDGE_RE = re.compile(r"(?<!\S)([A-Za-z0-9_]+)-([A-Za-z0-9_]+)(?!\S)")
 
 
 class GraphFormatError(ValueError):
@@ -50,7 +59,13 @@ class ConsistencyError(RuntimeError):
 
 
 def _check_names(names) -> None:
-    """Raise ValueError on a name that `NAME_RE` rejects or that repeats."""
+    """Raise ValueError on a name that `NAME_RE` rejects or that repeats.
+
+    A valid list passes on two C-level tests; the loop, which names the
+    first bad name in list order, runs only on a list it will refuse.
+    """
+    if all(map(NAME_RE.match, names)) and len(set(names)) == len(names):
+        return
     seen: set[str] = set()
     for name in names:
         if not NAME_RE.match(name):
@@ -58,6 +73,25 @@ def _check_names(names) -> None:
         if name in seen:
             raise ValueError(f"duplicate vertex {name!r}")
         seen.add(name)
+
+
+def _neighbour_sets(left, right, edges) -> dict[str, frozenset[str]] | None:
+    """Neighbours of every vertex, lefts then rights; None when an edge is off its sides.
+
+    One pass over the edges both checks the sides and builds the sets: an
+    edge (x, y) whose x is no left or whose y is no right misses its side's
+    table.  The names must be distinct (`_check_names`).
+    """
+    ladj: dict[str, set[str]] = {x: set() for x in left}
+    radj: dict[str, set[str]] = {y: set() for y in right}
+    try:
+        for x, y in edges:
+            ladj[x].add(y)
+            radj[y].add(x)
+    except KeyError:
+        return None
+    ladj.update(radj)
+    return {v: frozenset(ns) for v, ns in ladj.items()}
 
 
 class _Frozen:
@@ -102,10 +136,13 @@ class BipartiteGraph(_Frozen):
                  edges: frozenset[tuple[str, str]]) -> None:
         self._set(left, right, edges)
         _check_names(self.left + self.right)
-        lset, rset = set(self.left), set(self.right)
-        for x, y in self.edges:
-            if x not in lset or y not in rset:
-                raise ValueError(f"edge ({x},{y}) does not run from left to right")
+        adjacency = _neighbour_sets(self.left, self.right, self.edges)
+        if adjacency is None:
+            lset, rset = set(self.left), set(self.right)
+            for x, y in self.edges:
+                if x not in lset or y not in rset:
+                    raise ValueError(f"edge ({x},{y}) does not run from left to right")
+        self.__dict__["_adjacency"] = adjacency
 
     @classmethod
     def of(cls, left, right, edges) -> "BipartiteGraph":
@@ -113,14 +150,20 @@ class BipartiteGraph(_Frozen):
 
     @classmethod
     def _trusted(cls, left: tuple[str, ...], right: tuple[str, ...],
-                 edges: frozenset[tuple[str, str]]) -> "BipartiteGraph":
+                 edges: frozenset[tuple[str, str]],
+                 adjacency: dict[str, frozenset[str]] | None = None) -> "BipartiteGraph":
         """A graph whose names and edge sides the caller has already checked.
 
-        `parse_document` checks each name once and each edge once, with line
-        numbers, before building; `__init__` would check them again.
+        `parse_document` checks the names and the edge sides before
+        building, and hands over the neighbour sets it built in that check;
+        `__init__` would check them again.  The enumerators and
+        `construct._blow_up` pass none, and `_adjacency` builds them on
+        first use.
         """
         g = object.__new__(cls)
         g._set(left, right, edges)
+        if adjacency is not None:
+            g.__dict__["_adjacency"] = adjacency
         return g
 
     @property
@@ -142,12 +185,13 @@ class BipartiteGraph(_Frozen):
 
     @cached_property
     def _adjacency(self) -> dict[str, frozenset[str]]:
-        """Neighbours of every vertex, built on first use and freed with the graph."""
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
-        for x, y in self.edges:
-            adj[x].add(y)
-            adj[y].add(x)
-        return {v: frozenset(ns) for v, ns in adj.items()}
+        """Neighbours of every vertex, freed with the graph.
+
+        `__init__` and `parse_document` keep the sets they build as they
+        check the edge sides; any other `_trusted` graph builds them here
+        on first use, with the same `_neighbour_sets`.
+        """
+        return _neighbour_sets(self.left, self.right, self.edges)
 
     @cached_property
     def _blocks(self) -> BlockDecomposition:
@@ -200,10 +244,21 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
 
     The optional `M:` line carries expansion multiplicities; plain graph
     callers should use `parse_graph`, which rejects it.
+
+    A well-formed document is checked in bulk.  Each `E:` line is read by
+    one `EDGE_RE.findall`, whose matches are whole whitespace-separated
+    tokens of the form name-name, so as many matches as tokens means every
+    token is an edge.  The names pass `_check_names`'s C-level tests, the
+    edges are all distinct when their frozenset is as long as their list,
+    and `_neighbour_sets` checks every edge's sides in the one pass that
+    builds the graph's neighbour sets.  Only where one of these fails does
+    the per-token or per-edge loop run, to raise the message with its line
+    number, the one the loop has always raised.
     """
     left: list[str] | None = None
     right: list[str] | None = None
-    edge_tokens: list[tuple[str, str, int]] = []
+    edge_lines: list[tuple[int, list[tuple[str, str]]]] = []
+    pairs: list[tuple[str, str]] = []
     mult: tuple[int, ...] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -221,11 +276,16 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
                 raise GraphFormatError(f"line {lineno}: duplicate 'R:' line")
             right = tokens
         elif tag == "E":
-            for tok in tokens:
-                u, sep, v = tok.partition("-")
-                if not sep or not u or not v:
-                    raise GraphFormatError(f"line {lineno}: malformed edge token {tok!r}")
-                edge_tokens.append((u, v, lineno))
+            found = EDGE_RE.findall(rest)
+            if len(found) != len(tokens):
+                found = []
+                for tok in tokens:
+                    u, sep, v = tok.partition("-")
+                    if not sep or not u or not v:
+                        raise GraphFormatError(f"line {lineno}: malformed edge token {tok!r}")
+                    found.append((u, v))
+            edge_lines.append((lineno, found))
+            pairs += found
         elif tag == "M":
             if mult is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate 'M:' line")
@@ -243,18 +303,23 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
         _check_names(left + right)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
-    lset, rset = set(left), set(right)
-    edges: set[tuple[str, str]] = set()
-    for u, v, lineno in edge_tokens:
-        for end in (u, v):
-            if end not in lset and end not in rset:
-                raise GraphFormatError(f"line {lineno}: unknown vertex {end!r}")
-        if u not in lset or v not in rset:
-            raise GraphFormatError(f"line {lineno}: edge {u}-{v} has an endpoint on the wrong side")
-        if (u, v) in edges:
-            raise GraphFormatError(f"line {lineno}: duplicate edge {u}-{v}")
-        edges.add((u, v))
-    return BipartiteGraph._trusted(tuple(left), tuple(right), frozenset(edges)), mult
+    edges = frozenset(pairs)
+    adjacency = _neighbour_sets(left, right, edges) if len(edges) == len(pairs) else None
+    if adjacency is None:
+        lset, rset = set(left), set(right)
+        seen: set[tuple[str, str]] = set()
+        for lineno, found in edge_lines:
+            for u, v in found:
+                for end in (u, v):
+                    if end not in lset and end not in rset:
+                        raise GraphFormatError(f"line {lineno}: unknown vertex {end!r}")
+                if u not in lset or v not in rset:
+                    raise GraphFormatError(
+                        f"line {lineno}: edge {u}-{v} has an endpoint on the wrong side")
+                if (u, v) in seen:
+                    raise GraphFormatError(f"line {lineno}: duplicate edge {u}-{v}")
+                seen.add((u, v))
+    return BipartiteGraph._trusted(tuple(left), tuple(right), edges, adjacency), mult
 
 
 def parse_graph(text: str) -> BipartiteGraph:
@@ -283,10 +348,39 @@ def _transitive(succ: dict) -> bool:
 
 
 def _matching_transitive(g: BipartiteGraph, match: dict[str, str]) -> bool:
-    # succ[x] holds the lefts whose partner x sees.
-    adj = g._adjacency
-    owner = {y: x for x, y in match.items()}
-    return _transitive({x: frozenset(owner[y] for y in adj[x]) for x in match})
+    """Villarreal's condition for `match`, a perfect matching of g, checked on `g._blocks`.
+
+    `match` sends each left x_i to its partner y_i, a neighbour, and is a
+    bijection onto `g.right`.  Let succ(i) be the indices j with x_iy_j
+    an edge; the condition is succ(j) <= succ(i) for every j in succ(i).
+    succ(i) depends on N(x_i) alone, so it is one set per class of lefts
+    with equal neighbourhoods (`g._blocks`).  The check runs on the
+    quotient, whose successors of a class are the classes succ(i) hits,
+    and also checks that each class hit is hit whole: |N(x_i)|, which is
+    |succ(i)| as `match` is a bijection, must equal the sum of the sizes
+    of the classes hit.
+
+    This is the per-left check.  Suppose the condition holds, j is in
+    succ(i) and x_j' ~ x_j.  N(x_j') = N(x_j) holds y_j', since x_j'y_j' is
+    an edge, so j' is in succ(j), which lies in succ(i): succ(i) is a union
+    of whole classes, and the sizes add up.  A class C' hit by succ(i)
+    then has its members in succ(i), so succ(C') <= succ(i), and the
+    quotient passes.  Conversely, if every succ(i) is a union of whole
+    classes, it is the union of the classes the quotient gives it, so for
+    j in succ(i) the quotient's succ(C_j) <= succ(C_i) is succ(j) <=
+    succ(i), and the per-left check passes.
+    """
+    adj, left, blocks = g._adjacency, g.left, g._blocks.blocks
+    klass = {match[left[i - 1]]: k for k, block in enumerate(blocks) for i in block}
+    sizes = [len(block) for block in blocks]
+    succ = {}
+    for k, block in enumerate(blocks):
+        around = adj[left[min(block) - 1]]
+        hit = frozenset(map(klass.__getitem__, around))
+        if len(around) != sum(map(sizes.__getitem__, hit)):
+            return False
+        succ[k] = hit
+    return _transitive(succ)
 
 
 def find_pure_order(g: BipartiteGraph) -> PureOrder | None:

@@ -90,14 +90,21 @@ def _blow_up(base: BipartiteGraph, multiplicities: tuple[int, ...]) -> Bipartite
     builds every block.  There is no edge limit here: a blow-up of sharp
     codimension t has t + n_min - 1 pairs, and `enumerate_sharp_cmt` takes
     t <= 5 and n_min <= max(t - 1, 3), so its blow-ups have at most 8.
+
+    The graph is built unchecked (`BipartiteGraph._trusted`), so its
+    neighbour sets wait for a first reader; `expand` only writes the
+    document.  The base's names are valid and distinct, so the copies
+    are: v_k is a valid name, and k has no underscore, so the last one in
+    v_k gives back v and k.  Every edge joins a copy of a left to a copy
+    of a right.
     """
     copies = {v: [f"{v}_{k}" for k in range(1, n + 1)]
               for side in (base.left, base.right)
               for v, n in zip(side, multiplicities)}
-    return BipartiteGraph.of((c for x in base.left for c in copies[x]),
-                             (c for y in base.right for c in copies[y]),
-                             ((cx, cy) for x, y in base.edges
-                              for cx in copies[x] for cy in copies[y]))
+    return BipartiteGraph._trusted(tuple(c for x in base.left for c in copies[x]),
+                                   tuple(c for y in base.right for c in copies[y]),
+                                   frozenset((cx, cy) for x, y in base.edges
+                                             for cx in copies[x] for cy in copies[y]))
 
 
 def contract(g: BipartiteGraph) -> Expansion:

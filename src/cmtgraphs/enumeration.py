@@ -326,7 +326,8 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
 
     Only keys the walk can yield go into `seen`.  With `upward`, `down`
     holds the bits of the pairs (i, j) with i > j; otherwise it is 0 and
-    every key is kept.  `_relations` with `upward` makes only relations
+    the whole orbit goes into `seen` in one C-level update, with no
+    filter.  `_relations` with `upward` makes only relations
     whose pairs all have i < j, so no key it yields has a bit of `down`:
     a key of the orbit that has one is never looked up, and leaving it out
     of `seen` changes no lookup, so the same members are skipped.  The
@@ -366,7 +367,7 @@ def _classes(d: int, order: list[tuple[int, int]], upward: bool) -> list[Biparti
     for key in _relations(d, bit, upward):
         if key not in seen:
             orbit = _orbit(key, lanes, width)
-            seen.update(k for k in orbit if not k & down)
+            seen.update((k for k in orbit if not k & down) if down else orbit)
             codes.append(min(orbit))
     diagonal = {(i, i) for i in range(d)}
     return [_index_graph(d, diagonal | {p for p in order if code & bit[p]})

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,195 @@ def assert_matches_oracle(g: BipartiteGraph) -> bool:
     return po is not None
 
 
+# The parser, name check and Villarreal check as they stood before the bulk
+# parse: the references the current ones are compared with.
+
+def former_check_names(names) -> None:
+    seen: set[str] = set()
+    for name in names:
+        if not bigraph.NAME_RE.match(name):
+            raise ValueError(f"bad vertex name {name!r}")
+        if name in seen:
+            raise ValueError(f"duplicate vertex {name!r}")
+        seen.add(name)
+
+
+def former_parse_document(text: str):
+    """(left, right, edges, multiplicities), or the GraphFormatError raised."""
+    left = right = mult = None
+    edge_tokens = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tag, _, rest = line.partition(":")
+        tag = tag.strip()
+        tokens = rest.split()
+        if tag == "L":
+            if left is not None:
+                raise GraphFormatError(f"line {lineno}: duplicate 'L:' line")
+            left = tokens
+        elif tag == "R":
+            if right is not None:
+                raise GraphFormatError(f"line {lineno}: duplicate 'R:' line")
+            right = tokens
+        elif tag == "E":
+            for tok in tokens:
+                u, sep, v = tok.partition("-")
+                if not sep or not u or not v:
+                    raise GraphFormatError(f"line {lineno}: malformed edge token {tok!r}")
+                edge_tokens.append((u, v, lineno))
+        elif tag == "M":
+            if mult is not None:
+                raise GraphFormatError(f"line {lineno}: duplicate 'M:' line")
+            try:
+                mult = tuple(int(tok) for tok in tokens)
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: multiplicities must be integers") from None
+        else:
+            raise GraphFormatError(f"line {lineno}: expected 'L:', 'R:', 'E:' or 'M:', got {line!r}")
+    if left is None:
+        raise GraphFormatError("missing 'L:' line")
+    if right is None:
+        raise GraphFormatError("missing 'R:' line")
+    try:
+        former_check_names(left + right)
+    except ValueError as exc:
+        raise GraphFormatError(str(exc)) from None
+    lset, rset = set(left), set(right)
+    edges = set()
+    for u, v, lineno in edge_tokens:
+        for end in (u, v):
+            if end not in lset and end not in rset:
+                raise GraphFormatError(f"line {lineno}: unknown vertex {end!r}")
+        if u not in lset or v not in rset:
+            raise GraphFormatError(f"line {lineno}: edge {u}-{v} has an endpoint on the wrong side")
+        if (u, v) in edges:
+            raise GraphFormatError(f"line {lineno}: duplicate edge {u}-{v}")
+        edges.add((u, v))
+    return tuple(left), tuple(right), frozenset(edges), mult
+
+
+def former_adjacency(g: BipartiteGraph) -> dict:
+    adj = {v: set() for v in g.vertices}
+    for x, y in g.edges:
+        adj[x].add(y)
+        adj[y].add(x)
+    return {v: frozenset(ns) for v, ns in adj.items()}
+
+
+def former_matching_transitive(g: BipartiteGraph, match) -> bool:
+    # succ[x] holds the lefts whose partner x sees.
+    adj = former_adjacency(g)
+    owner = {y: x for x, y in match.items()}
+    succ = {x: frozenset(owner[y] for y in adj[x]) for x in match}
+    return all(succ[j] <= succ[i] for i in succ for j in succ[i])
+
+
+def twin_row_graph(rng: random.Random, d: int, density: float = 0.5) -> BipartiteGraph:
+    """d lefts and d rights; each row after the first repeats an earlier one about a third of the time.
+
+    A fresh row holds its own y_i and each other right with probability
+    `density`, so most graphs have perfect matchings, and twin rows make
+    classes of two or more lefts.
+    """
+    rows = []
+    for i in range(d):
+        if rows and rng.random() < 0.35:
+            rows.append(rng.choice(rows))
+        else:
+            rows.append({i} | {j for j in range(d) if rng.random() < density})
+    return BipartiteGraph.of([f"x{i}" for i in range(d)], [f"y{j}" for j in range(d)],
+                             [(f"x{i}", f"y{j}") for i, row in enumerate(rows) for j in row])
+
+
+def check_quotient_against_per_left(g: BipartiteGraph) -> tuple[int, int]:
+    """Every perfect matching of g through both checks: (matchings, passing)."""
+    matchings = passing = 0
+    for ys in itertools.permutations(g.right):
+        match = dict(zip(g.left, ys))
+        if all((x, y) in g.edges for x, y in match.items()):
+            verdict = bigraph._matching_transitive(g, match)
+            assert verdict == former_matching_transitive(g, match), (to_document(g), match)
+            matchings += 1
+            passing += verdict
+    return matchings, passing
+
+
+# Pieces a corrupted document is made of: every kind of whitespace the
+# splitter knows, a line separator (\x1c), names that are no names or
+# repeat, edges with two dashes, a colon or their ends swapped, comments
+# and tags.
+CORRUPTIONS = [" ", "\t", "\xa0", "\u2003", "\x1c", "\n", "-", ":", "#", "a-b-c", "x.1-y1",
+               "a-b:", "x0-x1", "y0-x0", "y1-x1", "x0-q", "x0-", "-y0", "x-0", "é", "٣", "x²",
+               " x0 ", " y0 ", " x1 ", "E:", "L:", "R:", "M:", "M: 2 1", "# c", "x0-y0",
+               "x1-y1", "0", "_"]
+
+
+def seeded_document(rng: random.Random) -> str:
+    """A valid graph document with random whitespace, comments and an optional M: line."""
+    left = [f"x{i}" for i in range(rng.randint(0, 4))]
+    right = [f"y{j}" for j in range(rng.randint(0, 4))]
+    edges = [f"{x}-{y}" for x in left for y in right if rng.random() < 0.5]
+    rng.shuffle(edges)
+
+    def space():
+        return rng.choice([" ", "  ", "\t", "\xa0", " \u2003"])
+
+    lines = [f"L:{space()}{space().join(left)}", f"R:{space()}{space().join(right)}"]
+    while edges:
+        k = rng.randint(1, 4)
+        lines.append("E:" + space() + space().join(edges[:k]) + rng.choice(["", " # edges"]))
+        edges = edges[k:]
+    if rng.random() < 0.3:
+        lines.append("M: " + " ".join(str(rng.randint(1, 3)) for _ in left))
+    if rng.random() < 0.3:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["# a comment", "", "  "]))
+    rng.shuffle(lines)
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+def corrupted_document(rng: random.Random) -> str:
+    """A seeded document with one to three pieces inserted, characters dropped or edges repeated or swapped."""
+    text = seeded_document(rng)
+    for _ in range(rng.randint(1, 3)):
+        at = rng.randrange(len(text) + 1)
+        move = rng.random()
+        if move < 0.6:
+            text = text[:at] + rng.choice(CORRUPTIONS) + text[at:]
+        elif move < 0.8:
+            text = text[:at] + text[at + 1:]
+        else:
+            u, _, v = rng.choice([t for t in text.split() if "-" in t] or ["x0-y0"]).partition("-")
+            text += f"\nE: {u}-{v}" if rng.random() < 0.5 else f"\nE: {v}-{u}"
+    return text
+
+
+def check_parser_against_former(rng: random.Random, count: int, corrupt: bool = True):
+    """`count` documents through both parsers: (accepted, refused).
+
+    An accepted document must give the same sides, edges, multiplicities
+    and neighbour sets; a refused one the same GraphFormatError text.
+    """
+    accepted = refused = 0
+    for _ in range(count):
+        doc = corrupted_document(rng) if corrupt else seeded_document(rng)
+        try:
+            expected = former_parse_document(doc)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                bigraph.parse_document(doc)
+            assert str(got.value) == str(exc), doc
+            refused += 1
+            continue
+        g, mult = bigraph.parse_document(doc)
+        assert (g.left, g.right, g.edges, mult) == expected, doc
+        assert g._adjacency == former_adjacency(g), doc
+        assert list(g._adjacency) == list(g.vertices), doc
+        accepted += 1
+    return accepted, refused
+
+
 FIG1 = """\
 L: x1 x21 x22 x23
 R: y1 y21 y22 y23
@@ -178,6 +368,52 @@ class TestParsing:
         assert g.edges == frozenset({("x1", "y1"), ("x1", "y2"), ("x2", "y2")})
         with pytest.raises(GraphFormatError, match="duplicate vertex"):
             parse_graph("L: x1 x1\nR: y1\nE: x1-y9 y1-x1\n")
+
+    def test_valid_documents_as_the_former_parser_read_them(self):
+        # Tabs, no-break and em spaces between tokens, comments after edges.
+        assert check_parser_against_former(random.Random(3), 500, corrupt=False) == (500, 0)
+
+    def test_corrupted_documents_refused_as_the_former_parser_refused_them(self):
+        accepted, refused = check_parser_against_former(random.Random(4), 1000)
+        assert accepted > 100 and refused > 500, (accepted, refused)
+
+    @pytest.mark.parametrize("doc", [
+        "L: a b\nR: c\nE: a-c-b\n", "L: x\nR: y1\nE: x.1-y1\n", "L: a\nR: b\nE: a-b:\n",
+        "L: a\nR: b\nE: a-b\tb-a\n", "L: a\nR: b\nE: a-b\xa0a-b\n",
+        "L: a\nR: b\nE: a\x1c-b\n", "L: a\nR: b\nE: a-b # a-c\nE: a-c\n",
+        "L: a\nR: b c\nE: a-b a-c a-b\n", "L: a\nR: b\nE:a-b\n",
+    ])
+    def test_hand_picked_documents_as_the_former_parser(self, doc):
+        try:
+            expected = former_parse_document(doc)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError, match=re.escape(str(exc))):
+                bigraph.parse_document(doc)
+        else:
+            g, mult = bigraph.parse_document(doc)
+            assert (g.left, g.right, g.edges, mult) == expected
+            assert g._adjacency == former_adjacency(g)
+
+    def test_check_names_as_the_former_loop(self):
+        # Every list of up to three names from an adversarial pool, then
+        # longer random ones: the same verdict, and the same first bad name.
+        pool = ["a", "x1", "_", "Z9", "", " ", "a b", "a\tb", "a-b", "é", "ß", "٣", "x²",
+                "a\n", "A"]
+        rng = random.Random(5)
+        lists = [list(c) for k in range(4) for c in itertools.product(pool, repeat=k)]
+        lists += [rng.choices(pool, k=rng.randint(4, 9)) for _ in range(2000)]
+        verdicts = set()
+        for names in lists:
+            try:
+                former_check_names(names)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    bigraph._check_names(names)
+                verdicts.add(str(exc).split(" vertex")[0])
+            else:
+                bigraph._check_names(names)
+                verdicts.add("ok")
+        assert verdicts == {"ok", "bad", "duplicate"}
 
     def test_construction_rejects_edge_off_sides(self):
         with pytest.raises(ValueError, match="left to right"):
@@ -306,6 +542,18 @@ class TestPureOrder:
                 assert verdict == triples == is_unmixed(diagonal_graph(d, extra))
                 transitive += verdict
         assert transitive == 1 + 4 + 29 + 355
+
+    def test_quotient_check_is_the_per_left_check(self):
+        # Every perfect matching of seeded graphs on 2-5 pairs with twin
+        # rows, mixed graphs included: the check on the classes agrees
+        # with the former check on every left.
+        rng = random.Random(29)
+        matchings = passing = 0
+        for _ in range(1500):
+            m, p = check_quotient_against_per_left(twin_row_graph(rng, rng.randint(2, 5)))
+            matchings += m
+            passing += p
+        assert matchings > 6000 and 0.1 < passing / matchings < 0.9, (matchings, passing)
 
     def test_relabeled_copies_up_to_six_pairs(self):
         # Shuffled names and sides; names like v10 < v9 test the name order.
