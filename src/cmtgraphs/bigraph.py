@@ -11,7 +11,10 @@ A graph lives in a small line-oriented text format:
 checked in bulk (`parse_document`): one `findall` per `E:` line, set sizes
 for repeated names and edges, and one pass that checks each edge's sides
 while it builds the neighbour sets, which the graph keeps.  The per-token and per-edge loops run only on a document they will
-refuse, to word its error.
+refuse, to word its error.  That pass, `_neighbour_sets`, is the one side
+check of every graph: `BipartiteGraph` makes it too, and a graph derived
+from checked graphs (a deleted closed neighbourhood, a disjoint union, a
+contracted base) is built unchecked, as its names and sides are theirs.
 
 The structural heart of the module is `find_pure_order`: a bipartite graph
 without isolated vertices is unmixed (its independence complex is pure)
@@ -75,12 +78,13 @@ def _check_names(names) -> None:
         seen.add(name)
 
 
-def _neighbour_sets(left, right, edges) -> dict[str, frozenset[str]] | None:
-    """Neighbours of every vertex, lefts then rights; None when an edge is off its sides.
+def _neighbour_sets(left, right, edges) -> dict[str, frozenset[str]]:
+    """Neighbours of every vertex, lefts then rights; the one side check of every graph.
 
     One pass over the edges both checks the sides and builds the sets: an
     edge (x, y) whose x is no left or whose y is no right misses its side's
-    table.  The names must be distinct (`_check_names`).
+    table, and the ValueError names that edge, the first off its sides in
+    the order of `edges`.  The names must be distinct (`_check_names`).
     """
     ladj: dict[str, set[str]] = {x: set() for x in left}
     radj: dict[str, set[str]] = {y: set() for y in right}
@@ -89,7 +93,7 @@ def _neighbour_sets(left, right, edges) -> dict[str, frozenset[str]] | None:
             ladj[x].add(y)
             radj[y].add(x)
     except KeyError:
-        return None
+        raise ValueError(f"edge ({x},{y}) does not run from left to right") from None
     ladj.update(radj)
     return {v: frozenset(ns) for v, ns in ladj.items()}
 
@@ -134,15 +138,10 @@ class BipartiteGraph(_Frozen):
 
     def __init__(self, left: tuple[str, ...], right: tuple[str, ...],
                  edges: frozenset[tuple[str, str]]) -> None:
+        """Check the names, then the edge sides, keeping the neighbour sets that check builds."""
         self._set(left, right, edges)
         _check_names(self.left + self.right)
-        adjacency = _neighbour_sets(self.left, self.right, self.edges)
-        if adjacency is None:
-            lset, rset = set(self.left), set(self.right)
-            for x, y in self.edges:
-                if x not in lset or y not in rset:
-                    raise ValueError(f"edge ({x},{y}) does not run from left to right")
-        self.__dict__["_adjacency"] = adjacency
+        self.__dict__["_adjacency"] = _neighbour_sets(self.left, self.right, self.edges)
 
     @classmethod
     def of(cls, left, right, edges) -> "BipartiteGraph":
@@ -156,9 +155,12 @@ class BipartiteGraph(_Frozen):
 
         `parse_document` checks the names and the edge sides before
         building, and hands over the neighbour sets it built in that check;
-        `__init__` would check them again.  The enumerators and
-        `construct._blow_up` pass none, and `_adjacency` builds them on
-        first use.
+        `__init__` would check them again.  The other callers build from
+        graphs already checked, each saying why in its docstring:
+        `enumeration._index_graph`, `construct._blow_up`,
+        `construct.contract`, `delete_closed_neighborhood` and
+        `disjoint_union`.  They pass no sets, and `_adjacency` builds them
+        on first use.
         """
         g = object.__new__(cls)
         g._set(left, right, edges)
@@ -189,7 +191,8 @@ class BipartiteGraph(_Frozen):
 
         `__init__` and `parse_document` keep the sets they build as they
         check the edge sides; any other `_trusted` graph builds them here
-        on first use, with the same `_neighbour_sets`.
+        on first use, with the same `_neighbour_sets`, whose side check
+        its caller's proof says cannot fail.
         """
         return _neighbour_sets(self.left, self.right, self.edges)
 
@@ -251,9 +254,10 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
     token is an edge.  The names pass `_check_names`'s C-level tests, the
     edges are all distinct when their frozenset is as long as their list,
     and `_neighbour_sets` checks every edge's sides in the one pass that
-    builds the graph's neighbour sets.  Only where one of these fails does
-    the per-token or per-edge loop run, to raise the message with its line
-    number, the one the loop has always raised.
+    builds the graph's neighbour sets, its ValueError caught here.  Only
+    where one of these fails does the per-token or per-edge loop run, to
+    raise the message with its line number, the one the loop has always
+    raised.
     """
     left: list[str] | None = None
     right: list[str] | None = None
@@ -304,7 +308,10 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
     edges = frozenset(pairs)
-    adjacency = _neighbour_sets(left, right, edges) if len(edges) == len(pairs) else None
+    try:
+        adjacency = _neighbour_sets(left, right, edges) if len(edges) == len(pairs) else None
+    except ValueError:
+        adjacency = None
     if adjacency is None:
         lset, rset = set(left), set(right)
         seen: set[tuple[str, str]] = set()
@@ -477,27 +484,30 @@ def cross_blocks(g: BipartiteGraph, po: PureOrder) -> BlockDecomposition:
 
 
 def delete_closed_neighborhood(g: BipartiteGraph, v: str) -> BipartiteGraph:
-    """Remove v together with all its neighbors; survivors may end up isolated."""
+    """Remove v together with all its neighbors; survivors may end up isolated.
+
+    The survivors are g's vertices on g's sides and their edges are g's, so
+    the names and sides hold as g's did, and the graph is built unchecked.
+    """
     if v not in g.left and v not in g.right:
         raise ValueError(f"unknown vertex {v!r}")
-    gone = {v} | set(g.neighbors(v))
-    return induced_subgraph(g, [u for u in g.vertices if u not in gone])
-
-
-def induced_subgraph(g: BipartiteGraph, keep) -> BipartiteGraph:
-    kept = set(keep)
-    return BipartiteGraph.of(
-        (v for v in g.left if v in kept),
-        (v for v in g.right if v in kept),
-        ((x, y) for x, y in g.edges if x in kept and y in kept),
-    )
+    gone = {v} | g.neighbors(v)
+    return BipartiteGraph._trusted(
+        tuple(u for u in g.left if u not in gone),
+        tuple(u for u in g.right if u not in gone),
+        frozenset((x, y) for x, y in g.edges if x not in gone and y not in gone))
 
 
 def disjoint_union(a: BipartiteGraph, b: BipartiteGraph) -> BipartiteGraph:
+    """a beside b; they may share no vertex name.
+
+    With no name shared, the union's names are as distinct as a's and b's,
+    and each edge keeps its sides, so the overlap check is the only guard.
+    """
     overlap = set(a.vertices) & set(b.vertices)
     if overlap:
         raise ValueError(f"vertex names shared between operands: {sorted(overlap)}")
-    return BipartiteGraph.of(a.left + b.left, a.right + b.right, a.edges | b.edges)
+    return BipartiteGraph._trusted(a.left + b.left, a.right + b.right, a.edges | b.edges)
 
 
 def connected_components(g: BipartiteGraph) -> tuple[frozenset[str], ...]:

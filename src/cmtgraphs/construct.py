@@ -118,14 +118,17 @@ def contract(g: BipartiteGraph) -> Expansion:
     representatives yields an isomorphic base.  The base is induced on the
     representatives, so two of them cross in it only if they cross in g,
     and then they would have equal neighbourhoods and share a block.  So
-    the base is cross-free.  `Expansion` still checks the base's pairs at
-    its boundary, as it does for any caller: one Villarreal check on the
-    base, after the one `find_pure_order` makes on g.  The check stays
-    although this base needs none: `Expansion` is the one place that
-    proves a positional pairing pure, for `parse_expansion`'s outside
-    input and for library callers alike, so every `Expansion` carries
-    that proof.  Skipping it here would need a second, trusted
-    constructor path for one check on a base no larger than g.
+    the base is cross-free.  Its vertices are g's on g's sides and its
+    edges are g's, so its names and sides hold as g's did, and it is built
+    unchecked (`BipartiteGraph._trusted`).  `Expansion` still checks the
+    base's pairs at its boundary, as it does for any caller: one
+    Villarreal check on the base, after the one `find_pure_order` makes on
+    g.  The check stays although this base needs none: `Expansion` is the
+    one place that proves a positional pairing pure, for
+    `parse_expansion`'s outside input and for library callers alike, so
+    every `Expansion` carries that proof.  Skipping it here would need a
+    second, trusted constructor path for one check on a base no larger
+    than g.
     """
     po = find_pure_order(g)
     if po is None:
@@ -133,9 +136,9 @@ def contract(g: BipartiteGraph) -> Expansion:
     decomposition = g._blocks
     reps = [min(block) - 1 for block in decomposition.blocks]
     xs, ys = po.lefts, po.rights
-    base = BipartiteGraph.of([xs[i] for i in reps], [ys[i] for i in reps],
-                             {(xs[i], ys[j]) for i in reps for j in reps
-                              if (xs[i], ys[j]) in g.edges})
+    base = BipartiteGraph._trusted(tuple(xs[i] for i in reps), tuple(ys[i] for i in reps),
+                                   frozenset((xs[i], ys[j]) for i in reps for j in reps
+                                             if (xs[i], ys[j]) in g.edges))
     return Expansion(base, decomposition.sizes)
 
 

@@ -352,8 +352,6 @@ def _gf2_boundary_rank(lower: list[int], upper: list[int]) -> int:
     `lower`; it is XORed against the stored pivot with the same leading
     bit until it vanishes or becomes a new pivot.
     """
-    if not lower or not upper:
-        return 0
     bit_of = {f: 1 << i for i, f in enumerate(lower)}
     pivots: dict[int, int] = {}
     for face in upper:
@@ -380,6 +378,11 @@ def _betti(levels: list[list[int]], rank) -> tuple[int, ...]:
     the alternating sum of the Betti numbers telescopes to that of the face
     counts whatever the ranks are.  Only a negative Betti number can show
     an overcounted rank.
+
+    No level is empty, so neither rank function guards against one:
+    `reduced_homology` returns before this when there are no faces or only
+    points, and otherwise its faces are down-closed, the empty face
+    included, so every level from 0 to the top holds a face.
     """
     ranks = [0] + [rank(levels[k - 1], levels[k]) for k in range(1, len(levels))] + [0]
     betti = tuple(len(level) - ranks[k] - ranks[k + 1] for k, level in enumerate(levels))

@@ -32,7 +32,7 @@ from cmtgraphs import (
 )
 from cmtgraphs import bigraph
 from conftest import (all_pure_pairings, complete, graph, random_bipartite,
-                      relabeled_copy)
+                      relabeled_copy, rename)
 
 PATH = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n"
 SIX_CYCLE = "L: x1 x2 x3\nR: y1 y2 y3\nE: x1-y1 x1-y2 x2-y2 x2-y3 x3-y3 x3-y1\n"
@@ -183,6 +183,26 @@ def former_matching_transitive(g: BipartiteGraph, match) -> bool:
     owner = {y: x for x, y in match.items()}
     succ = {x: frozenset(owner[y] for y in adj[x]) for x in match}
     return all(succ[j] <= succ[i] for i in succ for j in succ[i])
+
+
+def former_side_message(left, right, edges):
+    """The message of the constructor's former second loop, or None when every edge is on its sides."""
+    lset, rset = set(left), set(right)
+    for x, y in edges:
+        if x not in lset or y not in rset:
+            return f"edge ({x},{y}) does not run from left to right"
+    return None
+
+
+def off_side_parts(rng: random.Random):
+    """Sides and an edge list in which a few random pairs of names, often off their sides, join the edges."""
+    left = [f"x{i}" for i in range(rng.randint(1, 5))]
+    right = [f"y{j}" for j in range(rng.randint(1, 5))]
+    names = left + right + ["z0", "z1"]
+    edges = [(x, y) for x in left for y in right if rng.random() < 0.5]
+    edges += [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(2, 5))]
+    rng.shuffle(edges)
+    return left, right, edges
 
 
 def twin_row_graph(rng: random.Random, d: int, density: float = 0.5) -> BipartiteGraph:
@@ -418,6 +438,27 @@ class TestParsing:
     def test_construction_rejects_edge_off_sides(self):
         with pytest.raises(ValueError, match="left to right"):
             BipartiteGraph.of(["a"], ["b"], [("b", "a")])
+
+    def test_side_error_names_the_edge_the_former_loop_named(self):
+        # The side check raises at the first edge off its sides, in the
+        # order of the edges' frozenset, as the former second loop did.
+        rng = random.Random(12)
+        several = 0
+        for _ in range(2000):
+            left, right, edges = off_side_parts(rng)
+            frozen = frozenset(tuple(e) for e in edges)
+            expected = former_side_message(left, right, frozen)
+            several += sum(x not in left or y not in right for x, y in frozen) >= 2
+            for build in (lambda: BipartiteGraph.of(left, right, edges),
+                          lambda: BipartiteGraph(tuple(left), tuple(right), frozen)):
+                if expected is None:
+                    g = build()
+                    assert g._adjacency == former_adjacency(g), (left, right, edges)
+                else:
+                    with pytest.raises(ValueError) as err:
+                        build()
+                    assert str(err.value) == expected, (left, right, edges)
+        assert several > 1000, several
 
 
 class TestPureOrder:
@@ -720,6 +761,35 @@ class TestDeletion:
                 sub = independence_complex(delete_closed_neighborhood(g, v))
                 lk = link(ind, {v})
                 assert sub.facets == lk.facets
+
+
+class TestDerivedGraphs:
+    # Graphs built from checked graphs skip the constructor's checks; each
+    # must be the graph the constructor builds from the same parts.
+    @staticmethod
+    def assert_as_constructed(g):
+        built = BipartiteGraph.of(g.left, g.right, g.edges)
+        assert g == built and hash(g) == hash(built), g
+        assert (type(g.left), type(g.right), type(g.edges)) == (tuple, tuple, frozenset), g
+        assert g._adjacency == built._adjacency, g
+        assert list(g._adjacency) == list(built._adjacency), g
+
+    def test_deleted_closed_neighbourhoods(self):
+        rng = random.Random(13)
+        for _ in range(150):
+            g = random_bipartite(rng, max_side=4)
+            for v in g.vertices:
+                self.assert_as_constructed(delete_closed_neighborhood(g, v))
+
+    def test_disjoint_unions(self):
+        rng = random.Random(14)
+        for _ in range(150):
+            a, b = random_bipartite(rng), random_bipartite(rng)
+            self.assert_as_constructed(disjoint_union(rename(a, "_a"), rename(b, "_b")))
+
+    def test_contracted_bases(self):
+        for g, _ in unmixed_pool():
+            self.assert_as_constructed(contract(g).base)
 
 
 class TestComponents:

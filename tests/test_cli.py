@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from cmtgraphs import (ConsistencyError, canonical_form, classify, cm_codim, dim,
+from cmtgraphs import (BUILTIN_NAMES, ConsistencyError, builtin_document, canonical_form, classify, cm_codim, dim,
                        enumerate_unmixed, independence_complex, is_pure, parse_graph,
                        reduced_homology, to_document)
 from cmtgraphs import cli, construct, simplicial
@@ -565,6 +565,18 @@ class TestErrors:
         code, report = run(capsys, "classify", str(doc))
         assert code == 1
         assert "line 3" in report["result"]["message"]
+
+    def test_no_input_is_an_error_report(self, capsys):
+        code, report = run(capsys, "classify")
+        assert code == 1 and report["status"] == "error"
+        assert "no input given" in report["result"]["message"]
+
+    def test_unknown_builtin_names_the_builtins(self):
+        with pytest.raises(ValueError) as err:
+            builtin_document("nope")
+        message = str(err.value)
+        assert message.startswith("unknown builtin 'nope'")
+        assert all(name in message for name in BUILTIN_NAMES), message
 
     def test_both_inputs_rejected(self, capsys, tmp_path):
         doc = tmp_path / "k22.graph"

@@ -242,6 +242,14 @@ class TestBasics:
         with pytest.raises(ConsistencyError, match="nested"):
             SimplicialComplex(("a", "b"), frozenset({frozenset("a"), frozenset("ab")}))
 
+    def test_repeated_vertex_rejected(self):
+        with pytest.raises(ValueError, match="duplicate vertex in complex universe"):
+            SimplicialComplex(("a", "b", "a"), frozenset({frozenset("ab")}))
+
+    def test_facet_outside_the_universe_rejected(self):
+        with pytest.raises(ValueError, match=r"facet \['a', 'c'\] leaves the vertex universe"):
+            SimplicialComplex(("a", "b"), frozenset({frozenset("ac")}))
+
     def test_from_facets_prunes(self):
         c = from_facets("abc", [("a",), ("a", "b"), ("a", "b"), ()])
         assert c.facets == frozenset({frozenset({"a", "b"})})

@@ -61,21 +61,25 @@ def test_structural_route_is_independent_and_nothing_caches_across_calls():
 
 def test_oracle_reads_only_the_public_graph():
     # The oracle's bitmask layout is decided in `simplicial` alone, from
-    # the graph's public `vertices` and `edges`: it reads no private member
-    # of `BipartiteGraph`.  Its twin classes come from its own masks too,
+    # the graph's `vertices` and `edges`: of the members of `BipartiteGraph`
+    # it reads no other, public or private.  Its masks thus never share the
+    # structural route's neighbour sets, so a fault in those shows up as a
+    # `verify` disagreement.  Its twin classes come from its own masks too,
     # never from the structural route's grouping, `neighbourhood_blocks`.
     bigraph = ast.parse((SRC / "bigraph.py").read_text())
     (cls,) = [node for node in bigraph.body
               if isinstance(node, ast.ClassDef) and node.name == "BipartiteGraph"]
-    defined = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
-    defined |= {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
-    private = {name for name in defined
-               if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))}
-    assert {"_adjacency", "_blocks"} <= private, private
+    members = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
+    members |= {node.target.id for node in cls.body if isinstance(node, ast.AnnAssign)}
+    (fields,) = [node.value for node in cls.body if isinstance(node, ast.Assign)
+                 and [target.id for target in node.targets] == ["_fields"]]
+    members |= set(ast.literal_eval(fields))
+    members = {name for name in members if not (name.startswith("__") and name.endswith("__"))}
+    assert {"left", "right", "edges", "vertices", "neighbors", "_adjacency", "_blocks"} <= members
     simplicial = ast.parse((SRC / "simplicial.py").read_text())
     read = {node.attr for node in ast.walk(simplicial)
-            if isinstance(node, ast.Attribute) and node.attr in private}
-    assert not read, read
+            if isinstance(node, ast.Attribute) and node.attr in members}
+    assert read <= {"vertices", "edges"}, read
     named = {node.attr if isinstance(node, ast.Attribute) else node.id
              for node in ast.walk(simplicial) if isinstance(node, (ast.Attribute, ast.Name))}
     named |= {name.split(".")[-1] for name in imported_names(simplicial)}

@@ -85,6 +85,18 @@ def test_value_type_contract(case):
     assert [getattr(obj, f) for f in fields] == list(values)
 
 
+def test_equality_with_another_type_is_not_implemented():
+    # `_Frozen.__eq__` declines, so Python falls back to identity: False.
+    for cls, _, values, _ in CASES:
+        if cls not in (BipartiteGraph, Expansion, SimplicialComplex):
+            continue
+        obj = cls(*values)
+        assert obj.__eq__(values) is NotImplemented
+        assert obj.__eq__(CmtClassification(False)) is NotImplemented
+        assert not obj == values and obj != values
+    assert not EDGE == Expansion(EDGE, (2,)) and EDGE != Expansion(EDGE, (2,))
+
+
 def test_classification_defaults():
     mixed = CmtClassification(unmixed=False)
     assert mixed == CmtClassification(False, None, None, None, None, None, None)
@@ -96,5 +108,7 @@ if __name__ == "__main__":
     for case in CASES:
         test_value_type_contract(case)
         print("contract holds:", case[0].__name__)
+    test_equality_with_another_type_is_not_implemented()
+    print("contract holds: no equality with another type")
     test_classification_defaults()
     print("contract holds: CmtClassification defaults")
