@@ -136,16 +136,23 @@ class BipartiteGraph(_Frozen):
 
     _fields = ("left", "right", "edges")
 
-    def __init__(self, left: tuple[str, ...], right: tuple[str, ...],
-                 edges: frozenset[tuple[str, str]]) -> None:
-        """Check the names, then the edge sides, keeping the neighbour sets that check builds."""
-        self._set(left, right, edges)
+    def __init__(self, left, right, edges) -> None:
+        """Check the names, then the edge sides, keeping the neighbour sets that check builds.
+
+        The sides are stored as tuples and the edges as a frozenset of
+        tuples, whatever iterables they come as, so every graph hashes.  A
+        frozenset is kept as given: a copy may iterate in another order,
+        and the side error names the first edge off its sides in that order.
+        """
+        if not isinstance(edges, frozenset):
+            edges = frozenset(map(tuple, edges))
+        self._set(tuple(left), tuple(right), edges)
         _check_names(self.left + self.right)
         self.__dict__["_adjacency"] = _neighbour_sets(self.left, self.right, self.edges)
 
     @classmethod
     def of(cls, left, right, edges) -> "BipartiteGraph":
-        return cls(tuple(left), tuple(right), frozenset(tuple(e) for e in edges))
+        return cls(left, right, edges)
 
     @classmethod
     def _trusted(cls, left: tuple[str, ...], right: tuple[str, ...],

@@ -23,8 +23,11 @@ link is keyed by one int: the vertices still free to join F, one per
 twin class, which the walk yields beside each face; a face with nothing
 free is a facet.  The walk also tags a face whose link is a cone: a free
 vertex v with N(v) <= N(u) for a taken u is isolated in the link's graph
-(Engstrom's fold condition, met once u is in the face), and the sweep
-tests only the untagged faces that are not facets.  Their links' Betti
+(Engstrom's fold condition, met once u is in the face).  A tagged face
+is counted but not listed, and where every face below a branch of the
+walk is tagged, the branch is counted by a weighted independent-set
+recurrence instead of being walked.  The sweep tests the listed faces
+that are not facets.  Their links' Betti
 numbers are read off that subgraph before any matrix (`_link_betti`):
 an isolated vertex makes it a cone, folds delete dominated vertices
 (twins among them), and the rest splits into components whose complexes
@@ -117,54 +120,57 @@ def _masks(g: BipartiteGraph) -> tuple[int, ...]:
     return tuple(nbrs)
 
 
-def _walk(nbrs: tuple[int, ...], allowed: int) -> list[tuple[int, int, int]]:
-    """The independent sets of whole twin classes inside `allowed`, under the guard.
+def _walk(nbrs: tuple[int, ...], allowed: int) -> list[tuple[int, int]]:
+    """The untagged independent sets of whole twin classes inside `allowed`, under the guard.
 
     Bit i is vertex i and nbrs[i] its neighbourhood.  Each set comes as
-    (taken, free, cone) bitmasks, and the first is always the empty set,
-    (0, reps, 0), reps holding the lowest vertex of each twin class.
+    (taken, free) bitmasks, and the first is always the empty set,
+    (0, reps), reps holding the lowest vertex of each twin class.  A set
+    whose link is shown a cone (the tag below) is counted but not listed.
     - **Vertex bound.**  Before any mask is read, `allowed` alone may be
       refused: nbrs is a bipartite graph (`_masks`), every subset of
       either side is independent, so sides of p and n - p vertices give
       at least 2^p + 2^(n - p) - 1 faces (the empty set counted once),
       least at p = n // 2.  Past `ORACLE_FACE_LIMIT` the count below
       would refuse too, so the same inputs are refused with the same
-      message, and the O(n^2) table below is built only for n <= 26 at a
+      message, and the tables below are built only for n <= 26 at a
       limit of 20,000.
     - **Twins.**  Vertices of `allowed` with equal masks form a class,
       and the walk branches on representatives only: `taken` is the union
       of the classes of the representatives taken (proof that nothing
       else can fail in `oracle_sweep`), and `free` is reps minus their
       closed neighbourhoods, the link's key R & reps, since twins share
-      their neighbours.  With no twins, reps is `allowed` and every
-      independent set inside it is listed.
+      their neighbours.  With no twins, reps is `allowed`.
     - **Weights.**  A class set S stands for the prod over c in S of
       (2^{w_c} - 1) faces, w_c the size of class c (proof in
       `oracle_sweep`), the empty set for one.  Each stacked set carries
       that product, and past `ORACLE_FACE_LIMIT` faces summed so far the
-      oracle guard's ValueError is raised, during the walk, so it lists
-      at most limit + 1 class sets.
+      oracle guard's ValueError is raised, during the walk.
 
     The walk branches on the lowest representative left, left out or
     taken with its closed neighbourhood removed; it follows the first
     branch in place and stacks the second, so the empty set comes first.
-    Every independent set S of representatives is exactly one leaf, so
-    the work is linear in the number of sets.  S is maximal exactly when
-    `free` is empty: a v in `free` is outside S with no neighbour in S,
-    so S | {v} is independent; and a representative outside `free` and S
-    is a neighbour of S, so nothing else can be added, and neither can a
-    twin of it, nor a twin of S's members, already taken.
+    A popped node (allowed, taken, free) is the root of the sets
+    taken | S, S an independent set of representatives inside `allowed`,
+    the node's own set being S empty, and each independent set of
+    representatives is exactly one such set, so the work is linear in
+    the number of sets.  `allowed` lies in `free` and misses the closed
+    neighbourhood of every taken vertex.  A set is maximal exactly when
+    `free` is empty: a v in `free` is outside it with no neighbour in it,
+    so v can be added; and a representative outside `free` and the set
+    is a neighbour of it, so nothing else can be added, and neither can a
+    twin of it, nor a twin of its members, already taken.
 
-    The tag `cone` comes from one table, dom[i] the other representatives
-    v with N(v) <= N(i), built in O(|reps|^2) steps; each stacked set
-    carries the union of dom over its taken vertices, cut to `free` when
-    the set is listed, so it holds the free v dominated by a taken u.
+    The tag comes from one table, dom[u] the other representatives v with
+    N(v) <= N(u) (`_dominance`); each stacked set carries `under`, the
+    union of dom over its taken vertices, and its tag is `under & free`,
+    the free v dominated by a taken u.
     - **The tag is sound.**  For v in `free`, u taken and N(v) <= N(u),
       N(v) & free <= N(u) & free, which is empty, `free` missing the
       closed neighbourhood of u.  So v is isolated in G[free], and the link
       Ind(G[free]) is a cone on v, with no reduced homology; `free` being
       the link's key R & reps keeps a representative isolated
-      (`oracle_sweep`).
+      (`oracle_sweep`).  A tagged set is not a facet, its `free` holding v.
     - **The tag is complete when G has a pure order**, a perfect matching
       x_i y_i with Villarreal's condition (x_a y_b and x_b y_c edges force
       x_a y_c), and `allowed` is every vertex.  Let x_v be isolated in
@@ -177,6 +183,40 @@ def _walk(nbrs: tuple[int, ...], allowed: int) -> list[tuple[int, int, int]]:
       with x_v y_b gives x_k y_b.  Completeness only saves time: an
       untagged cone still reaches `_link_betti`, which finds its isolated
       vertex.
+
+    Only untagged sets are listed, and a subtree whose sets are all
+    tagged is counted without being walked:
+    - **The prune.**  Let v be in `tag & ~allowed` at a popped node.  v
+      has no neighbour in `allowed`: N(v) <= N(u) for a taken u, and
+      `allowed` misses N(u).  So no set taken | S below the node takes v
+      (v is not in `allowed`) or a neighbour of v, v stays free in each,
+      and stays dominated by u: every set below is tagged, none is a
+      facet, and none is listed.  Their faces, faces * I(allowed), are
+      added to the count and no child is stacked.  With `allowed` empty
+      the node's own set is the only one, counted like any other.  A v
+      in `tag & allowed` prunes nothing: a set below may take it.
+    - **The count.**  I(A), the sum over the independent sets S of
+      representatives inside A of the prod over i in S of the weights,
+      is `_independent_weight`: splitting on the lowest i of A, a set
+      leaves i out, counted by I(A - i), or takes it and none of its
+      neighbours, w_i I(A - N[i]).  The sets below the node weigh
+      `faces` times the product over S, so they sum to faces * I(A).
+    - **Saturation.**  `_independent_weight` returns min(I, cap),
+      cap = limit + 1, and skips the second term once the first has
+      reached the cap.  Every term is at least 1 and w_i >= 1, so a
+      saturated term saturates the sum, and by induction the value is
+      exactly min(I, cap).  With faces >= 1, count + faces * min(I, cap)
+      passes the limit exactly when count + faces * I does, and below it
+      the two are equal: the count is exact up to the limit, and the
+      guard refuses the same inputs with the same message.  An
+      unsaturated value is reached through one leaf of its recursion per
+      set it counts, and a saturated one through fewer than cap leaves
+      before each of at most |A| nested saturated terms, so a refused
+      walk still does work bounded by the limit times n.
+
+    Facets are never tagged, so every facet is listed.  A walk of one
+    component in `_link_betti` has no tag at all: there no kept vertex
+    dominates another (proof there).
     """
     n = allowed.bit_count()
     if (1 << n // 2) + (1 << n - n // 2) - 1 > ORACLE_FACE_LIMIT:
@@ -190,14 +230,19 @@ def _walk(nbrs: tuple[int, ...], allowed: int) -> list[tuple[int, int, int]]:
     members = [i for i, c in enumerate(whole) if c]
     reps = sum(1 << i for i in members)
     closed = [mask | 1 << i for i, mask in enumerate(nbrs)]
-    dom = [0] * len(nbrs)
-    for i in members:
-        above = ~nbrs[i]
-        dom[i] = sum(1 << v for v in members if v != i and not nbrs[v] & above)
-    out: list[tuple[int, int, int]] = []
+    dom = _dominance(nbrs, members, reps)
+    out: list[tuple[int, int]] = []
+    memo: dict[int, int] = {}
     count, stack = 0, [(reps, 0, reps, 0, 1)]
     while stack:
         allowed, taken, free, under, faces = stack.pop()
+        tag = under & free
+        if not tag:
+            out.append((taken, free))
+        elif allowed and tag & ~allowed:
+            # Every set below is tagged: count them all, stack none.
+            faces *= _independent_weight(allowed, closed, weight, ORACLE_FACE_LIMIT + 1, memo)
+            allowed = 0
         count += faces
         if count > ORACLE_FACE_LIMIT:
             raise _refused()
@@ -208,8 +253,56 @@ def _walk(nbrs: tuple[int, ...], allowed: int) -> list[tuple[int, int, int]]:
             stack.append((allowed & ~around, taken | whole[i],
                           free & ~around, under | dom[i], faces * weight[i]))
             allowed ^= lowest
-        out.append((taken, free, under & free))
     return out
+
+
+def _dominance(nbrs: tuple[int, ...], members: list[int], reps: int) -> list[int]:
+    """dom[u], the representatives v != u with N(v) <= N(u), for each u in `members`.
+
+    `members` lists the bits of `reps`.  u has N(v) <= N(u) exactly when
+    u is adjacent to every neighbour y of v, so up(v), the u that
+    dominate v, is reps & AND of N(y) over y in N(v), minus v itself (all
+    of reps for an isolated v); v goes into dom[u] for each u in up(v).
+    That is O(|E| + pairs) steps where testing each pair is O(|reps|^2).
+    """
+    dom = [0] * len(nbrs)
+    for v in members:
+        up, around = reps, nbrs[v]
+        while around:
+            low = around & -around
+            up &= nbrs[low.bit_length() - 1]
+            around ^= low
+        bit = 1 << v
+        up &= ~bit
+        while up:
+            low = up & -up
+            dom[low.bit_length() - 1] |= bit
+            up ^= low
+    return dom
+
+
+def _independent_weight(allowed: int, closed: list[int], weight: list[int],
+                        cap: int, memo: dict[int, int]) -> int:
+    """min(I(allowed), cap) for a non-zero `allowed`, I the weighted independent-set count.
+
+    I(0) = 1, and I(A) = I(A - i) + w_i I(A - N[i]) for i the lowest
+    vertex of A, N[i] being closed[i]; the second term is skipped once the
+    first reaches `cap` (what I counts, and why the cap keeps the guard
+    exact, is proved in `_walk`).  `memo`, the caller's for one walk, maps
+    each A met to its value.
+    """
+    got = memo.get(allowed)
+    if got is None:
+        low = allowed & -allowed
+        i = low.bit_length() - 1
+        rest = allowed ^ low
+        got = _independent_weight(rest, closed, weight, cap, memo) if rest else 1
+        if got < cap:
+            rest = allowed & ~closed[i]
+            got = min(cap, got + weight[i] * (
+                _independent_weight(rest, closed, weight, cap, memo) if rest else 1))
+        memo[allowed] = got
+    return got
 
 
 def _refused() -> ValueError:
@@ -230,7 +323,7 @@ def independence_complex(g: BipartiteGraph) -> SimplicialComplex:
     verts = g.vertices
     return SimplicialComplex(tuple(verts), frozenset(
         frozenset(v for i, v in enumerate(verts) if taken >> i & 1)
-        for taken, free, _ in _walk(_masks(g), (1 << len(verts)) - 1) if not free))
+        for taken, free in _walk(_masks(g), (1 << len(verts)) - 1) if not free))
 
 
 def dim(c: SimplicialComplex) -> int:
@@ -534,7 +627,7 @@ def _join_betti(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
 
 def _link_betti(nbrs: tuple[int, ...], rest: int,
                 known: dict[int, tuple[int, ...]],
-                walked: list[tuple[int, int, int]] | None = None) -> tuple[int, ...]:
+                walked: list[tuple[int, int]] | None = None) -> tuple[int, ...]:
     """Reduced Betti numbers over Q of Ind(G[rest]), entry s in degree s - 1.
 
     Trailing zeros are dropped, so a complex with no reduced homology gives
@@ -547,20 +640,26 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
     `walked`, the caller's walk of every vertex when `rest` is its reps,
     stands in for that walk when nothing folds and `rest` is one
     component: each set of whole classes `& part` is the set of
-    representatives walked.  A component of two vertices, one edge (proof
-    in `oracle_sweep`), is not walked: its faces are listed as `_walk`
-    lists them, (0, w, u) with u the lower vertex, so `reduced_homology`
-    gets the same tuple.
+    representatives walked, and that walk listed every set.  Had it left
+    a set out, a tagged one, some representative v would have
+    N(v) <= N(u) for another, u; the fold loop then meets v and returns a
+    cone, or deletes u, or has deleted one of them already, so something
+    folds and no component is all of `rest`.  A component of two
+    vertices, one edge (proof in `oracle_sweep`), is not walked: its faces
+    are listed as `_walk` lists them, (0, w, u) with u the lower vertex,
+    so `reduced_homology` gets the same tuple.
 
-    `_walk` lists a component's every independent set, not just its sets
-    of whole twin classes, because no two kept vertices are twins once
-    the fold loop ends.  Its last pass deletes nothing and finds no
-    isolated vertex.  Were u != w kept with N(u) = N(w), that pass met u
-    with a kept neighbour: `first`, the lowest of them, is a neighbour of
-    w too, so w is among `others`, and N(u) & kept lies in N(w), so w would
-    have been deleted.  So every class is one vertex, of weight 1, and
-    reps is the component.  Its faces are faces of G, so their count stays
-    within the limit G's own walk passed.
+    `_walk` lists a component's every independent set, not just its
+    untagged sets of whole twin classes, because no kept vertex dominates
+    another once the fold loop ends.  Its last pass deletes nothing and
+    finds no isolated vertex.  Were u != w kept with N(u) <= N(w), that
+    pass met u with a kept neighbour: `first`, the lowest of them, is a
+    neighbour of w too, so w is among `others`, and N(u) & kept lies in
+    N(w), so w would have been deleted.  Twins have N(u) = N(w), so every
+    class is one vertex, of weight 1, and reps is the component; and with
+    no N(v) <= N(u) no set is tagged, so none is left out.  Its faces are
+    faces of G, so their count stays within the limit G's own walk
+    passed.
     """
     kept, folding = rest, True
     while folding:
@@ -600,7 +699,7 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
                 faces = (0, part ^ low, low)
             else:
                 sets = walked if part == rest and walked is not None else _walk(nbrs, part)
-                faces = tuple([face & part for face, _, _ in sets])
+                faces = tuple([face & part for face, _ in sets])
             profile = reduced_homology(faces).betti
             top = max((s for s, b in enumerate(profile) if b), default=-1)
             known[part] = profile[:top + 1]
@@ -617,7 +716,8 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     twin classes, the only ones that can fail (below), are walked once by
     `_walk` of every vertex, which counts every face under
     `ORACLE_FACE_LIMIT` as it goes, so the oracle guard is raised before
-    any homology.  Its first set is the empty one, whose `free` is reps,
+    any homology, and lists those it has not tagged as cones.  Its first
+    set is the empty one, whose `free` is reps,
     one representative per class.  The link of a
     face F of Ind(G) is Ind(G[R]) for R = V - N[F]: a set H disjoint from
     F has H | F independent exactly when H is independent and misses
@@ -628,12 +728,15 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     first failing one decides, as in `cm_codim`, whose docstring has the
     proof.  Two kinds of face never fail, so they are not bucketed:
     - **Facets.**  A facet's link is {empty set}, whose profile is (1,),
-      and the test below reads no entry of it, d - |F| being 0.
-    - **Tagged faces.**  The walk's cone tag holds the free vertices v
-      with N(v) <= N(u) for a taken u; each is isolated in the link's
-      graph, so the link is a cone, with no reduced homology (proofs in
-      `_walk`, which also shows that under a pure order every cone link is
-      tagged).  An untagged cone is found by `_link_betti`.
+      and the test below reads no entry of it, d - |F| being 0.  The walk
+      lists every facet: a tagged set has a free vertex.
+    - **Tagged faces**, which the walk counts and does not list.  The
+      walk's cone tag holds the free vertices v with N(v) <= N(u) for a
+      taken u; each is isolated in the link's graph, so the link is a
+      cone, with no reduced homology (proofs in `_walk`, which also shows
+      that under a pure order every cone link is tagged, and counts a
+      branch of the walk whose faces are all tagged without walking it).
+      An untagged cone is found by `_link_betti`.
 
     Each distinct link's Betti numbers come from `_link_betti`, which
     reads them off G[R] by three exact rules and walks faces only for what
@@ -704,9 +807,11 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       for the prod over c in S of (2^{w_c} - 1) faces, w_c = |c|, the
       empty S for the empty face, and summing over every S counts every
       face of Ind(G) once.  `_walk` refuses past `ORACLE_FACE_LIMIT` on
-      that sum, so the guard refuses exactly the inputs it would refuse if
-      every face were walked, with the same message, while walking at most
-      limit + 1 class sets.
+      that sum, the sets of a branch it does not walk summed by
+      `_independent_weight`, exact up to the limit (proof in `_walk`), so
+      the guard refuses exactly the inputs it would refuse if every face
+      were walked, with the same message, while walking at most limit + 1
+      class sets.
 
     Folds lower the dimension, so the test does not read it off the
     reduced complex.  Ind(G) is pure of dimension d - 1, d = max(sizes),
@@ -719,24 +824,27 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     Under that one key, with twins or without, the walk's sets cut back
     to reps are the walk of G[reps], so if nothing folds and
     G[reps] is connected its faces go to the matrices with no second walk.
+    That walk then left no set out: a tag needs N(v) <= N(u) for two
+    representatives, which makes `_link_betti` fold or find a cone on
+    G[reps] (proof there), and then no component is all of reps.
     """
     nbrs = _masks(g)
     sets = _walk(nbrs, (1 << len(nbrs)) - 1)
     reps = sets[0][1]
     sizes: list[int] = []
-    by_size: list[list[tuple[int, int, int]]] = [[] for _ in range(len(nbrs) + 1)]
+    by_size: list[list[tuple[int, int]]] = [[] for _ in range(len(nbrs) + 1)]
     for face in sets:
-        taken, free, cone = face
+        taken, free = face
         if not free:
             sizes.append(taken.bit_count())
-        elif not cone:
+        else:
             by_size[taken.bit_count()].append(face)
     d = max(sizes)
     pure = len(set(sizes)) == 1
     profiles: dict[int, tuple[int, ...]] = {}
     codim = 0 if pure else None
     if pure:
-        for taken, rest, _ in itertools.chain.from_iterable(reversed(by_size)):
+        for taken, rest in itertools.chain.from_iterable(reversed(by_size)):
             if rest not in profiles:
                 profiles[rest] = _link_betti(nbrs, rest, profiles,
                                              sets if rest == reps else None)

@@ -77,21 +77,29 @@ def random_bipartite(rng: random.Random, max_side: int = 4,
     return BipartiteGraph.of(left, right, edges)
 
 
+def blow_up(g: BipartiteGraph, rng: random.Random, max_class: int) -> BipartiteGraph:
+    """g with each vertex made 1-`max_class` twins, v becoming v_0, v_1, ...
+
+    Each copy is joined to every copy of v's neighbours, so copies are
+    twins; the class sizes are drawn in the order of `g.vertices`.
+    """
+    copies = {v: [f"{v}_{a}" for a in range(rng.randint(1, max_class))] for v in g.vertices}
+    return BipartiteGraph.of([c for x in g.left for c in copies[x]],
+                             [c for y in g.right for c in copies[y]],
+                             [(a, b) for x, y in g.edges for a in copies[x] for b in copies[y]])
+
+
 def twin_blow_up(rng: random.Random, max_side: int = 5,
                  max_class: int = 3) -> BipartiteGraph:
     """A random base with sides up to `max_side`, each vertex made 1-`max_class` twins.
 
-    Base vertex i on the left becomes x{i}_0, x{i}_1, ..., each joined to
-    every copy of its base neighbours, so copies are twins.  A base vertex
-    with no edge gives isolated twins.
+    Base vertex i on the left becomes x{i}_0, x{i}_1, ... (`blow_up`).  A
+    base vertex with no edge gives isolated twins.
     """
     sides = rng.randint(1, max_side), rng.randint(1, max_side)
-    base = [(i, j) for i in range(sides[0]) for j in range(sides[1]) if rng.random() < 0.5]
-    copies = [[[f"{side}{i}_{a}" for a in range(rng.randint(1, max_class))]
-               for i in range(n)] for side, n in zip("xy", sides)]
-    return BipartiteGraph.of(
-        [v for c in copies[0] for v in c], [v for c in copies[1] for v in c],
-        [(x, y) for i, j in base for x in copies[0][i] for y in copies[1][j]])
+    left, right = [f"x{i}" for i in range(sides[0])], [f"y{j}" for j in range(sides[1])]
+    base = [(x, y) for x in left for y in right if rng.random() < 0.5]
+    return blow_up(BipartiteGraph.of(left, right, base), rng, max_class)
 
 
 def independent_set_count(g: BipartiteGraph) -> int:
@@ -301,6 +309,16 @@ def relation_graph(rel, n: int) -> BipartiteGraph:
     return BipartiteGraph.of([f"x{i + 1}" for i in range(n)],
                              [f"y{i + 1}" for i in range(n)],
                              [(f"x{a + 1}", f"y{b + 1}") for a, b in rel])
+
+
+def seeded_poset(rng, k, density):
+    """An order on range(k): each i < j related with probability `density`, then closed."""
+    below = [1 << i for i in range(k)]
+    for j in range(k):
+        for i in range(j):
+            if rng.random() < density:
+                below[j] |= below[i]
+    return {(i, j) for j in range(k) for i in range(k) if below[j] >> i & 1}
 
 
 # ------------------------------------------------------- matchings oracle

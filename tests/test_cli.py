@@ -12,7 +12,7 @@ from cmtgraphs import (BUILTIN_NAMES, ConsistencyError, builtin_document, canoni
                        reduced_homology, to_document)
 from cmtgraphs import cli, construct, simplicial
 from cmtgraphs.cli import main
-from conftest import block_codim, independent_set_count, relation_graph
+from conftest import block_codim, independent_set_count, relation_graph, seeded_poset
 from test_simplicial import check_cone_tags, isolated_in
 
 K22 = "L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y1 x2-y2\n"
@@ -30,16 +30,6 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, (json.loads(out) if out else None)
-
-
-def seeded_poset(rng, k, density):
-    """An order on range(k): each i < j related with probability `density`, then closed."""
-    below = [1 << i for i in range(k)]
-    for j in range(k):
-        for i in range(j):
-            if rng.random() < density:
-                below[j] |= below[i]
-    return {(i, j) for j in range(k) for i in range(k) if below[j] >> i & 1}
 
 
 def matrix_builds(monkeypatch):
@@ -135,7 +125,7 @@ class TestOracle:
 
         def counting_walk(nbrs, allowed):
             sets = walk(nbrs, allowed)
-            walks.append((allowed, frozenset(taken for taken, _, _ in sets)))
+            walks.append((allowed, frozenset(taken for taken, _ in sets)))
             return sets
 
         def counting_reduction(nbrs, rest, known, walked=None):
@@ -163,11 +153,22 @@ class TestOracle:
         # faces are listed with no walk.  The walk's cone tags are every
         # isolated vertex of each link (a poset graph has a pure order), so
         # the walk of the whole graph, under the guard, is the only one,
-        # and `_link_betti` sees no link with an isolated vertex.  The
-        # report is the generic route's.
+        # it lists only links with no isolated vertex, and `_link_betti`
+        # sees no link with one.  Its count of the sets it lists plus the
+        # sets it counts without listing is every independent set: it
+        # answers at that limit and refuses one below.  The report is the
+        # generic route's.
         rng = random.Random(seed)
         g = relation_graph(seeded_poset(rng, 7, rng.uniform(0.5, 0.7)), 7)
-        assert check_cone_tags(g) == independent_set_count(g)
+        n = independent_set_count(g)
+        assert check_cone_tags(g) == n
+        everything = (1 << len(g.vertices)) - 1
+        with monkeypatch.context() as limit:
+            limit.setattr(simplicial, "ORACLE_FACE_LIMIT", n)
+            assert len(simplicial._walk(simplicial._masks(g), everything)) < n
+            limit.setattr(simplicial, "ORACLE_FACE_LIMIT", n - 1)
+            with pytest.raises(ValueError, match=f"more than {n - 1} faces"):
+                simplicial._walk(simplicial._masks(g), everything)
         ind = independence_complex(g)
         expected = {"facet_count": len(ind.facets), "dimension": dim(ind),
                     "pure": is_pure(ind), "betti": reduced_homology(ind).as_dict(),
@@ -354,7 +355,7 @@ class TestVerify:
 
         monkeypatch.setattr(simplicial, "_walk", counting)
         assert main(["verify", str(doc)]) == 0
-        assert calls == [(0b1111, (0, 0b0101, 0))]
+        assert calls == [(0b1111, (0, 0b0101))]
 
     def test_three_disjoint_k33s(self, capsys, tmp_path):
         # 15^3 = 3,375 faces, under the guard; one block size, 3, over

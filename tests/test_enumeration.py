@@ -69,7 +69,7 @@ from conftest import (
     twin_blow_up,
     unmixed_class_counts,
 )
-from test_simplicial import crown, even_cycle
+from test_simplicial import chain, crown, even_cycle
 
 PATH = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x1-y2 x2-y2\n")
 TWO_EDGES = parse_graph("L: x1 x2\nR: y1 y2\nE: x1-y1 x2-y2\n")
@@ -297,13 +297,6 @@ def arrangement_walk_code(g):
     straight = sorted(component_code([adj[x] for x in xs], ys) for xs, ys in sides)
     swapped = sorted(component_code([adj[y] for y in ys], xs) for xs, ys in sides)
     return min(tuple(straight), tuple(swapped))
-
-
-def chain(d):
-    """The Cohen-Macaulay chain on d pairs: x_i y_j for i <= j."""
-    left, right = [f"x{i}" for i in range(d)], [f"y{i}" for i in range(d)]
-    return BipartiteGraph.of(left, right, [(left[i], right[j])
-                                           for i in range(d) for j in range(i, d)])
 
 
 def seeded_graphs(rng, count, low, high):

@@ -36,6 +36,7 @@ from cmtgraphs import simplicial
 from cmtgraphs.cli import main
 from cmtgraphs.simplicial import SimplicialComplex
 from conftest import (
+    blow_up,
     brute_betti,
     brute_maximal_independent_sets,
     complete,
@@ -44,7 +45,9 @@ from conftest import (
     independent_set_count,
     induced_matching_number,
     random_bipartite,
+    relation_graph,
     rename,
+    seeded_poset,
     twin_blow_up,
 )
 
@@ -67,6 +70,59 @@ def all_complexes(verts):
         if any(a < b or b < a for a, b in itertools.combinations(family, 2)):
             continue
         out.append(from_facets(verts, family))
+    return out
+
+
+def former_dominance(nbrs, members):
+    """The oracle walk's former dominance table, one pair at a time.
+
+    dom[i] holds the other members v with N(v) <= N(i), found by testing
+    every pair, O(|members|^2); `simplicial._dominance` must give the same.
+    """
+    dom = [0] * len(nbrs)
+    for i in members:
+        above = ~nbrs[i]
+        dom[i] = sum(1 << v for v in members if v != i and not nbrs[v] & above)
+    return dom
+
+
+def former_walk(nbrs, allowed):
+    """The oracle walk before it counted all-cone subtrees: every set, tagged or not.
+
+    A copy of the former `simplicial._walk`, kept as the reference for the
+    walk's order and for the sets it now counts without listing.  Each
+    independent set of whole twin classes inside `allowed` comes as
+    (taken, free, cone), cone being the free representatives dominated by
+    a taken one, in the walk's order; the guard is the module's.
+    """
+    n = allowed.bit_count()
+    if (1 << n // 2) + (1 << n - n // 2) - 1 > simplicial.ORACLE_FACE_LIMIT:
+        raise simplicial._refused()
+    lowest_of = {}
+    whole = [0] * len(nbrs)
+    for i, mask in enumerate(nbrs):
+        if allowed >> i & 1:
+            whole[lowest_of.setdefault(mask, i)] |= 1 << i
+    weight = [(1 << c.bit_count()) - 1 for c in whole]
+    members = [i for i, c in enumerate(whole) if c]
+    reps = sum(1 << i for i in members)
+    closed = [mask | 1 << i for i, mask in enumerate(nbrs)]
+    dom = former_dominance(nbrs, members)
+    out = []
+    count, stack = 0, [(reps, 0, reps, 0, 1)]
+    while stack:
+        allowed, taken, free, under, faces = stack.pop()
+        count += faces
+        if count > simplicial.ORACLE_FACE_LIMIT:
+            raise simplicial._refused()
+        while allowed:
+            lowest = allowed & -allowed
+            i = lowest.bit_length() - 1
+            around = closed[i]
+            stack.append((allowed & ~around, taken | whole[i],
+                          free & ~around, under | dom[i], faces * weight[i]))
+            allowed ^= lowest
+        out.append((taken, free, under & free))
     return out
 
 
@@ -113,15 +169,16 @@ class TestIndependenceComplex:
 
     def test_walk_against_brute_force(self):
         # On seeded random graphs and twin blow-ups, and random `allowed`
-        # masks, the walk lists once each independent set of the twin
-        # classes inside `allowed` (vertices of `allowed` with equal
+        # masks, the former walk lists once each independent set of the
+        # twin classes inside `allowed` (vertices of `allowed` with equal
         # neighbourhoods), as the union of its classes.  `free` is the
         # class representatives, the lowest vertex of each, outside the
         # set's closed neighbourhood, and the cone tag the free vertices
-        # whose neighbours are all neighbours of one taken vertex.  The
-        # first set is the empty one, free on every representative.  All
-        # of it is found here from `g.edges` alone.
-        rng = random.Random(57)
+        # whose neighbours are all neighbours of one taken vertex.  All of
+        # it is found here from `g.edges` alone.  The walk lists exactly
+        # the untagged sets, as (taken, free), in the former walk's order;
+        # the first is the empty one, free on every representative.
+        rng, pruned = random.Random(57), 0
         for k in range(210):
             g = random_bipartite(rng, max_side=5) if k < 150 else twin_blow_up(rng, 4, 3)
             bit = {v: 1 << i for i, v in enumerate(g.vertices)}
@@ -148,10 +205,32 @@ class TestIndependenceComplex:
                 if not sub:
                     break
                 sub = (sub - 1) & reps
-            sets = simplicial._walk(simplicial._masks(g), allowed)
-            assert sets[0] == (0, reps, 0)
-            assert len(sets) == len(expected)
-            assert {taken: (free, cone) for taken, free, cone in sets} == expected, (g, allowed)
+            nbrs = simplicial._masks(g)
+            former = former_walk(nbrs, allowed)
+            assert len(former) == len(expected)
+            assert {taken: (free, cone) for taken, free, cone in former} == expected, (g, allowed)
+            sets = simplicial._walk(nbrs, allowed)
+            assert sets[0] == (0, reps)
+            assert sets == [(taken, free) for taken, free, cone in former if not cone], (g, allowed)
+            pruned += len(sets) < len(former)
+        assert pruned > 50
+
+    def test_dominance_table_against_every_pair(self):
+        # The table built from up-sets against the former test of every
+        # pair, on random graphs (isolated vertices among them), twin
+        # blow-ups and the empty graph, for random sets of members.
+        rng, isolated = random.Random(33), 0
+        graphs = [BipartiteGraph.of([], [], [])]
+        graphs += [random_bipartite(rng, 6, rng.choice([0.15, 0.5, 0.85])) for _ in range(200)]
+        graphs += [twin_blow_up(rng, 4, 3) for _ in range(100)]
+        for g in graphs:
+            nbrs = simplicial._masks(g)
+            for allowed in ((1 << len(nbrs)) - 1, rng.getrandbits(len(nbrs))):
+                members = [i for i in range(len(nbrs)) if allowed >> i & 1]
+                assert simplicial._dominance(nbrs, members, allowed) == \
+                    former_dominance(nbrs, members), (g, allowed)
+            isolated += bool(g.isolated_vertices())
+        assert isolated > 20
 
     def test_empty_graph_gives_void_complex(self):
         ind = independence_complex(BipartiteGraph.of([], [], []))
@@ -160,17 +239,33 @@ class TestIndependenceComplex:
     def test_limit_is_face_count(self, monkeypatch):
         # The limit is read when the walk runs, so patching the module's
         # constant moves the guard for every caller.  On twin-heavy
-        # blow-ups the guard counts the faces on the twin classes, so its
-        # count is checked against conftest's brute-force one.
+        # blow-ups the guard counts the faces on the twin classes, and on
+        # graphs with dominance it counts the all-cone subtrees it does
+        # not list, so its count is checked against conftest's
+        # brute-force one.
+        real, pruned = simplicial._independent_weight, []
+
+        def counting(allowed, *rest):
+            pruned.append(allowed)
+            return real(allowed, *rest)
+
+        monkeypatch.setattr(simplicial, "_independent_weight", counting)
+
         def passes_at_limit(g, n):
+            # Whether the walk that answers at the face count counted a
+            # branch unlisted; each refused walk one below must do the same.
             monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n)
+            del pruned[:]
             ind = independence_complex(g)
             assert simplicial.oracle_sweep(g).facet_count == len(ind.facets)
+            prunes = bool(pruned)
             monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", n - 1)
             for refused in (independence_complex, simplicial.oracle_sweep):
+                del pruned[:]
                 with pytest.raises(ValueError, match="oracle guard"):
                     refused(g)
-            return ind
+                assert bool(pruned) == prunes, g
+            return ind, prunes
 
         rng = random.Random(41)
         for _ in range(100):
@@ -178,10 +273,19 @@ class TestIndependenceComplex:
             facets = frozenset(brute_maximal_independent_sets(g))
             n = len(faces(from_facets(g.vertices, facets)))
             assert n == independent_set_count(g)
-            assert passes_at_limit(g, n).facets == facets
+            assert passes_at_limit(g, n)[0].facets == facets
         for _ in range(60):
             g = twin_blow_up(rng)
             passes_at_limit(g, independent_set_count(g))
+        # Chains and seeded poset graphs, and their twin blow-ups: on every
+        # chain with 3 pairs or more, and on most of the others, the walk
+        # counts a branch unlisted, at the face count and one below.
+        chains = [chain(d) for d in range(3, 8)]
+        posets = [relation_graph(seeded_poset(rng, k, rng.uniform(0.3, 0.7)), k)
+                  for k in (3, 4, 5, 5, 6, 6) for _ in range(5)]
+        blown = [blow_up(g, rng, 2) for g in chains + posets if len(g.left) <= 5]
+        assert all(passes_at_limit(g, independent_set_count(g))[1] for g in chains)
+        assert sum(passes_at_limit(g, independent_set_count(g))[1] for g in posets + blown) >= 40
         empty = BipartiteGraph.of([], [], [])
         monkeypatch.setattr(simplicial, "ORACLE_FACE_LIMIT", 1)
         assert independence_complex(empty).facets == frozenset({frozenset()})
@@ -627,6 +731,13 @@ def every_graph_with_sides_up_to(k):
                                                   if mask >> bit & 1])
 
 
+def chain(d):
+    """The Cohen-Macaulay chain on d pairs: x_i y_j for i <= j."""
+    left, right = [f"x{i}" for i in range(d)], [f"y{i}" for i in range(d)]
+    return BipartiteGraph.of(left, right, [(left[i], right[j])
+                                           for i in range(d) for j in range(i, d)])
+
+
 def crown(n):
     """K_{n,n} minus a perfect matching: Ind is a wedge of n - 1 circles."""
     left, right = [f"x{i}" for i in range(n)], [f"y{i}" for i in range(n)]
@@ -689,18 +800,23 @@ def isolated_in(g, mask):
 
 
 def check_cone_tags(g, sample=None, rng=None):
-    """The oracle walk's cone tags against the vertices isolated in G[free].
+    """The oracle walk's listing against the vertices isolated in G[free].
 
-    On a graph with a pure order the tag is complete (`_walk`), so each
-    face's tag must be exactly that set.  With `sample`, a seeded sample of
-    that many faces from `rng` is checked.  Returns how many faces were
-    checked.
+    On a graph with a pure order the tag is complete (`_walk`), so the
+    walk lists a set of whole twin classes exactly when G[free] has no
+    isolated vertex.  Every such set comes from `former_walk`; with
+    `sample`, a seeded sample of that many from `rng` is checked.
+    Returns how many sets were checked.
     """
-    sets = simplicial._walk(simplicial._masks(g), (1 << len(g.vertices)) - 1)
+    nbrs = simplicial._masks(g)
+    everything = (1 << len(g.vertices)) - 1
+    sets = former_walk(nbrs, everything)
+    listed = set(simplicial._walk(nbrs, everything))
+    assert listed <= {(taken, free) for taken, free, _ in sets}, g
     if sample is not None and len(sets) > sample:
         sets = rng.sample(sets, sample)
-    for taken, free, cone in sets:
-        assert cone == isolated_in(g, free), (g, taken, free)
+    for taken, free, _ in sets:
+        assert ((taken, free) in listed) == (not isolated_in(g, free)), (g, taken, free)
     return len(sets)
 
 
@@ -775,7 +891,8 @@ class TestOracleSweep:
 
     def test_cone_tags_are_the_isolated_vertices(self):
         # Every unmixed graph has a pure order, so the walk's tag is
-        # complete: each face's tag is every vertex isolated in G[free].
+        # complete: it lists a set exactly when G[free] has no isolated
+        # vertex.
         assert [sum(check_cone_tags(g) for g in enumerate_unmixed(d))
                 for d in range(1, 5)] == [3, 20, 113, 925]
 

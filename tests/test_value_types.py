@@ -97,6 +97,20 @@ def test_equality_with_another_type_is_not_implemented():
     assert not EDGE == Expansion(EDGE, (2,)) and EDGE != Expansion(EDGE, (2,))
 
 
+def test_graph_from_lists_and_sets_hashes():
+    # The constructor stores tuples and a frozenset of tuples, whatever
+    # iterables it is given, so the graph hashes and equals its `of` build.
+    built = BipartiteGraph(["a"], ["b"], {("a", "b")})
+    listed = BipartiteGraph(["x1", "x2"], ["y1"], [["x1", "y1"], ["x2", "y1"]])
+    assert built == BipartiteGraph.of(["a"], ["b"], [("a", "b")])
+    assert hash(built) == hash(BipartiteGraph.of(["a"], ["b"], [("a", "b")]))
+    assert listed == BipartiteGraph.of(("x1", "x2"), ("y1",), {("x1", "y1"), ("x2", "y1")})
+    assert hash(listed) == hash(BipartiteGraph.of(("x1", "x2"), ("y1",),
+                                                  {("x1", "y1"), ("x2", "y1")}))
+    assert (type(built.left), type(built.right), type(built.edges)) == (tuple, tuple, frozenset)
+    assert all(type(e) is tuple for e in listed.edges)
+
+
 def test_classification_defaults():
     mixed = CmtClassification(unmixed=False)
     assert mixed == CmtClassification(False, None, None, None, None, None, None)
@@ -110,5 +124,7 @@ if __name__ == "__main__":
         print("contract holds:", case[0].__name__)
     test_equality_with_another_type_is_not_implemented()
     print("contract holds: no equality with another type")
+    test_graph_from_lists_and_sets_hashes()
+    print("contract holds: a graph built from lists and sets hashes")
     test_classification_defaults()
     print("contract holds: CmtClassification defaults")
