@@ -36,9 +36,16 @@ EXIT_DISAGREEMENT = 2
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with 2 on usage errors; 2 is reserved for disagreement here.
     def error(self, message):
-        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+        """A usage error is an error report, exit code 1 (argparse's 2 means disagreement here).
+
+        The command is read off a subcommand's `prog` ("cmtgraphs classify");
+        an error the top-level parser finds, such as an unknown flag, names
+        none.  Nothing has been read, so the input is "".
+        """
+        _, _, command = self.prog.partition(" ")
+        _print_report(command or None, "", "", "error", 0, {"message": message})
+        self.exit(EXIT_ERROR)
 
 
 def _build_parser() -> _Parser:
@@ -103,6 +110,20 @@ def _read_input(args) -> str:
 
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def _print_report(command, source: str, document: str, status: str, elapsed_ms: int,
+                  result: dict) -> None:
+    """The one JSON report a command prints; `document` is what its digest is taken of."""
+    report = {
+        "command": command,
+        "input_digest": _digest(document),
+        "input": source,
+        "status": status,
+        "elapsed_ms": elapsed_ms,
+        "result": result,
+    }
+    print(json.dumps(report, indent=2, sort_keys=True))
 
 
 def _cmd_classify(args) -> tuple[str, dict]:
@@ -236,17 +257,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError, ConsistencyError, RecursionError, MemoryError) as exc:
         status, result = "error", {"message": str(exc) or type(exc).__name__}
     elapsed_ms = int((time.monotonic() - started) * 1000)
-    report = {
-        "command": args.command,
-        # The document read, or the source's name when none was read.
-        "input_digest": _digest(source if args.document is None else args.document),
-        "input": source,
-        "status": status,
-        "elapsed_ms": elapsed_ms,
-        "result": result,
-    }
     if not args.quiet:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        # The document read, or the source's name when none was read.
+        _print_report(args.command, source,
+                      source if args.document is None else args.document,
+                      status, elapsed_ms, result)
     if status == "ok":
         return EXIT_OK
     if status == "disagreement":

@@ -24,10 +24,11 @@ twin class, which the walk yields beside each face; a face with nothing
 free is a facet.  The walk also tags a face whose link is a cone: a free
 vertex v with N(v) <= N(u) for a taken u is isolated in the link's graph
 (Engstrom's fold condition, met once u is in the face).  A tagged face
-is counted but not listed, and where every face below a branch of the
-walk is tagged, the branch is counted by a weighted independent-set
-recurrence instead of being walked.  The sweep tests the listed faces
-that are not facets.  Their links' Betti
+is counted but not listed.  Below a tagged face, every face that leaves
+a tagged vertex out is tagged too: the walk counts those by a weighted
+independent-set recurrence and follows only the branch that takes every
+tagged vertex.  The sweep tests the listed faces that are not facets.
+Their links' Betti
 numbers are read off that subgraph before any matrix (`_link_betti`):
 an isolated vertex makes it a cone, folds delete dominated vertices
 (twins among them), and the rest splits into components whose complexes
@@ -184,23 +185,53 @@ def _walk(nbrs: tuple[int, ...], allowed: int) -> list[tuple[int, int]]:
       untagged cone still reaches `_link_betti`, which finds its isolated
       vertex.
 
-    Only untagged sets are listed, and a subtree whose sets are all
-    tagged is counted without being walked:
-    - **The prune.**  Let v be in `tag & ~allowed` at a popped node.  v
-      has no neighbour in `allowed`: N(v) <= N(u) for a taken u, and
-      `allowed` misses N(u).  So no set taken | S below the node takes v
-      (v is not in `allowed`) or a neighbour of v, v stays free in each,
-      and stays dominated by u: every set below is tagged, none is a
-      facet, and none is listed.  Their faces, faces * I(allowed), are
-      added to the count and no child is stacked.  With `allowed` empty
-      the node's own set is the only one, counted like any other.  A v
-      in `tag & allowed` prunes nothing: a set below may take it.
+    Only untagged sets are listed, and below a tagged node the walk
+    follows one branch at most:
+    - **Persistence.**  Let T be the tag at a popped node and v in T: v
+      is free and N(v) <= N(u) for a taken u, and `allowed` and `free`
+      miss N(u).  So no set taken | S below the node takes a neighbour
+      of v, and in each that does not take v, v stays free and
+      dominated by u: the set is tagged.  Every untagged set below takes
+      all of T, and T is independent, lying in `free`, which misses
+      N(v).  If some v in T lies outside `allowed`, no set below takes
+      it, every set below is tagged, none is a facet, and no child is
+      stacked (the prune).  Otherwise one child is stacked, taking the
+      class of each t in T (`taken | whole[t]`, `faces` times w_t): it is
+      the root of exactly the sets below that take T.  Taking t removes
+      only t from `allowed` and `free`, which miss N(t), and the child's
+      `under` is still the union of dom over its taken vertices with no
+      dom[t] added: a v with N(v) <= N(t) has N(v) <= N(u), and v is not
+      u, whose mask differs from t's, so dom[t] lies in dom[u].
+    - **Order.**  The walk lists S before S' exactly when the lowest
+      vertex of the symmetric difference S ^ S' lies in S'; the lowest
+      vertex of a class is its representative, so this compares the
+      representatives taken.  It is a total order, and each node lists
+      its untagged sets in it.  An untagged node lists its own set first,
+      a subset of every set under it, then the lists of its children,
+      popped in decreasing order of their vertex i: every set under child
+      i takes i and no vertex of the node's `allowed` below i, so a set
+      under child i and one under a child j < i, popped later, differ
+      first at j, which only the second takes.  A tagged node lists its
+      one child's list, or nothing.  The former
+      walk, which stacked every child of a tagged node and listed every
+      set, lists the same untagged sets, by persistence, in the same
+      order, so the listing is the same list.
     - **The count.**  I(A), the sum over the independent sets S of
       representatives inside A of the prod over i in S of the weights,
       is `_independent_weight`: splitting on the lowest i of A, a set
       leaves i out, counted by I(A - i), or takes it and none of its
-      neighbours, w_i I(A - N[i]).  The sets below the node weigh
-      `faces` times the product over S, so they sum to faces * I(A).
+      neighbours, w_i I(A - N[i]).  The sets below a node weigh `faces`
+      times the product over S.  An untagged node adds its own set's
+      faces.  At a tagged node, let t_1 < ... < t_k be its tag and A_j
+      be `allowed` - {t_1, ..., t_j}.  A set below that does not take
+      all of T has a first t_j it leaves out: it takes t_1 ... t_(j-1),
+      which removed only themselves from `allowed`, and lies inside
+      A_j, so for each j those sets add
+      faces * w_(t_1) * ... * w_(t_(j-1)) * I(A_j), the node's own set
+      at j = 1.  When t_j is not in `allowed`, every set left takes
+      t_1 ... t_(j-1) and leaves t_j out, and they are all counted so
+      (the prune).  Otherwise the sets that take T are the child's,
+      counted below it.  So every set is counted exactly once.
     - **Saturation.**  `_independent_weight` returns min(I, cap),
       cap = limit + 1, and skips the second term once the first has
       reached the cap.  Every term is at least 1 and w_i >= 1, so a
@@ -233,17 +264,34 @@ def _walk(nbrs: tuple[int, ...], allowed: int) -> list[tuple[int, int]]:
     dom = _dominance(nbrs, members, reps)
     out: list[tuple[int, int]] = []
     memo: dict[int, int] = {}
+    cap = ORACLE_FACE_LIMIT + 1
     count, stack = 0, [(reps, 0, reps, 0, 1)]
     while stack:
         allowed, taken, free, under, faces = stack.pop()
         tag = under & free
         if not tag:
             out.append((taken, free))
-        elif allowed and tag & ~allowed:
-            # Every set below is tagged: count them all, stack none.
-            faces *= _independent_weight(allowed, closed, weight, ORACLE_FACE_LIMIT + 1, memo)
+            count += faces
+        else:
+            # A set below that leaves a tagged vertex out is tagged: count
+            # those by the first one left out, and stack the one branch
+            # that takes the whole tag, if `allowed` holds it.
+            while tag:
+                lowest = tag & -tag
+                rest = allowed & ~lowest
+                count += (faces * _independent_weight(rest, closed, weight, cap, memo)
+                          if rest else faces)
+                if rest == allowed:
+                    break
+                i = lowest.bit_length() - 1
+                allowed = rest
+                free ^= lowest
+                taken |= whole[i]
+                faces *= weight[i]
+                tag ^= lowest
+            else:
+                stack.append((allowed, taken, free, under, faces))
             allowed = 0
-        count += faces
         if count > ORACLE_FACE_LIMIT:
             raise _refused()
         while allowed:
@@ -734,8 +782,9 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       walk's cone tag holds the free vertices v with N(v) <= N(u) for a
       taken u; each is isolated in the link's graph, so the link is a
       cone, with no reduced homology (proofs in `_walk`, which also shows
-      that under a pure order every cone link is tagged, and counts a
-      branch of the walk whose faces are all tagged without walking it).
+      that under a pure order every cone link is tagged, and that below
+      a tagged face only the branch taking every tagged vertex needs
+      walking).
       An untagged cone is found by `_link_betti`.
 
     Each distinct link's Betti numbers come from `_link_betti`, which

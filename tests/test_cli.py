@@ -590,6 +590,33 @@ class TestErrors:
             main(["classify", "--no-such-flag"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("argv, command, message", [
+        (["enumerate"], "enumerate", "one of the arguments --cm --cmt is required"),
+        (["classify", "--builtin", "nope"], "classify", "argument --builtin: invalid choice"),
+        # The top-level parser finds an unknown flag, so no command is named.
+        (["classify", "--no-such-flag"], None, "unrecognized arguments: --no-such-flag"),
+    ])
+    def test_usage_errors_are_reports(self, capsys, argv, command, message):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 1
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert set(report) == {"command", "input_digest", "input", "status",
+                               "elapsed_ms", "result"}
+        assert report["command"] == command
+        assert report["input"] == "" and report["input_digest"] == hashlib.sha256(b"").hexdigest()[:16]
+        assert report["status"] == "error" and report["elapsed_ms"] == 0
+        assert set(report["result"]) == {"message"}
+        assert report["result"]["message"].startswith(message)
+        assert captured.err == ""
+
+    def test_help_is_not_a_report(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--help"])
+        assert err.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: cmtgraphs classify")
+
     def test_report_schema_on_error(self, capsys):
         code, report = run(capsys, "classify", "/nonexistent/g.graph")
         assert set(report) == {"command", "input_digest", "input", "status",

@@ -126,6 +126,69 @@ def former_walk(nbrs, allowed):
     return out
 
 
+def whole_class_sets(g, allowed):
+    """Every independent set of whole twin classes inside `allowed`, from `g.edges` alone.
+
+    Bit i is `g.vertices[i]`.  The twin classes are the vertices of
+    `allowed` with equal neighbourhoods, each represented by its lowest
+    vertex.  Returns (reps, sets): reps holds the representatives, and
+    sets maps each independent set of classes, as the union of its
+    classes, to (free, tag): free is the representatives outside the
+    set's closed neighbourhood, and tag the free ones whose neighbours
+    are all neighbours of one taken representative.
+    """
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    edges = [bit[x] | bit[y] for x, y in g.edges]
+    around = {b: frozenset(e ^ b for e in edges if e & b) for b in bit.values()}
+    classes = {}
+    for b in sorted(bit.values()):
+        if b & allowed:
+            classes[around[b]] = classes.get(around[b], 0) | b
+    whole = {c & -c: c for c in classes.values()}
+    reps = sum(whole)
+    sets, sub = {}, reps
+    while True:
+        if all(e & sub != e for e in edges):
+            closed = sub
+            for e in edges:
+                if e & sub:
+                    closed |= e
+            free = reps & ~closed
+            tag = sum(v for v in whole if v & free and any(
+                u & sub and around[v] <= around[u] for u in whole))
+            sets[sum(c for r, c in whole.items() if r & sub)] = (free, tag)
+        if not sub:
+            break
+        sub = (sub - 1) & reps
+    return reps, sets
+
+
+def check_walk_at_face_count(g):
+    """The walk of every vertex of g at its face count n, and refusing at n - 1.
+
+    With the limit at conftest's brute-force count n, `_walk` must list
+    the untagged sets of `former_walk`, in its order; at n - 1 it must
+    raise the guard's message.  The module's limit is put back.
+    Returns n.
+    """
+    nbrs = simplicial._masks(g)
+    everything = (1 << len(nbrs)) - 1
+    n = independent_set_count(g)
+    limit = simplicial.ORACLE_FACE_LIMIT
+    try:
+        simplicial.ORACLE_FACE_LIMIT = n
+        assert simplicial._walk(nbrs, everything) == [
+            (taken, free) for taken, free, cone in former_walk(nbrs, everything) if not cone], g
+        simplicial.ORACLE_FACE_LIMIT = n - 1
+        with pytest.raises(ValueError) as refused:
+            simplicial._walk(nbrs, everything)
+        assert str(refused.value) == (f"oracle guard: the independence complex has more "
+                                      f"than {n - 1} faces (independent sets)"), g
+    finally:
+        simplicial.ORACLE_FACE_LIMIT = limit
+    return n
+
+
 class TestIndependenceComplex:
     def test_k22_facets(self):
         ind = independence_complex(complete(2))
@@ -171,40 +234,18 @@ class TestIndependenceComplex:
         # On seeded random graphs and twin blow-ups, and random `allowed`
         # masks, the former walk lists once each independent set of the
         # twin classes inside `allowed` (vertices of `allowed` with equal
-        # neighbourhoods), as the union of its classes.  `free` is the
-        # class representatives, the lowest vertex of each, outside the
-        # set's closed neighbourhood, and the cone tag the free vertices
-        # whose neighbours are all neighbours of one taken vertex.  All of
-        # it is found here from `g.edges` alone.  The walk lists exactly
-        # the untagged sets, as (taken, free), in the former walk's order;
-        # the first is the empty one, free on every representative.
-        rng, pruned = random.Random(57), 0
-        for k in range(210):
-            g = random_bipartite(rng, max_side=5) if k < 150 else twin_blow_up(rng, 4, 3)
-            bit = {v: 1 << i for i, v in enumerate(g.vertices)}
-            edges = [bit[x] | bit[y] for x, y in g.edges]
-            around = {b: frozenset(e ^ b for e in edges if e & b) for b in bit.values()}
-            allowed = rng.getrandbits(len(bit))
-            classes = {}
-            for b in sorted(bit.values()):
-                if b & allowed:
-                    classes[around[b]] = classes.get(around[b], 0) | b
-            whole = {c & -c: c for c in classes.values()}
-            reps = sum(whole)
-            expected, sub = {}, reps
-            while True:
-                if all(e & sub != e for e in edges):
-                    closed = sub
-                    for e in edges:
-                        if e & sub:
-                            closed |= e
-                    free = reps & ~closed
-                    tag = sum(v for v in whole if v & free and any(
-                        u & sub and around[v] <= around[u] for u in whole))
-                    expected[sum(c for r, c in whole.items() if r & sub)] = (free, tag)
-                if not sub:
-                    break
-                sub = (sub - 1) & reps
+        # neighbourhoods), as the union of its classes, with the `free`
+        # mask and cone tag that `whole_class_sets` finds from `g.edges`
+        # alone.  The walk lists exactly the untagged sets, as (taken,
+        # free), in the former walk's order; the first is the empty one,
+        # free on every representative.  Chains and seeded poset graphs,
+        # with their twin blow-ups, are walked whole too: there most
+        # untagged sets lie above a tagged one, reached by the branch the
+        # walk is forced to.
+        rng, pruned, forced = random.Random(57), 0, 0
+
+        def check(g, allowed):
+            reps, expected = whole_class_sets(g, allowed)
             nbrs = simplicial._masks(g)
             former = former_walk(nbrs, allowed)
             assert len(former) == len(expected)
@@ -212,8 +253,53 @@ class TestIndependenceComplex:
             sets = simplicial._walk(nbrs, allowed)
             assert sets[0] == (0, reps)
             assert sets == [(taken, free) for taken, free, cone in former if not cone], (g, allowed)
-            pruned += len(sets) < len(former)
+            tagged = [s for s, (_, tag) in expected.items() if tag]
+            return len(sets) < len(former), sum(any(s & t == s for s in tagged)
+                                                for t, _ in sets)
+
+        for k in range(210):
+            g = random_bipartite(rng, max_side=5) if k < 150 else twin_blow_up(rng, 4, 3)
+            pruned += check(g, rng.getrandbits(len(g.vertices)))[0]
         assert pruned > 50
+        posets = [relation_graph(seeded_poset(rng, k, rng.uniform(0.3, 0.7)), k)
+                  for k in (4, 5, 6, 6) for _ in range(5)]
+        blown = [blow_up(g, rng, 2) for g in posets if len(g.left) <= 5]
+        for g in [chain(d) for d in range(3, 8)] + posets + blown:
+            for allowed in ((1 << len(g.vertices)) - 1, rng.getrandbits(len(g.vertices))):
+                forced += check(g, allowed)[1]
+            check_walk_at_face_count(g)
+        assert forced > 1000
+
+    def test_a_tag_persists_in_every_larger_set(self):
+        # The fact behind the walk's forced branch, from `g.edges` alone:
+        # a tagged vertex v of an independent set S of whole classes is
+        # free and tagged in every such set S' >= S that does not take v.
+        # So every untagged set above S takes S's whole tag.  And the walk
+        # lists S before S' exactly when the lowest vertex of S ^ S' lies
+        # in S', for the former walk's every set and the walk's listing.
+        rng, tagged = random.Random(61), 0
+        graphs = [random_bipartite(rng, 5, rng.choice([0.3, 0.6])) for _ in range(60)]
+        graphs += [twin_blow_up(rng, 4, 2) for _ in range(30)]
+        posets = [relation_graph(seeded_poset(rng, k, rng.uniform(0.3, 0.7)), k)
+                  for k in (4, 5, 6) for _ in range(5)]
+        graphs += [chain(d) for d in range(3, 8)] + posets
+        graphs += [blow_up(g, rng, 2) for g in posets if len(g.left) <= 5]
+        for g in graphs:
+            nbrs = simplicial._masks(g)
+            for allowed in ((1 << len(nbrs)) - 1, rng.getrandbits(len(nbrs))):
+                _, sets = whole_class_sets(g, allowed)
+                for s, (_, tag) in sets.items():
+                    if tag:
+                        tagged += 1
+                        for t, (_, above) in sets.items():
+                            if t & s == s:
+                                assert tag & ~t & ~above == 0, (g, allowed, s, t)
+                for listing in ([taken for taken, _, _ in former_walk(nbrs, allowed)],
+                                [taken for taken, _ in simplicial._walk(nbrs, allowed)]):
+                    for a, b in zip(listing, listing[1:]):
+                        first = (a ^ b) & -(a ^ b)
+                        assert first & b, (g, allowed, a, b)
+        assert tagged > 4000
 
     def test_dominance_table_against_every_pair(self):
         # The table built from up-sets against the former test of every
