@@ -12,15 +12,27 @@ Every command prints one JSON report to stdout (suppressed by --quiet) and
 exits 0 on success, 2 when a verification found a disagreement, 1 on any
 error.  All computation lives in the library modules; this file only
 dispatches and serializes.
+
+The grammar is declared once, in `_COMMANDS`, and read two ways.  A
+lookup table built from it (`_TABLE`) reads the argv of a well-formed
+command: a subcommand, then exact option strings, their values and at
+most one input path.  Every other argv (help, abbreviations,
+`--opt=value`, repeats, anything malformed) goes to an argparse parser
+built from the same declaration, which is imported and built only then,
+once per process; it alone prints help and finds usage errors, and the
+tests hold the table to it.  A report is written by `_dump`, which gives
+`json.dumps(report, indent=2, sort_keys=True)`'s text without its
+pure-Python indenting encoder.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii
+from types import SimpleNamespace
 
 from .bigraph import ConsistencyError, is_connected, parse_graph, to_document
 from . import simplicial
@@ -34,55 +46,190 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_DISAGREEMENT = 2
 
+# The grammar: per subcommand, its help line and its arguments, each an
+# option string (or the positional's name) and argparse's keywords for it.
+_QUIET = ("--quiet", {"action": "store_true",
+                      "help": "suppress the report, keep only the exit code"})
+_GRAPH = (_QUIET,
+          ("input", {"nargs": "?", "help": "path of a graph document"}),
+          ("--builtin", {"choices": BUILTIN_NAMES,
+                         "help": "use a built-in example instead of a file"}))
+_COMMANDS = {
+    "classify": ("block-size classification of one graph", _GRAPH),
+    "oracle": ("brute-force homology report for one graph", _GRAPH + (
+        ("--max-t", {"type": int,
+                     "help": "also report whether the codimension stays within this bound"}),)),
+    "verify": ("compare classifier and oracle", _GRAPH + (
+        ("--d", {"type": int,
+                 "help": "check every unmixed graph on this many matched pairs, not one graph"}),)),
+    "expand": ("blow matched edges up into complete blocks (needs an M: line)", _GRAPH),
+    "contract": ("collapse complete blocks back to the base graph", _GRAPH),
+    "enumerate": ("generate example families", (
+        _QUIET,
+        ("--cm", {"type": int, "metavar": "DIM",
+                  "help": "Cohen-Macaulay graphs of this dimension"}),
+        ("--cmt", {"type": int, "metavar": "T",
+                   "help": "families of sharp codimension exactly T"}),
+        ("--max-total", {"type": int,
+                         "help": "with --cmt, drop instances whose multiplicities sum past this"}),
+        ("--out", {"metavar": "DIR", "help": "write graph documents and a manifest here"}))),
+}
+# Exactly one of these is given (argparse: a required mutually exclusive group).
+_ONE_OF = {"enumerate": ("--cm", "--cmt")}
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        """A usage error is an error report, exit code 1 (argparse's 2 means disagreement here).
 
-        The command is read off a subcommand's `prog` ("cmtgraphs classify");
-        an error the top-level parser finds, such as an unknown flag, names
-        none.  Nothing has been read, so the input is "".
-        """
-        _, _, command = self.prog.partition(" ")
-        _print_report(command or None, "", "", "error", 0, {"message": message})
-        self.exit(EXIT_ERROR)
+def _table_entry(command: str, arguments) -> tuple[dict, dict, str | None]:
+    """The namespace argparse starts from, the options by exact string, the positional."""
+    defaults, options, positional = {"command": command}, {}, None
+    for name, keywords in arguments:
+        if not name.startswith("-"):
+            positional = name
+            defaults[name] = None
+            continue
+        dest = name.lstrip("-").replace("-", "_")
+        switch = keywords.get("action") == "store_true"
+        defaults[dest] = False if switch else None
+        options[name] = (dest, None if switch else keywords)
+    return defaults, options, positional
 
 
-def _build_parser() -> _Parser:
+_TABLE = {command: _table_entry(command, arguments)
+          for command, (_, arguments) in _COMMANDS.items()}
+
+
+def _read_table(argv: list[str]) -> dict | None:
+    """The namespace of a well-formed command, or None for argparse to read.
+
+    Accepted: argv[0] a subcommand; every later token an exact option
+    string of it, given at most once, or its one positional; `--quiet`
+    with no value; any other option with the next token as its value,
+    which does not start with "-" and which the option's `type` converts
+    or its `choices` hold; for `enumerate`, exactly one of `--cm`, `--cmt`.
+
+    On every argv accepted here argparse gives the same namespace (same
+    `vars()`):
+    - argv[0] is a subcommand, so the top-level parser's subparsers
+      positional (nargs PARSER, pattern `A[-AO]*`) takes it and every
+      later token, and the subcommand's parser reads them all.
+    - argparse reads a token as positional exactly when it is empty or
+      does not start with "-"; every other accepted token is an exact
+      option string of the subcommand's parser, so no abbreviation,
+      `=` split or negative-number rule applies to it.
+    - `--quiet` (store_true) takes no token and any other option (nargs
+      None) exactly the next one, which is positional; the tokens left
+      over are at most one, which fills `input` (nargs "?"), and with
+      none `input` keeps its default.  So no token is left unrecognised.
+    - argparse converts a value with `type(token)` and then checks it
+      against `choices`; the table does the same and declines where
+      either fails, where argparse would report an error.
+    - Each option occurs once, so argparse's last value is the only one;
+      `enumerate`'s group sees one of its options, so neither its
+      conflict check nor its required check fires.
+    - argparse starts from every dest at its default (None, or False for
+      store_true) and sets `command`; the table starts from the same.
+    """
+    entry = _TABLE.get(argv[0]) if argv else None
+    if entry is None:
+        return None
+    defaults, options, positional = entry
+    args, given = dict(defaults), set()
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options:
+            if token in given:
+                return None
+            given.add(token)
+            dest, keywords = options[token]
+            if keywords is None:
+                args[dest] = True
+                continue
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+            if "type" in keywords:
+                try:
+                    value = keywords["type"](value)
+                except ValueError:
+                    return None
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+            args[dest] = value
+        elif token.startswith("-") or positional is None or args[positional] is not None:
+            return None
+        else:
+            args[positional] = token
+    one_of = _ONE_OF.get(argv[0])
+    if one_of is not None and len(given.intersection(one_of)) != 1:
+        return None
+    return args
+
+
+class _UsageError(Exception):
+    """argparse's usage error: the subcommand it was parsing (or None) and its message."""
+
+
+_PARSER = None
+
+
+def _build_parser():
+    """The argparse parser of `_COMMANDS`; argparse is imported here, not at start-up."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            """A usage error becomes an error report in `_argparse`, not argparse's exit 2.
+
+            The command is read off a subcommand's `prog` ("cmtgraphs
+            classify"); an error the top-level parser finds, such as an
+            unknown flag, names none.
+            """
+            _, _, command = self.prog.partition(" ")
+            raise _UsageError(command or None, message)
+
     parser = _Parser(prog="cmtgraphs",
                      description="classify bipartite graphs by Cohen-Macaulay codimension")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str, with_input: bool = True):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--quiet", action="store_true",
-                       help="suppress the report, keep only the exit code")
-        if with_input:
-            p.add_argument("input", nargs="?", help="path of a graph document")
-            p.add_argument("--builtin", choices=BUILTIN_NAMES,
-                           help="use a built-in example instead of a file")
-        return p
-
-    add("classify", "block-size classification of one graph")
-    oracle = add("oracle", "brute-force homology report for one graph")
-    oracle.add_argument("--max-t", type=int, default=None,
-                        help="also report whether the codimension stays within this bound")
-    verify = add("verify", "compare classifier and oracle")
-    verify.add_argument("--d", type=int, default=None,
-                        help="check every unmixed graph on this many matched pairs, not one graph")
-    add("expand", "blow matched edges up into complete blocks (needs an M: line)")
-    add("contract", "collapse complete blocks back to the base graph")
-    enum = add("enumerate", "generate example families", with_input=False)
-    group = enum.add_mutually_exclusive_group(required=True)
-    group.add_argument("--cm", type=int, metavar="DIM",
-                       help="Cohen-Macaulay graphs of this dimension")
-    group.add_argument("--cmt", type=int, metavar="T",
-                       help="families of sharp codimension exactly T")
-    enum.add_argument("--max-total", type=int, default=None,
-                      help="with --cmt, drop instances whose multiplicities sum past this")
-    enum.add_argument("--out", default=None, metavar="DIR",
-                      help="write graph documents and a manifest here")
+    for command, (help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        group = None
+        for name, keywords in arguments:
+            target = p
+            if name in _ONE_OF.get(command, ()):
+                group = group or p.add_mutually_exclusive_group(required=True)
+                target = group
+            target.add_argument(name, **keywords)
     return parser
+
+
+def _argparse(argv: list[str], quiet: bool):
+    """argparse's namespace for `argv`, or its help, or a usage-error report and exit 1.
+
+    The parser is built on the first call and kept: it holds no per-call
+    state, and `parse_args` returns a fresh Namespace every time.  Nothing
+    has been read at a usage error, so the report's input is "", and it
+    is not printed when `quiet`.
+    """
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = _build_parser()
+    try:
+        return _PARSER.parse_args(argv)
+    except _UsageError as exc:
+        if not quiet:
+            command, message = exc.args
+            _print_report(command, "", "", "error", 0, {"message": message})
+        raise SystemExit(EXIT_ERROR) from None
+
+
+def _parse(argv: list[str]):
+    """The command's arguments: the table's when it accepts `argv`, else argparse's.
+
+    An exact `--quiet` after a subcommand silences a usage error too.
+    """
+    args = _read_table(argv)
+    if args is not None:
+        return SimpleNamespace(**args)
+    return _argparse(argv, bool(argv) and argv[0] in _TABLE and "--quiet" in argv[1:])
 
 
 def _source(args) -> str:
@@ -123,7 +270,50 @@ def _print_report(command, source: str, document: str, status: str, elapsed_ms: 
         "elapsed_ms": elapsed_ms,
         "result": result,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_dump(report, ""))
+
+
+def _dump(value, indent: str) -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)`'s text for `value`, nested at `indent`.
+
+    Dicts, lists, str, int, bool and None are written here, strings by
+    json's own `encode_basestring_ascii` and dict items in json's order,
+    sorted by key.  Any other value, a float say, is left to `json.dumps`,
+    its lines shifted by `indent`; so is a dict with a key that is not a
+    string, on which `encode_basestring_ascii` raises TypeError.  The
+    shift is exact: with `ensure_ascii` no string holds a raw newline, so
+    every newline in the text starts a line.  It stands in for
+    `json.dumps`, whose `indent` runs json's pure-Python encoder.
+    """
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_dump(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        try:
+            items = [encode_basestring_ascii(key) + ": " + _dump(value[key], inner)
+                     for key in sorted(value)]
+        except TypeError:
+            items = None
+        if items is not None:
+            return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
 def _cmd_classify(args) -> tuple[str, dict]:
@@ -242,13 +432,9 @@ _HANDLERS = {
     "enumerate": _cmd_enumerate,
 }
 
-# Built once: the parser holds no per-call state, and `parse_args` returns a
-# fresh Namespace on every call, so nothing carries over between calls.
-_PARSER = _build_parser()
-
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
     source = _source(args)
     args.document = None
     started = time.monotonic()

@@ -6,12 +6,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cmtgraphs import (BUILTIN_NAMES, ConsistencyError, builtin_document, canonical_form, classify, cm_codim, dim,
                        enumerate_unmixed, independence_complex, is_pure, parse_graph,
                        reduced_homology, to_document)
 from cmtgraphs import cli, construct, simplicial
 from cmtgraphs.cli import main
+from cli_argv import check_table_against_argparse, every
 from conftest import block_codim, independent_set_count, relation_graph, seeded_poset
 from test_simplicial import check_cone_tags, isolated_in
 
@@ -24,6 +26,20 @@ def disjoint_k33s(k):
     right = [f"y{c}_{i}" for c in range(k) for i in range(3)]
     edges = [f"x{c}_{i}-y{c}_{j}" for c in range(k) for i in range(3) for j in range(3)]
     return f"L: {' '.join(left)}\nR: {' '.join(right)}\nE: {' '.join(edges)}\n"
+
+
+@pytest.fixture(autouse=True)
+def reports_written_as_json_writes_them(monkeypatch):
+    """Every report a test here prints is `json.dumps(report, indent=2, sort_keys=True)`."""
+    dump = cli._dump
+
+    def checked(value, indent):
+        text = dump(value, indent)
+        if not indent:
+            assert text == json.dumps(value, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(cli, "_dump", checked)
 
 
 def run(capsys, *argv):
@@ -595,12 +611,17 @@ class TestErrors:
         (["classify", "--builtin", "nope"], "classify", "argument --builtin: invalid choice"),
         # The top-level parser finds an unknown flag, so no command is named.
         (["classify", "--no-such-flag"], None, "unrecognized arguments: --no-such-flag"),
+        # An exact --quiet after the subcommand silences a usage error too.
+        (["classify", "--quiet", "--builtin", "nope"], None, None),
     ])
     def test_usage_errors_are_reports(self, capsys, argv, command, message):
         with pytest.raises(SystemExit) as err:
             main(argv)
         assert err.value.code == 1
         captured = capsys.readouterr()
+        if message is None:
+            assert captured == ("", "")
+            return
         report = json.loads(captured.out)
         assert set(report) == {"command", "input_digest", "input", "status",
                                "elapsed_ms", "result"}
@@ -664,6 +685,11 @@ class TestErrors:
 
 class TestParserBuiltOnce:
     def test_no_argument_added_per_call(self, capsys, monkeypatch):
+        # The first usage error builds the parser, if nothing has yet;
+        # a second one and a well-formed command add no argument.
+        with pytest.raises(SystemExit):
+            main(["classify", "--no-such-flag"])
+        capsys.readouterr()
         real, added = argparse._ActionsContainer.add_argument, []
 
         def counting(self, *args, **kwargs):
@@ -672,7 +698,10 @@ class TestParserBuiltOnce:
 
         monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
         code, _ = run(capsys, "classify", "--builtin", "fig1")
-        assert code == 0 and added == []
+        assert code == 0
+        with pytest.raises(SystemExit) as err:
+            main(["classify", "--no-such-flag"])
+        assert err.value.code == 1 and added == []
 
     def test_max_t_does_not_carry_over(self, capsys):
         _, first = run(capsys, "oracle", "--builtin", "fig1", "--max-t", "2")
@@ -695,3 +724,52 @@ class TestParserBuiltOnce:
         with pytest.raises(SystemExit) as err:
             main(["classify", "--no-such-flag"])
         assert err.value.code == 1
+
+
+class TestArgvTable:
+    def test_every_short_argv_against_argparse(self):
+        # 43,225 argvs: each subcommand and an unknown one, then up to 3
+        # tokens from cli_argv.POOL.  The table reads 182 of them alone.
+        assert check_table_against_argparse(every(3)) == 182
+
+    @pytest.mark.parametrize("argv", [
+        # The benchmark's shapes, read with no argparse.
+        ["oracle", "graphs/g.graph"], ["verify", "graphs/g.graph"],
+        ["classify", "graphs/g.graph"], ["enumerate", "--cm", "4"], ["verify", "--d", "4"],
+        # Read by the table too, past the pool's reach.
+        ["enumerate", "--max-total", "4", "--cmt", "3", "--quiet", "--out", "dir"],
+        ["oracle", "g", "--max-t", " 2"], ["classify", "--builtin", "fig1", "g.graph"],
+    ])
+    def test_well_formed_argvs_need_no_argparse(self, argv):
+        assert cli._read_table(argv) is not None
+        assert check_table_against_argparse([argv]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        # argparse keeps the last value of a repeated option.
+        ["oracle", "--max-t", "1", "--max-t", "2"],
+        ["enumerate", "--cm", "2", "--out", "a", "--out", "b"],
+        # A value that starts with "-" is an option string to argparse.
+        ["enumerate", "--cm", "2", "--out", "-h"],
+        ["enumerate", "--cmt", "3", "--out", "--quiet"],
+        ["enumerate", "--cm", "2", "--cmt", "3"],
+    ])
+    def test_argvs_past_the_pool_go_to_argparse(self, argv):
+        assert cli._read_table(argv) is None
+        assert check_table_against_argparse([argv]) == 0
+
+
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2 ** 64)
+            | st.floats() | st.text(st.characters(exclude_categories=())))
+_json_values = st.recursive(
+    _scalars,
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(st.characters(exclude_categories=())), inner, max_size=4)
+                   | st.dictionaries(st.integers(), inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(_json_values)
+def test_writer_matches_json(value):
+    # Non-ASCII, control and surrogate characters, large ints, nan and
+    # inf, int keys and empty containers, nested.
+    assert cli._dump(value, "") == json.dumps(value, indent=2, sort_keys=True)

@@ -101,6 +101,26 @@ def test_start_up_loads_no_dataclasses():
     assert loaded.stdout.strip() == "[]", loaded.stdout
 
 
+def test_well_formed_command_loads_no_argparse():
+    # Importing argparse (with gettext and locale) and building its parser
+    # took about 6 ms of every CLI process.  The CLI reads a well-formed
+    # argv from its own table and imports argparse only for help and
+    # usage errors; the usage error at the end shows that the probe sees it.
+    probe = ("import sys, cmtgraphs.cli as cli\n"
+             "names = {'argparse', 'gettext', 'locale'}\n"
+             "print(sorted(names & set(sys.modules)))\n"
+             "cli.main(['classify', '--builtin', 'fig1', '--quiet'])\n"
+             "print(sorted(names & set(sys.modules)))\n"
+             "try:\n"
+             "    cli.main(['classify', '--quiet', '--no-such-flag'])\n"
+             "except SystemExit:\n"
+             "    print(sorted(names & set(sys.modules)))\n")
+    loaded = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True, text=True,
+                            env={**os.environ, "PYTHONPATH": str(SRC.parent)}, check=True)
+    assert loaded.stdout.split("\n") == ["[]", "[]", "['argparse', 'gettext', 'locale']", ""], \
+        loaded.stdout
+
+
 def test_every_mutant_still_applies():
     # `run_mutants.py`, outside tier-1, checks that the tests catch each
     # mutant in `mutants.json`.  Here each old text must still occur once,
