@@ -10,11 +10,22 @@ A graph lives in a small line-oriented text format:
 ``[A-Za-z0-9_]+`` and `#` starts a comment.  A well-formed document is
 checked in bulk (`parse_document`): one `findall` per `E:` line, set sizes
 for repeated names and edges, and one pass that checks each edge's sides
-while it builds the neighbour sets, which the graph keeps.  The per-token and per-edge loops run only on a document they will
-refuse, to word its error.  That pass, `_neighbour_sets`, is the one side
-check of every graph: `BipartiteGraph` makes it too, and a graph derived
-from checked graphs (a deleted closed neighbourhood, a disjoint union, a
-contracted base) is built unchecked, as its names and sides are theirs.
+while it builds the neighbour masks, which the graph keeps.  The per-token
+and per-edge loops run only on a document they will refuse, to word its
+error.  That pass, `_neighbour_masks`, is the one side check of every
+graph: `BipartiteGraph` makes it too, and a graph derived from checked
+graphs (a deleted closed neighbourhood, a disjoint union, a contracted
+base) is built unchecked, as its names and sides are theirs.
+
+A graph's structure is held as one int per vertex (`_side_masks`): left
+i's neighbours as bits over the positions of `right`, right j's over the
+positions of `left`.  Every structural question is a bitwise operation on
+them: lefts with equal neighbourhoods have equal ints, a degree is a
+`bit_count`, and N(u) <= N(v) is `not N(u) & ~N(v)`.  `neighbors` and
+`degree` decode a mask on demand.  The cost is in the width: a mask is as
+wide as its highest bit, so a graph with n vertices a side holds up to n^2
+mask bits however few its edges, which past a few thousand sparse pairs
+costs more time and memory than name sets did (`_neighbour_masks`).
 
 The structural heart of the module is `find_pure_order`: a bipartite graph
 without isolated vertices is unmixed (its independence complex is pure)
@@ -27,10 +38,10 @@ classes of lefts with equal neighbourhoods (`neighbourhood_blocks`), which
 each graph groups once (`BipartiteGraph._blocks`).
 No matching is searched for: each class is paired with the rights of
 least degree in its neighbourhood, which under a pure order are its own.
-`_transitive` is the one place the condition is written as a check, and
-`_matching_transitive` applies it to a matching on the quotient by those
-classes, one successor set per class; the enumerators make only relations
-that satisfy it (`enumeration._relations`).
+`_transitive` is the one place the condition is written as a check, on
+successor masks, and `_matching_transitive` applies it to a matching of a
+graph, whose left masks are those successor masks; the enumerators make
+only relations that satisfy it (`enumeration._relations`).
 """
 
 from __future__ import annotations
@@ -78,24 +89,48 @@ def _check_names(names) -> None:
         seen.add(name)
 
 
-def _neighbour_sets(left, right, edges) -> dict[str, frozenset[str]]:
-    """Neighbours of every vertex, lefts then rights; the one side check of every graph.
+def _neighbour_masks(left, right, edges) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Each side's neighbour bitmasks, lefts then rights; the one side check of every graph.
 
-    One pass over the edges both checks the sides and builds the sets: an
-    edge (x, y) whose x is no left or whose y is no right misses its side's
-    table, and the ValueError names that edge, the first off its sides in
-    the order of `edges`.  The names must be distinct (`_check_names`).
+    Left i's mask has bit j set when it is joined to `right[j]`, and right
+    j's bit i when it is joined to `left[i]`.  One pass over the edges both
+    checks the sides and builds the masks: an edge (x, y) whose x is no
+    left or whose y is no right misses its side's position table, and the
+    ValueError names that edge, the first off its sides in the order of
+    `edges`.  The names must be distinct (`_check_names`).
+
+    A mask is as wide as its highest bit, whatever its count: with n
+    vertices a side, a graph whose vertex i has a neighbour near position
+    i, a matching say, holds about n^2 bits in all, against O(n + |E|)
+    names in neighbour sets, and every bitwise operation on a mask costs
+    its width.  Measured on matchings and fence posets (`BENCH_36.json`),
+    the `classify` command's work is level with name sets or faster up
+    to 3,000 pairs, slower from about 5,000 (1.2x), 2-2.3x at 20,000 and
+    4-7x at 60,000; its `tracemalloc` peak is lower at 2,000 pairs, a
+    little higher at 5,000 (7.9-8.7 against 7.2-8.6 MB), and 2.1-2.4x at
+    20,000 (72-75 MB) and 5-6x at 60,000 (about 540 MB).
     """
-    ladj: dict[str, set[str]] = {x: set() for x in left}
-    radj: dict[str, set[str]] = {y: set() for y in right}
+    lpos = {x: i for i, x in enumerate(left)}
+    rpos = {y: j for j, y in enumerate(right)}
+    lmasks, rmasks = [0] * len(left), [0] * len(right)
     try:
         for x, y in edges:
-            ladj[x].add(y)
-            radj[y].add(x)
+            i, j = lpos[x], rpos[y]
+            lmasks[i] |= 1 << j
+            rmasks[j] |= 1 << i
     except KeyError:
         raise ValueError(f"edge ({x},{y}) does not run from left to right") from None
-    ladj.update(radj)
-    return {v: frozenset(ns) for v, ns in ladj.items()}
+    return tuple(lmasks), tuple(rmasks)
+
+
+def _positions(mask: int) -> list[int]:
+    """The positions of the bits set in `mask`, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 class _Frozen:
@@ -137,7 +172,7 @@ class BipartiteGraph(_Frozen):
     _fields = ("left", "right", "edges")
 
     def __init__(self, left, right, edges) -> None:
-        """Check the names, then the edge sides, keeping the neighbour sets that check builds.
+        """Check the names, then the edge sides, keeping the neighbour masks that check builds.
 
         The sides are stored as tuples and the edges as a frozenset of
         tuples, whatever iterables they come as, so every graph hashes.  A
@@ -148,7 +183,7 @@ class BipartiteGraph(_Frozen):
             edges = frozenset(map(tuple, edges))
         self._set(tuple(left), tuple(right), edges)
         _check_names(self.left + self.right)
-        self.__dict__["_adjacency"] = _neighbour_sets(self.left, self.right, self.edges)
+        self.__dict__["_side_masks"] = _neighbour_masks(self.left, self.right, self.edges)
 
     @classmethod
     def of(cls, left, right, edges) -> "BipartiteGraph":
@@ -157,22 +192,23 @@ class BipartiteGraph(_Frozen):
     @classmethod
     def _trusted(cls, left: tuple[str, ...], right: tuple[str, ...],
                  edges: frozenset[tuple[str, str]],
-                 adjacency: dict[str, frozenset[str]] | None = None) -> "BipartiteGraph":
+                 masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
+                 ) -> "BipartiteGraph":
         """A graph whose names and edge sides the caller has already checked.
 
         `parse_document` checks the names and the edge sides before
-        building, and hands over the neighbour sets it built in that check;
-        `__init__` would check them again.  The other callers build from
-        graphs already checked, each saying why in its docstring:
+        building, and hands over the neighbour masks it built in that
+        check; `__init__` would check them again.  The other callers build
+        from graphs already checked, each saying why in its docstring:
         `enumeration._index_graph`, `construct._blow_up`,
         `construct.contract`, `delete_closed_neighborhood` and
-        `disjoint_union`.  They pass no sets, and `_adjacency` builds them
-        on first use.
+        `disjoint_union`.  They pass no masks, and `_side_masks` builds
+        them on first use.
         """
         g = object.__new__(cls)
         g._set(left, right, edges)
-        if adjacency is not None:
-            g.__dict__["_adjacency"] = adjacency
+        if masks is not None:
+            g.__dict__["_side_masks"] = masks
         return g
 
     @property
@@ -183,31 +219,42 @@ class BipartiteGraph(_Frozen):
         return (x, y) in self.edges
 
     def neighbors(self, v: str) -> frozenset[str]:
-        return self._adjacency[v]
+        """v's neighbours, decoded from its mask."""
+        mask, other = self._mask_of(v)
+        return frozenset(map(other.__getitem__, _positions(mask)))
 
     def degree(self, v: str) -> int:
-        return len(self._adjacency[v])
+        return self._mask_of(v)[0].bit_count()
+
+    def _mask_of(self, v: str) -> tuple[int, tuple[str, ...]]:
+        """v's neighbour mask and the side whose positions its bits are."""
+        lmasks, rmasks = self._side_masks
+        if v in self.left:
+            return lmasks[self.left.index(v)], self.right
+        if v in self.right:
+            return rmasks[self.right.index(v)], self.left
+        raise KeyError(v)
 
     def isolated_vertices(self) -> tuple[str, ...]:
-        adj = self._adjacency
-        return tuple(v for v in self.vertices if not adj[v])
+        lmasks, rmasks = self._side_masks
+        return tuple(v for v, mask in zip(self.vertices, lmasks + rmasks) if not mask)
 
     @cached_property
-    def _adjacency(self) -> dict[str, frozenset[str]]:
-        """Neighbours of every vertex, freed with the graph.
+    def _side_masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The neighbour masks of the lefts and of the rights, freed with the graph.
 
-        `__init__` and `parse_document` keep the sets they build as they
+        `__init__` and `parse_document` keep the masks they build as they
         check the edge sides; any other `_trusted` graph builds them here
-        on first use, with the same `_neighbour_sets`, whose side check
+        on first use, with the same `_neighbour_masks`, whose side check
         its caller's proof says cannot fail.
         """
-        return _neighbour_sets(self.left, self.right, self.edges)
+        return _neighbour_masks(self.left, self.right, self.edges)
 
     @cached_property
     def _blocks(self) -> BlockDecomposition:
         """The classes of lefts with equal neighbourhoods, by position in `left`.
 
-        Built on first use and freed with the graph, like `_adjacency`.
+        Built on first use and freed with the graph, like `_side_masks`.
         When the graph is unmixed these are its cross blocks: under a pure
         order the neighbourhood classes of its lefts are the blocks
         (`neighbourhood_blocks`), and `find_pure_order` lists its lefts as
@@ -260,8 +307,8 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
     tokens of the form name-name, so as many matches as tokens means every
     token is an edge.  The names pass `_check_names`'s C-level tests, the
     edges are all distinct when their frozenset is as long as their list,
-    and `_neighbour_sets` checks every edge's sides in the one pass that
-    builds the graph's neighbour sets, its ValueError caught here.  Only
+    and `_neighbour_masks` checks every edge's sides in the one pass that
+    builds the graph's neighbour masks, its ValueError caught here.  Only
     where one of these fails does the per-token or per-edge loop run, to
     raise the message with its line number, the one the loop has always
     raised.
@@ -316,10 +363,10 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
         raise GraphFormatError(str(exc)) from None
     edges = frozenset(pairs)
     try:
-        adjacency = _neighbour_sets(left, right, edges) if len(edges) == len(pairs) else None
+        masks = _neighbour_masks(left, right, edges) if len(edges) == len(pairs) else None
     except ValueError:
-        adjacency = None
-    if adjacency is None:
+        masks = None
+    if masks is None:
         lset, rset = set(left), set(right)
         seen: set[tuple[str, str]] = set()
         for lineno, found in edge_lines:
@@ -333,7 +380,7 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
                 if (u, v) in seen:
                     raise GraphFormatError(f"line {lineno}: duplicate edge {u}-{v}")
                 seen.add((u, v))
-    return BipartiteGraph._trusted(tuple(left), tuple(right), edges, adjacency), mult
+    return BipartiteGraph._trusted(tuple(left), tuple(right), edges, masks), mult
 
 
 def parse_graph(text: str) -> BipartiteGraph:
@@ -354,47 +401,40 @@ def to_document(g: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _transitive(succ: dict) -> bool:
-    # Villarreal condition (2) on successor sets: x_iy_j and x_jy_k force
-    # x_iy_k, that is succ[j] <= succ[i] for every j in succ[i]; triples with
-    # a repeated index hold through the matched edges.
-    return all(succ[j] <= succ[i] for i in succ for j in succ[i])
+def _transitive(succ: tuple[int, ...] | list[int]) -> bool:
+    """Villarreal's condition on successor masks: bit j of succ[i] set when i relates to j.
 
-
-def _matching_transitive(g: BipartiteGraph, match: dict[str, str]) -> bool:
-    """Villarreal's condition for `match`, a perfect matching of g, checked on `g._blocks`.
-
-    `match` sends each left x_i to its partner y_i, a neighbour, and is a
-    bijection onto `g.right`.  Let succ(i) be the indices j with x_iy_j
-    an edge; the condition is succ(j) <= succ(i) for every j in succ(i).
-    succ(i) depends on N(x_i) alone, so it is one set per class of lefts
-    with equal neighbourhoods (`g._blocks`).  The check runs on the
-    quotient, whose successors of a class are the classes succ(i) hits,
-    and also checks that each class hit is hit whole: |N(x_i)|, which is
-    |succ(i)| as `match` is a bijection, must equal the sum of the sizes
-    of the classes hit.
-
-    This is the per-left check.  Suppose the condition holds, j is in
-    succ(i) and x_j' ~ x_j.  N(x_j') = N(x_j) holds y_j', since x_j'y_j' is
-    an edge, so j' is in succ(j), which lies in succ(i): succ(i) is a union
-    of whole classes, and the sizes add up.  A class C' hit by succ(i)
-    then has its members in succ(i), so succ(C') <= succ(i), and the
-    quotient passes.  Conversely, if every succ(i) is a union of whole
-    classes, it is the union of the classes the quotient gives it, so for
-    j in succ(i) the quotient's succ(C_j) <= succ(C_i) is succ(j) <=
-    succ(i), and the per-left check passes.
+    The relation must be transitive, as x_iy_j and x_jy_k force x_iy_k for
+    a matching (`_matching_transitive`): i R j and j R k give i R k, that
+    is, succ[j] lies in succ[i] for every j in succ[i], or
+    `not succ[j] & ~succ[i]`.  The test for i reads succ[i] alone, not i,
+    so it is made once per distinct mask m: succ[j] within m for each j
+    in m.  Every i with succ[i] = m meets the same tests, so this is the
+    test for every i.
     """
-    adj, left, blocks = g._adjacency, g.left, g._blocks.blocks
-    klass = {match[left[i - 1]]: k for k, block in enumerate(blocks) for i in block}
-    sizes = [len(block) for block in blocks]
-    succ = {}
-    for k, block in enumerate(blocks):
-        around = adj[left[min(block) - 1]]
-        hit = frozenset(map(klass.__getitem__, around))
-        if len(around) != sum(map(sizes.__getitem__, hit)):
-            return False
-        succ[k] = hit
-    return _transitive(succ)
+    for mask in set(succ):
+        outside, rest = ~mask, mask
+        while rest:
+            low = rest & -rest
+            if succ[low.bit_length() - 1] & outside:
+                return False
+            rest ^= low
+    return True
+
+
+def _matching_transitive(g: BipartiteGraph, mate: list[int]) -> bool:
+    """Villarreal's condition for the perfect matching of g that pairs right j with left mate[j].
+
+    Index the pairs by their rights: pair j is x_{mate[j]}y_j.  Pair i
+    relates to pair j when x_{mate[i]}y_j is an edge, so pair i's
+    successors are the bits of left mate[i]'s mask, as it stands, and the
+    condition is `_transitive` on those masks: for each distinct left mask
+    m and each right j in m, N(x_{mate[j]}) within m.  Lefts with equal
+    neighbourhoods make a mask repeat, and `_transitive` reads each
+    distinct one once.
+    """
+    lmasks = g._side_masks[0]
+    return _transitive([lmasks[i] for i in mate])
 
 
 def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
@@ -426,26 +466,41 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
     name.  If the graph is mixed, a zip that is a perfect matching and
     passes the check would make it unmixed by Villarreal's theorem, so the
     answer is None.
+
+    On the masks: the rights are grouped by degree, the `bit_count` of
+    each one's mask, into one mask per degree; a block's least-degree
+    rights are the first nonzero AND of one of its left's masks with those,
+    in ascending order of degree.  Once every block's counts agree
+    each left has one partner, so the zips make a perfect matching exactly
+    when the d partners are distinct; `mate` is then its inverse, the left
+    of each right.
     """
-    isolated = g.isolated_vertices()
-    if isolated:
-        raise IsolatedVertexError(f"isolated vertices {', '.join(isolated)}")
-    if len(g.left) != len(g.right):
+    lmasks, rmasks = g._side_masks
+    if not (all(lmasks) and all(rmasks)):
+        raise IsolatedVertexError(f"isolated vertices {', '.join(g.isolated_vertices())}")
+    right = g.right
+    if len(lmasks) != len(right):
         return None
-    adj = g._adjacency
-    partner: dict[str, str] = {}
+    level: dict[int, int] = {}
+    for j, mask in enumerate(rmasks):
+        degree = mask.bit_count()
+        level[degree] = level.get(degree, 0) | 1 << j
+    by_degree = [level[degree] for degree in sorted(level)]
+    mate, partner = [0] * len(right), [0] * len(right)
     for block in g._blocks.blocks:
-        xs = [g.left[i - 1] for i in sorted(block)]
-        least = min(len(adj[y]) for y in adj[xs[0]])
-        ys = sorted(y for y in adj[xs[0]] if len(adj[y]) == least)
-        if len(ys) != len(xs):
+        lefts = sorted(block)
+        around = lmasks[lefts[0] - 1]
+        least = next(filter(None, map(around.__and__, by_degree)))
+        if least.bit_count() != len(lefts):
             return None
-        partner.update(zip(xs, ys))
-    if len(set(partner.values())) != len(g.right):
+        ys = sorted(_positions(least), key=right.__getitem__)
+        for i, j in zip(lefts, ys):
+            mate[j], partner[i - 1] = i - 1, j
+    if len(set(partner)) != len(right):
         return None
-    if not _matching_transitive(g, partner):
+    if not _matching_transitive(g, mate):
         return None
-    return PureOrder(tuple((x, partner[x]) for x in g.left))
+    return PureOrder(tuple(zip(g.left, map(right.__getitem__, partner))))
 
 
 def is_unmixed(g: BipartiteGraph) -> bool:
@@ -459,27 +514,34 @@ def is_pure_order(g: BipartiteGraph, po: PureOrder) -> bool:
         return False
     if any((x, y) not in g.edges for x, y in pairs):
         return False
-    return _matching_transitive(g, dict(pairs))
+    lpos = {x: i for i, x in enumerate(g.left)}
+    rpos = {y: j for j, y in enumerate(g.right)}
+    mate = [0] * len(pairs)
+    for x, y in pairs:
+        mate[rpos[y]] = lpos[x]
+    return _matching_transitive(g, mate)
 
 
 def neighbourhood_blocks(g: BipartiteGraph, lefts: tuple[str, ...]) -> BlockDecomposition:
     """Group the 1-based positions of `lefts` by neighbourhood, in first-seen order.
 
-    For `po.lefts` of a pure order po, whose purity is the caller's to
-    know, the classes are the cross blocks (F1): i and j cross exactly when
-    x_i and x_j have the same neighbours.  If they cross and x_jy_k is an
-    edge, then x_iy_j and x_jy_k give x_iy_k by Villarreal's condition, and
-    the same argument runs back, so N(x_i) = N(x_j).  If N(x_i) = N(x_j),
-    then y_i, a neighbour of x_i, is a neighbour of x_j, and y_j one of
-    x_i, so they cross.  The mirror argument (x_ky_i and x_iy_j give x_ky_j)
-    shows that crossed rights have equal neighbourhoods too.  So the
-    relation is an equivalence, every class is pairwise crossed, and each
-    spans a maximal complete bipartite block.
+    Lefts with equal neighbourhoods have equal masks, so the classes are
+    the groups of equal ints.  For `po.lefts` of a pure order po, whose
+    purity is the caller's to know, the classes are the cross blocks (F1):
+    i and j cross exactly when x_i and x_j have the same neighbours.  If
+    they cross and x_jy_k is an edge, then x_iy_j and x_jy_k give x_iy_k by
+    Villarreal's condition, and the same argument runs back, so
+    N(x_i) = N(x_j).  If N(x_i) = N(x_j), then y_i, a neighbour of x_i, is
+    a neighbour of x_j, and y_j one of x_i, so they cross.  The mirror
+    argument (x_ky_i and x_iy_j give x_ky_j) shows that crossed rights have
+    equal neighbourhoods too.  So the relation is an equivalence, every
+    class is pairwise crossed, and each spans a maximal complete bipartite
+    block.
     """
-    adj = g._adjacency
-    classes: dict[frozenset[str], set[int]] = {}
+    mask = dict(zip(g.left, g._side_masks[0]))
+    classes: dict[int, list[int]] = {}
     for i, x in enumerate(lefts, start=1):
-        classes.setdefault(adj[x], set()).add(i)
+        classes.setdefault(mask[x], []).append(i)
     return BlockDecomposition(tuple(map(frozenset, classes.values())))
 
 
@@ -517,23 +579,44 @@ def disjoint_union(a: BipartiteGraph, b: BipartiteGraph) -> BipartiteGraph:
     return BipartiteGraph._trusted(a.left + b.left, a.right + b.right, a.edges | b.edges)
 
 
-def connected_components(g: BipartiteGraph) -> tuple[frozenset[str], ...]:
-    adj = g._adjacency
-    seen: set[str] = set()
-    comps: list[frozenset[str]] = []
-    for start in g.vertices:
-        if start in seen:
+def _components(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """Each component's lefts and rights as masks, in the order of its first vertex in `g.vertices`.
+
+    A component grows from its first left, alternately adding the rights
+    its lefts see and the lefts those rights see.  A right that no left
+    reaches has no neighbour, so it is a component alone.
+    """
+    lmasks, rmasks = g._side_masks
+    comps: list[tuple[int, int]] = []
+    seen = reached = 0
+    for start in range(len(lmasks)):
+        if seen >> start & 1:
             continue
-        stack, comp = [start], {start}
-        while stack:
-            for u in adj[stack.pop()]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        comps.append(frozenset(comp))
-    return tuple(comps)
+        lefts = grown = 1 << start
+        rights = 0
+        while grown:
+            new = 0
+            for i in _positions(grown):
+                new |= lmasks[i]
+            new &= ~rights
+            rights |= new
+            grown = 0
+            for j in _positions(new):
+                grown |= rmasks[j]
+            grown &= ~lefts
+            lefts |= grown
+        seen |= lefts
+        reached |= rights
+        comps.append((lefts, rights))
+    comps += [(0, 1 << j) for j in range(len(rmasks)) if not reached >> j & 1]
+    return comps
+
+
+def connected_components(g: BipartiteGraph) -> tuple[frozenset[str], ...]:
+    return tuple(frozenset([*map(g.left.__getitem__, _positions(lefts)),
+                            *map(g.right.__getitem__, _positions(rights))])
+                 for lefts, rights in _components(g))
 
 
 def is_connected(g: BipartiteGraph) -> bool:
-    return len(connected_components(g)) == 1
+    return len(_components(g)) == 1

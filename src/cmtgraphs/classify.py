@@ -19,6 +19,7 @@ from .bigraph import (
     BlockDecomposition,
     IsolatedVertexError,
     PureOrder,
+    _positions,
     find_pure_order,
 )
 from .construct import _sharp_codim
@@ -91,21 +92,25 @@ def _topological_order(g: BipartiteGraph, po: PureOrder) -> MacaulayOrder:
     cross, and the order is cross-free.  Index j waits for deg(y_j) - 1
     predecessors, the successors of i are the partners of x_i's neighbours
     but y_i, and the heap releases the least ready index: the least order.
+    `po` lists its lefts as `g.left`, as `find_pure_order`'s orders do, so
+    pair i's left mask is `g`'s i-th.
     """
-    xs, ys = po.lefts, po.rights
-    adj = g._adjacency
-    index = {y: j for j, y in enumerate(ys)}
-    waiting = [len(adj[y]) - 1 for y in ys]
+    lmasks, rmasks = g._side_masks
+    pair = {y: i for i, y in enumerate(po.rights)}
+    index = [pair[y] for y in g.right]  # the pair of each right position
+    waiting = [0] * len(index)
+    for j, i in enumerate(index):
+        waiting[i] = rmasks[j].bit_count() - 1
     ready = [j for j, n in enumerate(waiting) if n == 0]  # ascending, so a heap
     out: list[int] = []
     while ready:
         i = heapq.heappop(ready)
         out.append(i + 1)
-        for y in adj[xs[i]] - {ys[i]}:
-            j = index[y]
-            waiting[j] -= 1
-            if waiting[j] == 0:
-                heapq.heappush(ready, j)
+        for j in map(index.__getitem__, _positions(lmasks[i])):
+            if j != i:
+                waiting[j] -= 1
+                if waiting[j] == 0:
+                    heapq.heappush(ready, j)
     return MacaulayOrder(tuple(out))
 
 

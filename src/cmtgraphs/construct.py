@@ -92,7 +92,7 @@ def _blow_up(base: BipartiteGraph, multiplicities: tuple[int, ...]) -> Bipartite
     t <= 5 and n_min <= max(t - 1, 3), so its blow-ups have at most 8.
 
     The graph is built unchecked (`BipartiteGraph._trusted`), so its
-    neighbour sets wait for a first reader; `expand` only writes the
+    neighbour masks wait for a first reader; `expand` only writes the
     document.  The base's names are valid and distinct, so the copies
     are: v_k is a valid name, and k has no underscore, so the last one in
     v_k gives back v and k.  Every edge joins a copy of a left to a copy

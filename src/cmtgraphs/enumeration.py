@@ -56,7 +56,7 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 
-from .bigraph import BipartiteGraph, connected_components, is_connected, to_document
+from .bigraph import BipartiteGraph, _components, _positions, is_connected, to_document
 from .construct import _blow_up, _sharp_codim
 
 MAX_SIDE = 8
@@ -67,9 +67,10 @@ class CanonicalForm(NamedTuple):
     code: tuple
 
 
-def _component_code(rows: list[frozenset[str]], columns: list[str]) -> tuple:
+def _component_code(rows: list[int], columns: list[int]) -> tuple:
     """The least sorted column-mask tuple over the arrangements of `rows`, by branch and bound.
 
+    Each row is a vertex's neighbour mask and each column one bit of it.
     With row i at bit i, a column's mask holds the bits of the rows that
     contain it.  Swapping two equal rows (twins) changes no column mask, so
     every permutation of the row vertices has the masks of the arrangement
@@ -102,7 +103,7 @@ def _component_code(rows: list[frozenset[str]], columns: list[str]) -> tuple:
     """
     distinct = list(dict.fromkeys(rows))
     unplaced = [rows.count(row) for row in distinct]
-    outside = [[y not in row for y in columns] for row in distinct]
+    outside = [[not row & y for y in columns] for row in distinct]
     best = None
 
     def place(i: int, bounds: list[int], key: list[int]) -> None:
@@ -124,7 +125,7 @@ def _component_code(rows: list[frozenset[str]], columns: list[str]) -> tuple:
             place(i + 1, grown, child_key)
             unplaced[k] += 1
 
-    start = [(1 << sum(y in row for row in rows)) - 1 for y in columns]
+    start = [(1 << sum(bool(row & y) for row in rows)) - 1 for y in columns]
     place(0, start, sorted(start))
     return (len(rows), len(columns), tuple(best))
 
@@ -138,11 +139,12 @@ def canonical_form(g: BipartiteGraph) -> CanonicalForm:
     """
     if len(g.left) > MAX_SIDE or len(g.right) > MAX_SIDE:
         raise ValueError(f"side size guard exceeded ({MAX_SIDE} vertices per side)")
-    adj = g._adjacency
-    sides = [([v for v in g.left if v in comp], [v for v in g.right if v in comp])
-             for comp in connected_components(g)]
-    straight = sorted(_component_code([adj[x] for x in xs], ys) for xs, ys in sides)
-    swapped = sorted(_component_code([adj[y] for y in ys], xs) for xs, ys in sides)
+    lmasks, rmasks = g._side_masks
+    sides = [(_positions(lefts), _positions(rights)) for lefts, rights in _components(g)]
+    straight = sorted(_component_code([lmasks[i] for i in xs], [1 << j for j in ys])
+                      for xs, ys in sides)
+    swapped = sorted(_component_code([rmasks[j] for j in ys], [1 << i for i in xs])
+                     for xs, ys in sides)
     return CanonicalForm(min(tuple(straight), tuple(swapped)))
 
 

@@ -5,7 +5,8 @@ through argparse alone (`cli._argparse`), and requires the same outcome:
 the same namespace (`vars()`), or the same exit code and output.  The
 one intended difference: after an exact `--quiet` a usage error prints
 nothing.  `tests/test_cli.py` runs it on every argv of up to 3 tokens
-from `POOL`.  CI runs it one size up on every Python it tests, since
+from `POOL` that the table reads, and on a sample of those it leaves to
+argparse.  CI runs it one size up on every Python it tests, since
 argparse reads odd argvs differently from version to version: on every
 argv of up to 4 tokens that the table reads, and on a seeded sample of
 4-token argvs.  Where pytest is missing, run the same as a script:

@@ -3,12 +3,14 @@
 Run from anywhere: `python tests/run_mutants.py`.
 
 Each mutant names a file under `src/`, an old text that must occur there
-exactly once, its replacement, and the test files that must catch it.
+exactly once, its replacement, the test files that must catch it, and
+optionally (`catching`) the tests in those files expected to catch it.
 `src/` is copied once to a temporary directory; for each mutant the text
-is replaced there, pytest runs the named files with `-x` against the
-copy, and the text is put back.  A mutant is caught when pytest reports
-failing tests (exit code 1); passing tests, or any other exit code, such
-as a collection error, do not count.  The runner exits 1 if an old text
+is replaced there, pytest runs the expected tests with `-x` against the
+copy, then, only if they all pass, the whole named files, and the text is
+put back.  A mutant is caught when a pytest run reports failing tests
+(exit code 1); passing tests, or any other exit code, such as a
+collection error or an expected test that no longer exists, do not count.  The runner exits 1 if an old text
 does not occur exactly once or any mutant is not caught.  The file is
 not named `test_*`, so the tier-1 run does not collect it.
 """
@@ -37,12 +39,17 @@ def run(mutant: dict, src: pathlib.Path) -> str:
     # No bytecode is written, so no cached module outlives its mutant.
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     try:
-        code = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *mutant["tests"]],
-            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+        for tests in filter(None, (mutant.get("catching"), mutant["tests"])):
+            code = subprocess.run(
+                [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+                cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                stderr=subprocess.DEVNULL).returncode
+            if code != 0:
+                break
     finally:
         target.write_text(text)
+    if code == 1 and tests is mutant["tests"] and mutant.get("catching"):
+        return "caught by the whole files only"
     return {0: "survived", 1: "caught"}.get(code, f"pytest exited with code {code}")
 
 
@@ -63,7 +70,7 @@ def main() -> int:
         for mutant in mutants:
             start = time.perf_counter()
             outcome = run(mutant, src)
-            bad += outcome != "caught"
+            bad += not outcome.startswith("caught")
             print(f"{outcome:>9}  {time.perf_counter() - start:5.1f} s  {mutant['name']}")
     print(f"{len(mutants) - bad} of {len(mutants)} mutants caught")
     return 1 if bad else 0

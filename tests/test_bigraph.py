@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from cmtgraphs import (
     GraphFormatError,
     IsolatedVertexError,
     connected_components,
+    classification_json,
     classify,
     contract,
     cross_blocks,
@@ -23,6 +25,7 @@ from cmtgraphs import (
     find_pure_order,
     independence_complex,
     is_pure,
+    is_connected,
     is_pure_order,
     is_unmixed,
     link,
@@ -177,6 +180,13 @@ def former_adjacency(g: BipartiteGraph) -> dict:
     return {v: frozenset(ns) for v, ns in adj.items()}
 
 
+def assert_former_neighbours(g: BipartiteGraph, context) -> None:
+    """Each vertex's neighbours and degree, in vertex order, as the former neighbour sets give them."""
+    former = former_adjacency(g)
+    assert [g.neighbors(v) for v in g.vertices] == [former[v] for v in g.vertices], context
+    assert [g.degree(v) for v in g.vertices] == [len(former[v]) for v in g.vertices], context
+
+
 def former_matching_transitive(g: BipartiteGraph, match) -> bool:
     # succ[x] holds the lefts whose partner x sees.
     adj = former_adjacency(g)
@@ -222,13 +232,16 @@ def twin_row_graph(rng: random.Random, d: int, density: float = 0.5) -> Bipartit
                              [(f"x{i}", f"y{j}") for i, row in enumerate(rows) for j in row])
 
 
-def check_quotient_against_per_left(g: BipartiteGraph) -> tuple[int, int]:
-    """Every perfect matching of g through both checks: (matchings, passing)."""
+def check_mask_against_per_left(g: BipartiteGraph) -> tuple[int, int]:
+    """Every perfect matching of g through the mask check and the former one: (matchings, passing)."""
     matchings = passing = 0
-    for ys in itertools.permutations(g.right):
-        match = dict(zip(g.left, ys))
+    for ys in itertools.permutations(range(len(g.right))):
+        match = {x: g.right[j] for x, j in zip(g.left, ys)}
         if all((x, y) in g.edges for x, y in match.items()):
-            verdict = bigraph._matching_transitive(g, match)
+            mate = [0] * len(ys)
+            for i, j in enumerate(ys):
+                mate[j] = i
+            verdict = bigraph._matching_transitive(g, mate)
             assert verdict == former_matching_transitive(g, match), (to_document(g), match)
             matchings += 1
             passing += verdict
@@ -288,7 +301,7 @@ def check_parser_against_former(rng: random.Random, count: int, corrupt: bool = 
     """`count` documents through both parsers: (accepted, refused).
 
     An accepted document must give the same sides, edges, multiplicities
-    and neighbour sets; a refused one the same GraphFormatError text.
+    and neighbours; a refused one the same GraphFormatError text.
     """
     accepted = refused = 0
     for _ in range(count):
@@ -303,8 +316,7 @@ def check_parser_against_former(rng: random.Random, count: int, corrupt: bool = 
             continue
         g, mult = bigraph.parse_document(doc)
         assert (g.left, g.right, g.edges, mult) == expected, doc
-        assert g._adjacency == former_adjacency(g), doc
-        assert list(g._adjacency) == list(g.vertices), doc
+        assert_former_neighbours(g, doc)
         accepted += 1
     return accepted, refused
 
@@ -412,7 +424,7 @@ class TestParsing:
         else:
             g, mult = bigraph.parse_document(doc)
             assert (g.left, g.right, g.edges, mult) == expected
-            assert g._adjacency == former_adjacency(g)
+            assert_former_neighbours(g, doc)
 
     def test_check_names_as_the_former_loop(self):
         # Every list of up to three names from an adversarial pool, then
@@ -453,7 +465,7 @@ class TestParsing:
                           lambda: BipartiteGraph(tuple(left), tuple(right), frozen)):
                 if expected is None:
                     g = build()
-                    assert g._adjacency == former_adjacency(g), (left, right, edges)
+                    assert_former_neighbours(g, (left, right, edges))
                 else:
                     with pytest.raises(ValueError) as err:
                         build()
@@ -567,7 +579,7 @@ class TestPureOrder:
 
     def test_transitive_is_villarreal_on_every_reflexive_relation(self):
         # Every superset of the diagonal on d <= 4 points (1, 4, 64 and 4096
-        # relations): the successor-set check, a from-scratch triple check
+        # relations): the successor-mask check, a from-scratch triple check
         # and unmixedness of the index graph all agree.
         transitive = 0
         for d in range(1, 5):
@@ -575,7 +587,7 @@ class TestPureOrder:
             for mask in range(2 ** len(optional)):
                 extra = [e for bit, e in enumerate(optional) if mask >> bit & 1]
                 relation = {(i, i) for i in range(d)} | set(extra)
-                succ = {i: {j for a, j in relation if a == i} for i in range(d)}
+                succ = [sum(1 << j for a, j in relation if a == i) for i in range(d)]
                 triples = all((i, k) in relation
                               for i, j, k in itertools.product(range(d), repeat=3)
                               if (i, j) in relation and (j, k) in relation)
@@ -584,14 +596,14 @@ class TestPureOrder:
                 transitive += verdict
         assert transitive == 1 + 4 + 29 + 355
 
-    def test_quotient_check_is_the_per_left_check(self):
+    def test_mask_check_is_the_per_left_check(self):
         # Every perfect matching of seeded graphs on 2-5 pairs with twin
-        # rows, mixed graphs included: the check on the classes agrees
-        # with the former check on every left.
+        # rows, mixed graphs included: the check on the distinct left
+        # masks agrees with the former check on every left.
         rng = random.Random(29)
         matchings = passing = 0
         for _ in range(1500):
-            m, p = check_quotient_against_per_left(twin_row_graph(rng, rng.randint(2, 5)))
+            m, p = check_mask_against_per_left(twin_row_graph(rng, rng.randint(2, 5)))
             matchings += m
             passing += p
         assert matchings > 6000 and 0.1 < passing / matchings < 0.9, (matchings, passing)
@@ -643,6 +655,41 @@ class TestPureOrder:
         # A mixed component makes the union mixed; an exhaustive search
         # would walk every perfect matching of g before saying so.
         assert not classify(disjoint_union(g, parse_graph(SIX_CYCLE))).unmixed
+
+
+def sparse_document(n: int, fence: bool) -> str:
+    """A matching on n pairs x_iy_i or, with `fence`, the fence poset graph: x_iy_{i+1} for even i, x_{i+1}y_i for odd i too."""
+    edges = [f"x{i}-y{i}" for i in range(n)]
+    if fence:
+        edges += [f"x{i}-y{i + 1}" for i in range(0, n - 1, 2)]
+        edges += [f"x{i + 1}-y{i}" for i in range(1, n - 1, 2)]
+    return (f"L: {' '.join(f'x{i}' for i in range(n))}\n"
+            f"R: {' '.join(f'y{i}' for i in range(n))}\nE: {' '.join(edges)}\n")
+
+
+class TestSparseCost:
+    @pytest.mark.parametrize("fence", [False, True])
+    def test_one_mask_per_vertex(self, fence):
+        # A mask is as wide as its highest bit, so on n pairs whose vertex
+        # i sees positions near i the masks hold about n^2 bits: vertex i
+        # of each side is an int of i + 1 bits or so, which CPython stores
+        # in 24 bytes and a 4-byte digit per 30 bits.  Parsing and
+        # classifying must stay under those bytes plus 1,500 a pair for the
+        # document's names, edges and blocks (7.9 and 8.7 MB measured,
+        # against 11.1 MB): a table of each vertex's own bit kept beside the
+        # masks passes it on the fence.
+        n = 5000
+        doc = sparse_document(n, fence)
+        masks = 2 * sum(24 + 4 * (i // 30 + 1) for i in range(n + 1))
+        tracemalloc.start()
+        try:
+            data = classification_json(parse_graph(doc))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (data["unmixed"], data["d"], data["cohen_macaulay"]) == (True, n, True)
+        assert sorted(data["macaulay_order"]) == list(range(1, n + 1))
+        assert peak < masks + 1500 * n, (peak, masks)
 
 
 class TestCrossBlocks:
@@ -771,8 +818,8 @@ class TestDerivedGraphs:
         built = BipartiteGraph.of(g.left, g.right, g.edges)
         assert g == built and hash(g) == hash(built), g
         assert (type(g.left), type(g.right), type(g.edges)) == (tuple, tuple, frozenset), g
-        assert g._adjacency == built._adjacency, g
-        assert list(g._adjacency) == list(built._adjacency), g
+        assert g._side_masks == built._side_masks, g
+        assert_former_neighbours(g, g)
 
     def test_deleted_closed_neighbourhoods(self):
         rng = random.Random(13)
@@ -803,3 +850,31 @@ class TestComponents:
 
     def test_single_component(self):
         assert len(connected_components(parse_graph(PATH))) == 1
+
+    def test_components_as_the_former_walk(self):
+        # The former search over the neighbour sets, from each vertex in
+        # vertex order not yet seen: the same components in the same
+        # order, isolated vertices on either side included.
+        def former_components(g):
+            adj, seen, comps = former_adjacency(g), set(), []
+            for start in g.vertices:
+                if start not in seen:
+                    stack, comp = [start], {start}
+                    while stack:
+                        for u in adj[stack.pop()]:
+                            if u not in comp:
+                                comp.add(u)
+                                stack.append(u)
+                    seen |= comp
+                    comps.append(frozenset(comp))
+            return tuple(comps)
+
+        rng = random.Random(36)
+        isolated_rights = 0
+        for _ in range(600):
+            g = random_bipartite(rng, max_side=6, edge_prob=rng.choice([0.1, 0.2, 0.4]))
+            expected = former_components(g)
+            assert connected_components(g) == expected, g
+            assert is_connected(g) == (len(expected) == 1), g
+            isolated_rights += any(not g.degree(y) for y in g.right)
+        assert isolated_rights > 200, isolated_rights

@@ -729,8 +729,25 @@ class TestParserBuiltOnce:
 class TestArgvTable:
     def test_every_short_argv_against_argparse(self):
         # 43,225 argvs: each subcommand and an unknown one, then up to 3
-        # tokens from cli_argv.POOL.  The table reads 182 of them alone.
-        assert check_table_against_argparse(every(3)) == 182
+        # tokens from cli_argv.POOL.  The table reads 182 of them alone,
+        # each as argparse reads it; the rest go to argparse unchanged
+        # through `_parse`, which a seeded sample of them and picked ones
+        # check: usage errors with and without an exact --quiet, help, and
+        # argvs argparse reads that the table leaves to it.
+        argvs = list(every(3))
+        read = [argv for argv in argvs if cli._read_table(argv) is not None]
+        assert len(argvs) == 43225 and len(read) == 182
+        assert check_table_against_argparse(read) == 182
+        declined = [argv for argv in argvs if cli._read_table(argv) is None]
+        picked = random.Random(36).sample(declined, 300) + [
+            ["classify", "--quiet", "--max"], ["classify", "--max", "--quiet"],
+            ["classify", "--quiet", "-1"], ["nope", "--quiet"], ["classify", "--quiet=1"],
+            ["verify", "--d=3"], ["oracle", "--max", "2"],
+            ["enumerate", "--cm", "3", "--cmt", "3"], ["enumerate", "--quiet"],
+            ["classify", "-h"], ["classify", "--quiet", "--", "fig1"],
+        ]
+        assert not any(map(cli._read_table, picked))
+        assert check_table_against_argparse(picked) == 0
 
     @pytest.mark.parametrize("argv", [
         # The benchmark's shapes, read with no argparse.

@@ -139,13 +139,14 @@ class TestContract:
         assert sum(h is g for h in checked) == 1
 
     def test_one_grouping_of_the_input(self, monkeypatch):
-        # contract reads the blocks find_pure_order grouped; the one other
-        # grouping is the base's, which Expansion's Villarreal check makes
-        # and predicted_codim reads again.
+        # contract reads the blocks find_pure_order grouped, and
+        # Expansion's Villarreal check on the base reads masks, not blocks;
+        # the one other grouping is the base's, made when predicted_codim
+        # reads its blocks.
         grouped = calls_through_every_binding(monkeypatch, "neighbourhood_blocks")
         g = builtin_graph("fig1")
         e = contract(g)
-        assert grouped == [g, e.base]
+        assert grouped == [g]
         assert predicted_codim(e) == 2
         assert grouped == [g, e.base]
 

@@ -111,7 +111,7 @@ def former_subset_walk(d, pairs):
     diagonal = {(i, i) for i in range(d)}
     for mask in itertools.product((False, True), repeat=len(pairs)):
         relation = diagonal | set(itertools.compress(pairs, mask))
-        if bigraph._transitive({i: {j for a, j in relation if a == i} for i in range(d)}):
+        if bigraph._transitive([sum(1 << j for a, j in relation if a == i) for i in range(d)]):
             yield frozenset(relation - diagonal)
 
 
@@ -209,7 +209,7 @@ def first_of_each_class(graphs, d, order):
 
     def labelling(g):
         relation = {(a, b) for a in range(d) for b in range(d)
-                    if f"y{b + 1}" in g._adjacency[f"x{a + 1}"]}
+                    if f"y{b + 1}" in g.neighbors(f"x{a + 1}")}
         return least_labelling(d, relation, order)
 
     return sorted(found.values(), key=labelling)
@@ -226,7 +226,7 @@ def upward_posets(d):
 
 def recorded_labellings(graphs, order):
     """The vector over `order` of each index graph's relation (x_i y_j for related i, j)."""
-    return {tuple(f"x{a + 1}" in g._adjacency[f"y{b + 1}"] for a, b in order)
+    return {tuple(f"x{a + 1}" in g.neighbors(f"y{b + 1}") for a, b in order)
             for g in graphs}
 
 
@@ -291,11 +291,10 @@ def arrangement_walk_code(g):
         place(0, [0] * len(columns))
         return (len(rows), len(columns), best)
 
-    adj = g._adjacency
     sides = [([v for v in g.left if v in comp], [v for v in g.right if v in comp])
              for comp in connected_components(g)]
-    straight = sorted(component_code([adj[x] for x in xs], ys) for xs, ys in sides)
-    swapped = sorted(component_code([adj[y] for y in ys], xs) for xs, ys in sides)
+    straight = sorted(component_code([g.neighbors(x) for x in xs], ys) for xs, ys in sides)
+    swapped = sorted(component_code([g.neighbors(y) for y in ys], xs) for xs, ys in sides)
     return min(tuple(straight), tuple(swapped))
 
 

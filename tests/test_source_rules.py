@@ -63,7 +63,7 @@ def test_oracle_reads_only_the_public_graph():
     # The oracle's bitmask layout is decided in `simplicial` alone, from
     # the graph's `vertices` and `edges`: of the members of `BipartiteGraph`
     # it reads no other, public or private.  Its masks thus never share the
-    # structural route's neighbour sets, so a fault in those shows up as a
+    # structural route's neighbour masks, so a fault in those shows up as a
     # `verify` disagreement.  Its twin classes come from its own masks too,
     # never from the structural route's grouping, `neighbourhood_blocks`.
     bigraph = ast.parse((SRC / "bigraph.py").read_text())
@@ -75,7 +75,7 @@ def test_oracle_reads_only_the_public_graph():
                  and [target.id for target in node.targets] == ["_fields"]]
     members |= set(ast.literal_eval(fields))
     members = {name for name in members if not (name.startswith("__") and name.endswith("__"))}
-    assert {"left", "right", "edges", "vertices", "neighbors", "_adjacency", "_blocks"} <= members
+    assert {"left", "right", "edges", "vertices", "neighbors", "_side_masks", "_blocks"} <= members
     simplicial = ast.parse((SRC / "simplicial.py").read_text())
     read = {node.attr for node in ast.walk(simplicial)
             if isinstance(node, ast.Attribute) and node.attr in members}
@@ -124,10 +124,12 @@ def test_well_formed_command_loads_no_argparse():
 def test_every_mutant_still_applies():
     # `run_mutants.py`, outside tier-1, checks that the tests catch each
     # mutant in `mutants.json`.  Here each old text must still occur once,
-    # so a refactor carries its mutants along.  This file would fail on
-    # every mutant, so no mutant may name it.
+    # so a refactor carries its mutants along, and each test expected to
+    # catch it must lie in one of its files, which the runner falls back
+    # to.  This file would fail on every mutant, so no mutant may name it.
     tests = pathlib.Path(__file__).parent
     for mutant in json.loads((tests / "mutants.json").read_text()):
         assert (SRC.parent / mutant["file"]).read_text().count(mutant["old"]) == 1, mutant
         assert all((tests.parent / t).is_file() for t in mutant["tests"]), mutant
         assert "tests/test_source_rules.py" not in mutant["tests"], mutant
+        assert all(t.split("::")[0] in mutant["tests"] for t in mutant.get("catching", [])), mutant
