@@ -8,14 +8,17 @@ A graph lives in a small line-oriented text format:
 
 `parse_graph` reads it, `to_document` writes it back.  Vertex names match
 ``[A-Za-z0-9_]+`` and `#` starts a comment.  A well-formed document is
-checked in bulk (`parse_document`): one `findall` per `E:` line, set sizes
-for repeated names and edges, and one pass that checks each edge's sides
-while it builds the neighbour masks, which the graph keeps.  The per-token
-and per-edge loops run only on a document they will refuse, to word its
-error.  That pass, `_neighbour_masks`, is the one side check of every
-graph: `BipartiteGraph` makes it too, and a graph derived from checked
-graphs (a deleted closed neighbourhood, a disjoint union, a contracted
-base) is built unchecked, as its names and sides are theirs.
+checked in bulk (`parse_document`): one `fullmatch` per `E:` line, a set
+size for repeated names, and one pass that checks each edge's sides while
+it builds the neighbour masks, which the graph keeps; their bit counts
+show a repeated edge.  The per-token and per-edge loops run only on a
+document they will refuse, to word its error.  A parsed graph keeps its
+edges' ends as two name lists and builds `edges` on first read, so
+`classify` builds no edge tuple.  That pass, `_neighbour_masks`, is the
+one side check of every graph: `BipartiteGraph` makes it too, and a graph
+derived from checked graphs (a deleted closed neighbourhood, a disjoint
+union, a contracted base) is built unchecked, as its names and sides are
+theirs.
 
 A graph's structure is held as one int per vertex (`_side_masks`): left
 i's neighbours as bits over the positions of `right`, right j's over the
@@ -51,9 +54,11 @@ from functools import cached_property
 from typing import NamedTuple
 
 NAME_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-# One whole whitespace-separated token name-name; `\S` and `str.split` agree
+# A whole `E:` line whose every whitespace-separated token is name-name:
+# each token is followed by whitespace or the end, so the `\s*` before the
+# next one takes at least one character.  `\s`, `\S` and `str.split` agree
 # on what whitespace is.
-EDGE_RE = re.compile(r"(?<!\S)([A-Za-z0-9_]+)-([A-Za-z0-9_]+)(?!\S)")
+EDGES_RE = re.compile(r"(?:\s*[A-Za-z0-9_]+-[A-Za-z0-9_]+(?!\S))*\s*")
 
 
 class GraphFormatError(ValueError):
@@ -191,25 +196,42 @@ class BipartiteGraph(_Frozen):
 
     @classmethod
     def _trusted(cls, left: tuple[str, ...], right: tuple[str, ...],
-                 edges: frozenset[tuple[str, str]],
-                 masks: tuple[tuple[int, ...], tuple[int, ...]] | None = None
-                 ) -> "BipartiteGraph":
-        """A graph whose names and edge sides the caller has already checked.
+                 edges: frozenset[tuple[str, str]]) -> "BipartiteGraph":
+        """A graph built from graphs already checked, so with its names and edge sides checked.
 
-        `parse_document` checks the names and the edge sides before
-        building, and hands over the neighbour masks it built in that
-        check; `__init__` would check them again.  The other callers build
-        from graphs already checked, each saying why in its docstring:
-        `enumeration._index_graph`, `construct._blow_up`,
-        `construct.contract`, `delete_closed_neighborhood` and
-        `disjoint_union`.  They pass no masks, and `_side_masks` builds
-        them on first use.
+        Each caller says why in its docstring: `enumeration._index_graph`,
+        `construct._blow_up`, `construct.contract`,
+        `delete_closed_neighborhood` and `disjoint_union`; `__init__` would
+        check them again.  `_side_masks` builds the masks on first use.
         """
         g = object.__new__(cls)
         g._set(left, right, edges)
-        if masks is not None:
-            g.__dict__["_side_masks"] = masks
         return g
+
+    @classmethod
+    def _parsed(cls, left: tuple[str, ...], right: tuple[str, ...], lefts: list[str],
+                rights: list[str], masks: tuple[tuple[int, ...], tuple[int, ...]]
+                ) -> "BipartiteGraph":
+        """The graph `parse_document` checked: edge k is (lefts[k], rights[k]), all distinct.
+
+        The parse checked the names and the edges, and built the neighbour
+        masks in that check.  The graph keeps the masks and the two lists;
+        `edges` is built from the lists on first read.
+        """
+        g = object.__new__(cls)
+        g.__dict__.update(left=left, right=right, _edge_ends=(lefts, rights), _side_masks=masks)
+        return g
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """A parsed graph's edges, built on first read; every other graph sets them when built.
+
+        They are the pairs of the two name lists `_parsed` kept, zipped in
+        document order, so the frozenset is the one an eager build from
+        the document's edge list gives, in the same insertion order, and
+        iterates alike.  The lists are dropped once it is built.
+        """
+        return frozenset(zip(*self.__dict__.pop("_edge_ends")))
 
     @property
     def vertices(self) -> tuple[str, ...]:
@@ -244,7 +266,7 @@ class BipartiteGraph(_Frozen):
         """The neighbour masks of the lefts and of the rights, freed with the graph.
 
         `__init__` and `parse_document` keep the masks they build as they
-        check the edge sides; any other `_trusted` graph builds them here
+        check the edge sides; a `_trusted` graph builds them here
         on first use, with the same `_neighbour_masks`, whose side check
         its caller's proof says cannot fail.
         """
@@ -302,21 +324,29 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
     The optional `M:` line carries expansion multiplicities; plain graph
     callers should use `parse_graph`, which rejects it.
 
-    A well-formed document is checked in bulk.  Each `E:` line is read by
-    one `EDGE_RE.findall`, whose matches are whole whitespace-separated
-    tokens of the form name-name, so as many matches as tokens means every
-    token is an edge.  The names pass `_check_names`'s C-level tests, the
-    edges are all distinct when their frozenset is as long as their list,
+    A well-formed document is checked in bulk.  An `E:` line is read in
+    three C-level steps: one `EDGES_RE.fullmatch` checks that every
+    whitespace-separated token is name-name, then, with no dash inside a
+    name, `replace("-", " ").split()` lists each token's two names in turn,
+    a left then a right.  The names pass `_check_names`'s C-level tests,
     and `_neighbour_masks` checks every edge's sides in the one pass that
-    builds the graph's neighbour masks, its ValueError caught here.  Only
-    where one of these fails does the per-token or per-edge loop run, to
-    raise the message with its line number, the one the loop has always
-    raised.
+    builds the graph's neighbour masks, its ValueError caught here.  Each
+    edge on its sides sets the one bit of its right in its left's mask, so
+    k distinct edges set k bits: the edges are all distinct exactly when
+    the left masks' bit counts add up to the number of tokens.  Only where
+    one of these fails does the per-token or per-edge loop run, to raise
+    the message with its line number, the one the loop has always raised;
+    a document gets there only with a token that is no edge of its sides
+    or an edge repeated, so the loop always raises.
+
+    The graph keeps the two name lists and the masks (`_parsed`), and
+    builds its `edges` on first read.
     """
     left: list[str] | None = None
     right: list[str] | None = None
-    edge_lines: list[tuple[int, list[tuple[str, str]]]] = []
-    pairs: list[tuple[str, str]] = []
+    edge_lines: list[tuple[int, str]] = []
+    ends: list[str] = []
+    bulk = True
     mult: tuple[int, ...] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -324,31 +354,29 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
             continue
         tag, _, rest = line.partition(":")
         tag = tag.strip()
-        tokens = rest.split()
-        if tag == "L":
-            if left is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate 'L:' line")
-            left = tokens
-        elif tag == "R":
-            if right is not None:
-                raise GraphFormatError(f"line {lineno}: duplicate 'R:' line")
-            right = tokens
-        elif tag == "E":
-            found = EDGE_RE.findall(rest)
-            if len(found) != len(tokens):
-                found = []
-                for tok in tokens:
+        if tag == "E":
+            if EDGES_RE.fullmatch(rest):
+                ends += rest.replace("-", " ").split()
+            else:
+                bulk = False
+                for tok in rest.split():
                     u, sep, v = tok.partition("-")
                     if not sep or not u or not v:
                         raise GraphFormatError(f"line {lineno}: malformed edge token {tok!r}")
-                    found.append((u, v))
-            edge_lines.append((lineno, found))
-            pairs += found
+            edge_lines.append((lineno, rest))
+        elif tag == "L":
+            if left is not None:
+                raise GraphFormatError(f"line {lineno}: duplicate 'L:' line")
+            left = rest.split()
+        elif tag == "R":
+            if right is not None:
+                raise GraphFormatError(f"line {lineno}: duplicate 'R:' line")
+            right = rest.split()
         elif tag == "M":
             if mult is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate 'M:' line")
             try:
-                mult = tuple(int(tok) for tok in tokens)
+                mult = tuple(int(tok) for tok in rest.split())
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: multiplicities must be integers") from None
         else:
@@ -361,16 +389,19 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
         _check_names(left + right)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None
-    edges = frozenset(pairs)
-    try:
-        masks = _neighbour_masks(left, right, edges) if len(edges) == len(pairs) else None
-    except ValueError:
-        masks = None
-    if masks is None:
+    lefts, rights = ends[0::2], ends[1::2]
+    masks = None
+    if bulk:
+        try:
+            masks = _neighbour_masks(left, right, zip(lefts, rights))
+        except ValueError:
+            pass
+    if masks is None or sum(map(int.bit_count, masks[0])) != len(lefts):
         lset, rset = set(left), set(right)
         seen: set[tuple[str, str]] = set()
-        for lineno, found in edge_lines:
-            for u, v in found:
+        for lineno, rest in edge_lines:
+            for tok in rest.split():
+                u, _, v = tok.partition("-")
                 for end in (u, v):
                     if end not in lset and end not in rset:
                         raise GraphFormatError(f"line {lineno}: unknown vertex {end!r}")
@@ -380,7 +411,8 @@ def parse_document(text: str) -> tuple[BipartiteGraph, tuple[int, ...] | None]:
                 if (u, v) in seen:
                     raise GraphFormatError(f"line {lineno}: duplicate edge {u}-{v}")
                 seen.add((u, v))
-    return BipartiteGraph._trusted(tuple(left), tuple(right), edges, masks), mult
+        raise ConsistencyError("the bulk edge check refused edges the per-edge loop accepts")
+    return BipartiteGraph._parsed(tuple(left), tuple(right), lefts, rights, masks), mult
 
 
 def parse_graph(text: str) -> BipartiteGraph:
@@ -401,7 +433,7 @@ def to_document(g: BipartiteGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _transitive(succ: tuple[int, ...] | list[int]) -> bool:
+def _transitive(succ: tuple[int, ...] | list[int], distinct: list[int] | set[int]) -> bool:
     """Villarreal's condition on successor masks: bit j of succ[i] set when i relates to j.
 
     The relation must be transitive, as x_iy_j and x_jy_k force x_iy_k for
@@ -410,9 +442,10 @@ def _transitive(succ: tuple[int, ...] | list[int]) -> bool:
     `not succ[j] & ~succ[i]`.  The test for i reads succ[i] alone, not i,
     so it is made once per distinct mask m: succ[j] within m for each j
     in m.  Every i with succ[i] = m meets the same tests, so this is the
-    test for every i.
+    test for every i.  `distinct` lists those masks, each once, so none
+    is hashed here.
     """
-    for mask in set(succ):
+    for mask in distinct:
         outside, rest = ~mask, mask
         while rest:
             low = rest & -rest
@@ -422,7 +455,8 @@ def _transitive(succ: tuple[int, ...] | list[int]) -> bool:
     return True
 
 
-def _matching_transitive(g: BipartiteGraph, mate: list[int]) -> bool:
+def _matching_transitive(g: BipartiteGraph, mate: list[int],
+                         distinct: list[int] | set[int]) -> bool:
     """Villarreal's condition for the perfect matching of g that pairs right j with left mate[j].
 
     Index the pairs by their rights: pair j is x_{mate[j]}y_j.  Pair i
@@ -430,11 +464,12 @@ def _matching_transitive(g: BipartiteGraph, mate: list[int]) -> bool:
     successors are the bits of left mate[i]'s mask, as it stands, and the
     condition is `_transitive` on those masks: for each distinct left mask
     m and each right j in m, N(x_{mate[j]}) within m.  Lefts with equal
-    neighbourhoods make a mask repeat, and `_transitive` reads each
-    distinct one once.
+    neighbourhoods make a mask repeat.  As `mate` runs over every left,
+    the distinct masks are those of the graph's lefts whatever the
+    matching; the caller lists them in `distinct`, each once.
     """
     lmasks = g._side_masks[0]
-    return _transitive([lmasks[i] for i in mate])
+    return _transitive([lmasks[i] for i in mate], distinct)
 
 
 def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
@@ -473,7 +508,9 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
     in ascending order of degree.  Once every block's counts agree
     each left has one partner, so the zips make a perfect matching exactly
     when the d partners are distinct; `mate` is then its inverse, the left
-    of each right.
+    of each right.  The mask each block reads is its lefts' one mask, so
+    those masks are the distinct left masks, each once, which the
+    Villarreal check reads with no hashing.
     """
     lmasks, rmasks = g._side_masks
     if not (all(lmasks) and all(rmasks)):
@@ -486,7 +523,7 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
         degree = mask.bit_count()
         level[degree] = level.get(degree, 0) | 1 << j
     by_degree = [level[degree] for degree in sorted(level)]
-    mate, partner = [0] * len(right), [0] * len(right)
+    mate, partner, distinct = [0] * len(right), [0] * len(right), []
     for block in g._blocks.blocks:
         lefts = sorted(block)
         around = lmasks[lefts[0] - 1]
@@ -496,9 +533,10 @@ def find_pure_order(g: BipartiteGraph) -> PureOrder | None:
         ys = sorted(_positions(least), key=right.__getitem__)
         for i, j in zip(lefts, ys):
             mate[j], partner[i - 1] = i - 1, j
+        distinct.append(around)
     if len(set(partner)) != len(right):
         return None
-    if not _matching_transitive(g, mate):
+    if not _matching_transitive(g, mate, distinct):
         return None
     return PureOrder(tuple(zip(g.left, map(right.__getitem__, partner))))
 
@@ -512,14 +550,16 @@ def is_pure_order(g: BipartiteGraph, po: PureOrder) -> bool:
     pairs = po.pairs
     if sorted(po.lefts) != sorted(g.left) or sorted(po.rights) != sorted(g.right):
         return False
-    if any((x, y) not in g.edges for x, y in pairs):
-        return False
+    lmasks = g._side_masks[0]
     lpos = {x: i for i, x in enumerate(g.left)}
     rpos = {y: j for j, y in enumerate(g.right)}
     mate = [0] * len(pairs)
     for x, y in pairs:
-        mate[rpos[y]] = lpos[x]
-    return _matching_transitive(g, mate)
+        i, j = lpos[x], rpos[y]
+        if not lmasks[i] >> j & 1:
+            return False
+        mate[j] = i
+    return _matching_transitive(g, mate, set(lmasks))
 
 
 def neighbourhood_blocks(g: BipartiteGraph, lefts: tuple[str, ...]) -> BlockDecomposition:

@@ -28,11 +28,14 @@ pure-Python indenting encoder.
 from __future__ import annotations
 
 import hashlib
-import json
 import sys
 import time
-from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
+
+try:  # the C function `json.encoder` wraps, without importing `json`
+    from _json import encode_basestring_ascii
+except ImportError:
+    from json.encoder import encode_basestring_ascii
 
 from .bigraph import ConsistencyError, is_connected, parse_graph, to_document
 from . import simplicial
@@ -283,7 +286,8 @@ def _dump(value, indent: str) -> str:
     string, on which `encode_basestring_ascii` raises TypeError.  The
     shift is exact: with `ensure_ascii` no string holds a raw newline, so
     every newline in the text starts a line.  It stands in for
-    `json.dumps`, whose `indent` runs json's pure-Python encoder.
+    `json.dumps`, whose `indent` runs json's pure-Python encoder; `json` is
+    imported only for that fallback, so a command's report loads no `json`.
     """
     kind = type(value)
     if kind is str:
@@ -313,6 +317,8 @@ def _dump(value, indent: str) -> str:
             items = None
         if items is not None:
             return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    import json
+
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 

@@ -50,10 +50,9 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import json
+import os
 import sys
 from collections.abc import Sequence
-from pathlib import Path
 from typing import NamedTuple
 
 from .bigraph import BipartiteGraph, _components, _positions, is_connected, to_document
@@ -529,13 +528,18 @@ def _code_digest(g: BipartiteGraph) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def write_enumeration(out_dir: str | Path, manifest: dict,
+def write_enumeration(out_dir: str | os.PathLike, manifest: dict,
                       graphs: list[BipartiteGraph]) -> dict:
     """Write one graph document per instance and `manifest.json`; return the manifest.
 
     The manifest comes from the caller, which counts what it enumerated;
     only its `files` are filled in here, with the sorted document names.
+    `json` and `pathlib` are imported here, so a command that writes no
+    directory loads neither.
     """
+    import json
+    from pathlib import Path
+
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     files = []

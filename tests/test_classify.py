@@ -161,6 +161,30 @@ class TestClassificationJson:
         assert sum(g is stair for g in checked) == 1
         assert data["macaulay_order"] == list(macaulay_order(stair).order)
 
+    def test_report_builds_no_edge_set_and_the_oracle_reads_the_eager_one(self):
+        # A parsed graph builds `edges` on first read.  The classify report
+        # reads only masks and blocks, so it leaves the edges unbuilt; the
+        # oracle and `verify` read them, and must see the set an eager
+        # build from the document's edge list gives, in the same order.
+        rng = random.Random(37)
+        pool = [builtin_graph(name) for name in ("fig1", "fig2", "fig3")]
+        pool += list(enumerate_unmixed(3)) + [SIX_CYCLE, complete(3)]
+        pool += [relabeled_copy(g, rng) for g in pool]
+        for g in pool:
+            lines = bigraph.to_document(g).splitlines()
+            tokens = [tok for line in lines if line.startswith("E:") for tok in line[2:].split()]
+            rng.shuffle(tokens)
+            doc = "\n".join([*lines[:2], "E: " + " ".join(tokens)]) + "\n"
+            eager = BipartiteGraph.of(g.left, g.right, [tok.split("-") for tok in tokens])
+            parsed = [parse_graph(doc) for _ in range(3)]
+            assert classification_json(parsed[0]) == classification_json(eager), doc
+            assert "edges" not in vars(parsed[0]), doc
+            assert simplicial.oracle_sweep(parsed[1]) == simplicial.oracle_sweep(eager), doc
+            assert verify_against_oracle(parsed[2]) == verify_against_oracle(eager), doc
+            for lazy in parsed:
+                assert list(lazy.edges) == list(eager.edges), doc
+                assert "_edge_ends" not in vars(lazy), doc
+
 
 class TestMacaulayOrder:
     def test_path_has_order(self):
@@ -181,9 +205,9 @@ class TestMacaulayOrder:
         bigraph_mod = importlib.import_module("cmtgraphs.bigraph")
         real, checked = bigraph_mod._matching_transitive, []
 
-        def counting(g, match):
+        def counting(g, match, distinct):
             checked.append(g)
-            return real(g, match)
+            return real(g, match, distinct)
 
         monkeypatch.setattr(bigraph_mod, "_matching_transitive", counting)
         stair = parse_graph(

@@ -129,9 +129,9 @@ class TestContract:
         bigraph_mod = importlib.import_module("cmtgraphs.bigraph")
         real, checked = bigraph_mod._matching_transitive, []
 
-        def counting(g, match):
+        def counting(g, match, distinct):
             checked.append(g)
-            return real(g, match)
+            return real(g, match, distinct)
 
         monkeypatch.setattr(bigraph_mod, "_matching_transitive", counting)
         g = builtin_graph("fig1")

@@ -111,7 +111,8 @@ def former_subset_walk(d, pairs):
     diagonal = {(i, i) for i in range(d)}
     for mask in itertools.product((False, True), repeat=len(pairs)):
         relation = diagonal | set(itertools.compress(pairs, mask))
-        if bigraph._transitive([sum(1 << j for a, j in relation if a == i) for i in range(d)]):
+        succ = [sum(1 << j for a, j in relation if a == i) for i in range(d)]
+        if bigraph._transitive(succ, set(succ)):
             yield frozenset(relation - diagonal)
 
 
@@ -955,9 +956,9 @@ class TestSharpFamilies:
         # (proved in its docstring), so no blow-up checks its base again.
         real, checked = bigraph._matching_transitive, []
 
-        def counting(g, match):
+        def counting(g, match, distinct):
             checked.append(g)
-            return real(g, match)
+            return real(g, match, distinct)
 
         monkeypatch.setattr(bigraph, "_matching_transitive", counting)
         assert len(enumerate_sharp_cmt(4)) == 37

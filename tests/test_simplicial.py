@@ -1013,6 +1013,30 @@ class TestOracleSweep:
         assert calls
         assert json.loads(capsys.readouterr().out)["result"]["betti"] == generic.as_dict()
 
+    def test_whole_complex_reuses_the_sweeps_walk(self, monkeypatch):
+        # Small connected fold-free graphs, K_{4,4} minus a perfect matching,
+        # C_8 and C_10, alone and with every vertex doubled: the whole
+        # complex is walked once, by the sweep, and its faces cut back to
+        # the representatives give the homology of the plain walk's faces.
+        walk, walks = simplicial._walk, []
+
+        def counting_walk(nbrs, allowed):
+            walks.append(allowed)
+            return walk(nbrs, allowed)
+
+        monkeypatch.setattr(simplicial, "_walk", counting_walk)
+        for g in (crown(4), even_cycle(4), even_cycle(5)):
+            doubled = BipartiteGraph.of(
+                [f"{v}_{a}" for v in g.left for a in (0, 1)],
+                [f"{v}_{a}" for v in g.right for a in (0, 1)],
+                [(f"{x}_{a}", f"{y}_{b}") for x, y in g.edges for a in (0, 1) for b in (0, 1)])
+            for h in (g, doubled):
+                nbrs = simplicial._masks(h)
+                expected = reduced_homology(tuple(independent_sets(nbrs, (1 << len(nbrs)) - 1)))
+                del walks[:]
+                assert simplicial.oracle_sweep(h, homology=True).homology == expected, h
+                assert len(walks) == 1, h
+
     def test_fold_free_graphs_reach_the_matrices(self, monkeypatch):
         # Crowns and even cycles have no fold and are connected, so the
         # whole complex goes to `reduced_homology`, on the oracle walk's
