@@ -28,20 +28,20 @@ is counted but not listed.  Below a tagged face, every face that leaves
 a tagged vertex out is tagged too: the walk counts those by a weighted
 independent-set recurrence and follows only the branch that takes every
 tagged vertex.  The sweep tests the listed faces that are not facets.
-Their links' Betti
-numbers are read off that subgraph before any matrix (`_link_betti`):
-an isolated vertex makes it a cone, folds delete dominated vertices
-(twins among them), and the rest splits into components whose complexes
-join.  Each component, once per sweep however many links share it, has
-its faces listed by the same `_walk`, as the bitmask faces that
-`reduced_homology` also takes; the whole complex reuses the sweep's
-walk.  A one-edge component is listed with no walk, and it is two
-points, which `reduced_homology` names with no boundary matrix.
-`independence_complex` reads the facets off the same walk, for the
-generic routines below: the limit is this module's alone, and no caller
-names it.  `link` and `join` build their complexes directly, since their
-facets are already antichains (proofs in their docstrings); only
-`from_facets` prunes.
+Their links' Betti numbers are read off that subgraph before any matrix
+(`_link_betti`): an isolated vertex makes it a cone, found as soon as a
+fold leaves one, folds delete dominated vertices (twins among them), and
+the rest splits into components whose complexes join, a two-point
+component by a shift.  Each component, once per sweep however many
+links share it, has its faces listed by the same `_walk`, as the
+bitmask faces that `reduced_homology` also takes; the whole complex
+reuses the sweep's walk.  A one-edge component is listed with no walk,
+and it is two points, which `reduced_homology` names with no boundary
+matrix.  `independence_complex` reads the facets off the same walk, for
+the generic routines below: the limit is this module's alone, and no
+caller names it.  `link` and `join` build their complexes directly,
+since their facets are already antichains (proofs in their docstrings);
+only `from_facets` prunes.
 
 Cohen-Macaulayness is decided by the Reisner criterion: every face link
 must have vanishing reduced homology below its own dimension.  `is_cm_t`
@@ -74,13 +74,15 @@ from .bigraph import BipartiteGraph, ConsistencyError, _Frozen
 # The oracle's work grows with the faces of the independence complex, not
 # with its vertices, or with the sets of twin classes when there are twins.
 # Measured by `oracle_sweep(g, homology=True)` on one core of a shared Xeon
-# VM under Python 3.11: 19,683 faces (a perfect matching on 9 pairs, every
-# link folded to disjoint edges) take 20-45 ms, 6,144 (the 20-vertex chain)
-# 6-13 ms, 16,396 (K_{13,13} minus a perfect matching, no folds, so its
-# whole homology is ranked) 45-65 ms, 16,807 (five disjoint K_{2,2}, all
-# twins, walked as 243 sets of classes) 0.4-0.6 ms, and 59,049 (a matching
-# on 10 pairs) 85-120 ms.  The limit still counts every face, so a
-# twin-heavy graph past it is refused though its walk is short.
+# VM under Python 3.11, best of 7-9 calls in each of 2-4 processes:
+# 19,683 faces (a perfect matching on 9 pairs, every link split into
+# disjoint edges) take 17-18 ms, 6,144 (the 20-vertex chain) 0.32-0.34 ms,
+# 16,396 (K_{13,13} minus a perfect matching, no folds, so its whole
+# homology is ranked) 39-67 ms, 16,807 (five disjoint K_{2,2}, all twins,
+# walked as 243 sets of classes) 0.16 ms, and 59,049 (a matching on 10
+# pairs) 55-96 ms; the host's speed swung by half between processes.  The
+# limit still counts every face, so a twin-heavy graph past it is refused
+# though its walk is short.
 ORACLE_FACE_LIMIT = 20_000
 
 
@@ -664,7 +666,12 @@ class OracleSweep(NamedTuple):
 
 
 def _join_betti(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Shifted Betti numbers of a join: entry s is degree s - 1 on every side."""
+    """Shifted Betti numbers of a join: entry s is degree s - 1 on every side.
+
+    The product of the two Betti polynomials (proof in `oracle_sweep`).
+    Joining S^0, whose profile is (0, 1), is a shift, (0,) + a, which
+    `_link_betti` makes with no product.
+    """
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
@@ -681,8 +688,26 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
     Trailing zeros are dropped, so a complex with no reduced homology gives
     ().  The graph is cut down by cones, folds and the split into
     components before any face is listed; the proofs are in `oracle_sweep`.
-    Each pass of the fold loop meets every vertex still kept, so it also
-    finds an isolated vertex, at the start or left by a fold: a cone.
+    Each pass of the fold loop meets every vertex still kept, so it finds
+    a vertex isolated at the start: a cone.  A vertex that a fold leaves
+    isolated is found when the fold is made, and () returned at once.
+    - **Only w's neighbours can be left isolated.**  Deleting w takes a
+      kept neighbour away from its neighbours alone, so a vertex that had
+      one and has none left is a kept neighbour x of w.  The witness u
+      (`low`, with N(u) & kept <= N(w)) is kept and not adjacent to w,
+      but it may be adjacent to x, so the test reads every kept vertex.
+    - **Stopping early changes nothing but the time.**  Such an x has no
+      kept neighbour, so no later fold deletes it: a deleted w is a
+      neighbour of `first`, a kept vertex.  Left to run, the loop would
+      meet x in this pass, x being in `todo` unless met already, or in
+      the next, which the fold forces, and meeting x, or an isolated
+      vertex before it, return () before any component is split off.  So
+      the profile is () either way, `known` gets nothing and
+      `reduced_homology` is not called.
+    A new component's profile is trimmed by dropping its trailing zeros
+    from the end.  A component whose profile is (0, 1), S^0, joins as a
+    shift: its Betti polynomial is t, and multiplying by t puts a 0 in
+    front (`_join_betti`, `oracle_sweep`).
     A component's faces are walked and ranked only when `known`, which maps
     vertex masks to their Betti numbers, does not hold it yet, and
     `walked`, the caller's walk of every vertex when `rest` is its reps,
@@ -729,6 +754,13 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
                 if not inside & ~nbrs[w.bit_length() - 1]:
                     kept ^= w
                     folding = True
+                    # A neighbour of w with no kept neighbour left: a cone.
+                    around = nbrs[w.bit_length() - 1] & kept
+                    while around:
+                        x = around & -around
+                        if not nbrs[x.bit_length() - 1] & kept:
+                            return ()
+                        around ^= x
     betti: tuple[int, ...] = (1,)
     while kept:
         part = grow = kept & -kept
@@ -741,7 +773,8 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
             grow = reach & kept & ~part
             part |= grow
         kept ^= part
-        if part not in known:
+        profile = known.get(part)
+        if profile is None:
             if part.bit_count() == 2:  # one edge: the faces its walk lists
                 low = part & -part
                 faces = (0, part ^ low, low)
@@ -749,11 +782,13 @@ def _link_betti(nbrs: tuple[int, ...], rest: int,
                 sets = walked if part == rest and walked is not None else _walk(nbrs, part)
                 faces = tuple([face & part for face, _ in sets])
             profile = reduced_homology(faces).betti
-            top = max((s for s, b in enumerate(profile) if b), default=-1)
-            known[part] = profile[:top + 1]
-        if not known[part]:
+            top = len(profile)
+            while top and not profile[top - 1]:
+                top -= 1
+            profile = known[part] = profile[:top]
+        if not profile:
             return ()
-        betti = _join_betti(betti, known[part])
+        betti = (0,) + betti if profile == (0, 1) else _join_betti(betti, profile)
     return betti
 
 
@@ -802,7 +837,11 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       and w * lk(w) glued along lk(w); neither the cone nor lk(w) has
       reduced homology, so by Mayer-Vietoris the union has that of
       Ind(G[R - w]).  Folds repeat until none applies, and a vertex that
-      a fold leaves isolated is a cone again.
+      a fold leaves isolated is a cone again.  Only a neighbour of the
+      deleted w can lose its last neighbour, so `_link_betti` looks at
+      w's kept neighbours when it deletes w and returns () at once if
+      one has none left, with the answer and the work on `known` of the
+      loop that would meet it later (proof there).
     - **Join** (Kozlov, Combinatorial Algebraic Topology, 2008).  If G[R]
       is the disjoint union of A and B, the independent sets are the
       unions of one of each, so Ind(G[R]) = Ind(A) * Ind(B).  Over a
@@ -812,7 +851,10 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
       coefficients of the product of the parts' polynomials
       (`_join_betti`).  The empty graph, whose complex is {empty set}
       with one class in degree -1, is the unit (1,).  A component with
-      no reduced homology leaves the whole join with none.
+      no reduced homology leaves the whole join with none.  A one-edge
+      component is S^0, profile (0, 1), whose polynomial is t: X * S^0
+      is the suspension of X, with H~_{k+1}(X * S^0) = H~_k(X), so the
+      join shifts the profile one entry up, (0,) + betti, with no product.
     Each component goes to `reduced_homology`, walked by `_walk` unless
     it has two vertices.  Such a component needs no walk and no boundary
     matrix: after the fold loop every kept vertex has a neighbour among
@@ -894,10 +936,11 @@ def oracle_sweep(g: BipartiteGraph, homology: bool = False) -> OracleSweep:
     codim = 0 if pure else None
     if pure:
         for taken, rest in itertools.chain.from_iterable(reversed(by_size)):
-            if rest not in profiles:
-                profiles[rest] = _link_betti(nbrs, rest, profiles,
-                                             sets if rest == reps else None)
-            if any(profiles[rest][:d - taken.bit_count()]):
+            profile = profiles.get(rest)
+            if profile is None:
+                profile = profiles[rest] = _link_betti(nbrs, rest, profiles,
+                                                       sets if rest == reps else None)
+            if profile and any(profile[:d - taken.bit_count()]):
                 codim = taken.bit_count() + 1
                 break
     whole = None

@@ -862,15 +862,98 @@ def check_link_betti(g, masks):
 
     The faces are listed by `independent_sets`, not by the oracle's walk.
     Cones, folds, components and joins must give the matrices' Betti
-    numbers, padded with zeros.  Returns how many masks were checked.
+    numbers with their trailing zeros dropped.  Returns how many masks
+    were checked.
     """
     nbrs = simplicial._masks(g)
     checked = 0
     for w in masks:
         expected = reduced_homology(tuple(independent_sets(nbrs, w))).betti
         betti = simplicial._link_betti(nbrs, w, {})
+        assert not betti or betti[-1], (g, w, betti)
         assert betti + (0,) * (len(expected) - len(betti)) == expected, (g, w)
         checked += 1
+    return checked
+
+
+def former_link_betti(nbrs, rest, known, walked=None):
+    """The link rules before a fold could return its cone: a copy of the former `_link_betti`.
+
+    Kept as the reference for the early cone, the trim and the shift:
+    the fold loop finishes each pass before it meets a vertex that a fold
+    left isolated, every component's profile is trimmed by `max`, and
+    every join, S^0 included, goes through `_join_betti`.
+    """
+    kept, folding = rest, True
+    while folding:
+        folding, todo = False, kept
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            if not low & kept:
+                continue
+            inside = nbrs[low.bit_length() - 1] & kept
+            if not inside:
+                return ()
+            first = inside & -inside
+            others = nbrs[first.bit_length() - 1] & kept & ~low
+            while others:
+                w = others & -others
+                others ^= w
+                if not inside & ~nbrs[w.bit_length() - 1]:
+                    kept ^= w
+                    folding = True
+    betti = (1,)
+    while kept:
+        part = grow = kept & -kept
+        while grow:
+            reach = 0
+            while grow:
+                low = grow & -grow
+                reach |= nbrs[low.bit_length() - 1]
+                grow ^= low
+            grow = reach & kept & ~part
+            part |= grow
+        kept ^= part
+        if part not in known:
+            if part.bit_count() == 2:
+                low = part & -part
+                faces = (0, part ^ low, low)
+            else:
+                sets = walked if part == rest and walked is not None else simplicial._walk(nbrs, part)
+                faces = tuple([face & part for face, _ in sets])
+            profile = simplicial.reduced_homology(faces).betti
+            top = max((s for s, b in enumerate(profile) if b), default=-1)
+            known[part] = profile[:top + 1]
+        if not known[part]:
+            return ()
+        betti = simplicial._join_betti(betti, known[part])
+    return betti
+
+
+def check_link_betti_against_former(g, masks):
+    """`_link_betti` against `former_link_betti` on each vertex mask, in order, one table a side.
+
+    As in the sweep, each side keeps one `known` table across the masks,
+    and the mask of every representative of the whole walk is handed
+    that walk.  Each mask must give the same profile and leave the tables
+    the same size, and at the end they must hold the same keys and
+    values: a component goes to `reduced_homology` exactly when it is not
+    yet in the table, so the two sides make the same calls on the same
+    faces.  Returns how many masks were checked.
+    """
+    nbrs = simplicial._masks(g)
+    sets = simplicial._walk(nbrs, (1 << len(nbrs)) - 1)
+    reps = sets[0][1]
+    known, former = {}, {}
+    checked = 0
+    for w in masks:
+        walked = sets if w == reps else None
+        assert simplicial._link_betti(nbrs, w, known, walked) == \
+            former_link_betti(nbrs, w, former, walked), (g, w)
+        assert len(known) == len(former), (g, w)
+        checked += 1
+    assert known == former, g
     return checked
 
 
@@ -974,6 +1057,26 @@ class TestOracleSweep:
         for d in range(1, 5):
             for g in enumerate_unmixed(d):
                 self.check(g)
+
+    def test_link_rules_match_the_former_code_on_unmixed_graphs(self):
+        # Every induced subgraph of the unmixed graphs with d <= 4.
+        assert sum(check_link_betti_against_former(g, range(1 << 2 * d))
+                   for d in range(1, 5) for g in enumerate_unmixed(d)) == 6644
+
+    def test_link_rules_match_the_former_code_on_poset_graphs(self):
+        # Seeded 7-point poset graphs, the shape of the oracle_large
+        # benchmark: the sweep's own link keys in its scan order (largest
+        # face first, walk order within a size), then 256 seeded masks.
+        rng = random.Random(7)
+        for _ in range(60):
+            g = relation_graph(seeded_poset(rng, 7, rng.uniform(0.5, 0.7)), 7)
+            sets = simplicial._walk(simplicial._masks(g), (1 << 14) - 1)
+            keys = [free for _, free in sorted(sets, key=lambda s: -s[0].bit_count()) if free]
+            check_link_betti_against_former(g, keys + rng.sample(range(1 << 14), 256))
+
+    def test_link_rules_match_the_former_code_on_crowns_and_even_cycles(self):
+        for g in [crown(n) for n in range(3, 7)] + [even_cycle(m) for m in range(3, 7)]:
+            check_link_betti_against_former(g, range(1 << len(g.vertices)))
 
     def test_cone_tags_are_the_isolated_vertices(self):
         # Every unmixed graph has a pure order, so the walk's tag is
